@@ -20,7 +20,14 @@ contributed by S is ``P(Z = i)``; multiplying by the number of vertex sets
 ``lambda_params`` evaluates P(Z = i) exactly by enumerating class
 assignments of S and all edge configurations on its pairs (and self-loop
 slots), truncating each infinite-support law at a certified tail threshold
-and reporting the neglected mass.
+and reporting the neglected mass.  Z is unchanged when the vertices of S
+are relabelled, so the float path enumerates class multisets, each weighted
+by its number of orderings, and walks each multiset's configuration grid in
+fixed-size numpy chunks (``counting._count_law``): probabilities are
+products of table lookups, clump sizes sums over placements of binomial
+lookups, and masses are accumulated per clump size.  The ``exact=True``
+path keeps a plain loop over every class assignment and configuration in
+rational arithmetic and serves as the float path's oracle.
 
 The total-variation error bounds come in seven variants (named in
 ``tv_bound``), each a closed form in the pattern's structural exponents and
@@ -38,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .counting import clump_size
+from .counting import _class_multisets, _copy_terms, _count_law, clump_size
 from .distributions import (
     Categorical,
     Geometric,
@@ -104,11 +111,16 @@ class CompoundPoissonParams:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A total-variation bound value plus every constant that built it."""
+    """A total-variation bound value plus every constant that built it.
+
+    ``params`` holds the clump rates enumerated for ``c(lambda)``, or None
+    when the variant takes ``c`` from elsewhere (or needs none).
+    """
 
     variant: str
     value: float
     ingredients: dict
+    params: CompoundPoissonParams | None = None
 
 
 # -- means -------------------------------------------------------------------
@@ -191,10 +203,12 @@ def lambda_params(
 ) -> CompoundPoissonParams:
     """Exact clump rates lambda_i = C(n, v) * P(Z = i).
 
-    Enumerates, for one vertex set, every class assignment and every edge
-    (and self-loop) configuration with per-pair supports truncated where the
-    law's tail falls below ``eps``.  ``exact=True`` switches to rational
-    arithmetic (categorical laws only) and returns Fractions.
+    Enumerates, for one vertex set, every class multiset (weighted by its
+    orderings) and every edge (and self-loop) configuration with per-pair
+    supports truncated where the law's tail falls below ``eps``, in
+    fixed-size chunks.  ``exact=True`` switches to rational arithmetic
+    (categorical laws only), walks every class assignment one configuration
+    at a time, and returns Fractions.
 
     Raises :class:`InfeasibleError` when the enumeration would exceed
     ``max_configs`` configurations.
@@ -247,8 +261,6 @@ def lambda_params(
     imax = clump_size(top_config, pattern)
 
     zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    f = [Fraction(x) for x in spec.f] if exact else list(spec.f)
 
     pmf_cache = {}
     tail_cache = {}
@@ -271,14 +283,11 @@ def lambda_params(
         return tail_cache[key]
 
     slot_pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
-    clump_cache = {}
-    size_prob = {}
-    neglected = zero
 
-    for assign in product(range(Q), repeat=v):
-        a_prob = one
-        for c in assign:
-            a_prob *= f[c]
+    def slot_tables(assign):
+        # per-slot pmf tables of one class assignment, and the union bound
+        # over slots on the probability that any slot exceeds its truncated
+        # support
         tables = []
         excess = zero
         for sa, sb in slot_pairs:
@@ -291,21 +300,36 @@ def lambda_params(
                 law = spec.self_loop_laws[assign[w]]
                 tables.append(pmfs(law, loop_caps[assign[w]]))
                 excess += tail_excess(law, loop_caps[assign[w]])
-        # union bound over slots on the probability that any slot exceeds
-        # its truncated support
-        neglected += a_prob * excess
-        for config in product(*(range(len(t)) for t in tables)):
-            p = a_prob
-            for t, val in zip(tables, config):
-                p *= t[val]
-            if p == zero:
-                continue
-            z = clump_cache.get(config)
-            if z is None:
+        return tables, excess
+
+    size_prob = {}
+    neglected = zero
+
+    if exact:
+        f = [Fraction(x) for x in spec.f]
+        for assign in product(range(Q), repeat=v):
+            a_prob = Fraction(1)
+            for c in assign:
+                a_prob *= f[c]
+            tables, excess = slot_tables(assign)
+            neglected += a_prob * excess
+            for config in product(*(range(len(t)) for t in tables)):
+                p = a_prob
+                for t, val in zip(tables, config):
+                    p *= t[val]
+                if p == zero:
+                    continue
                 z = clump_size(list(config), pattern)
-                clump_cache[config] = z
-            if z > 0:
-                size_prob[z] = size_prob.get(z, zero) + p
+                if z > 0:
+                    size_prob[z] = size_prob.get(z, zero) + p
+    else:
+        terms = _copy_terms(pattern, v)
+        for assign, weight in _class_multisets(spec.f, v):
+            tables, excess = slot_tables(assign)
+            neglected += weight * excess
+            for z, p in _count_law(tables, terms, weight).items():
+                if z > 0:
+                    size_prob[z] = size_prob.get(z, zero) + p
 
     n_sets = math.comb(n, v)
     lam = tuple(n_sets * size_prob.get(i, zero) for i in range(1, imax + 1))
@@ -416,9 +440,10 @@ def _check_common(spec, pattern, variant, *, simple: bool, balanced_flag: bool):
 
 
 def _c_from_spec(spec, pattern, c_override, eps):
-    """c(lambda) and its source for the compound-Poisson variants."""
+    """c(lambda), its source, and the clump rates enumerated for it (None
+    when c comes from elsewhere), for the compound-Poisson variants."""
     if c_override is not None:
-        return float(c_override), "override"
+        return float(c_override), "override", None
     if spec.degree_weights is not None:
         # clump rates are not computable with vertex-dependent means; fall
         # back to c <= exp(total rate) <= exp(mean count upper bound)
@@ -429,9 +454,9 @@ def _c_from_spec(spec, pattern, c_override, eps):
             * _pow(ext.inhom_max, pattern.edge_total)
         )
         c = math.exp(mean_upper) if mean_upper <= 700.0 else math.inf
-        return c, "mean_upper"
-    c = c_lambda_upper(lambda_params(spec, pattern, eps))
-    return c, "clump_upper"
+        return c, "mean_upper", None
+    params = lambda_params(spec, pattern, eps)
+    return c_lambda_upper(params), "clump_upper", params
 
 
 def _simple_shell(n, v, e, rho_val, c, mu, kappas):
@@ -520,8 +545,10 @@ def tv_bound(
     ``regime_corpn`` (simple pattern with pair means sandwiched between
     ``regime_c * n^(-1/density)`` and ``regime_C * n^(-1/density)``).
 
-    Raises :class:`PreconditionError`, naming the failed hypothesis, when
-    the variant does not apply.
+    Every hypothesis is checked before the clump rates are enumerated, and
+    the rates come back in the report's ``params``.  Raises
+    :class:`PreconditionError`, naming the failed hypothesis, when the
+    variant does not apply.
     """
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")
@@ -540,7 +567,7 @@ def tv_bound(
     if variant in ("thm31_simple", "cor35_inhom"):
         prof = _check_common(spec, pattern, variant, simple=True, balanced_flag=True)
         mu = ext.mu1_star if variant == "thm31_simple" else ext.inhom_max
-        c, c_source = _c_from_spec(spec, pattern, c_override, eps)
+        c, c_source, params = _c_from_spec(spec, pattern, c_override, eps)
         kappas = {i: kappa(pattern, i, "simple") for i in range(1, v)}
         value = _simple_shell(n, v, e, rho_val, c, mu, kappas)
         ingredients = {
@@ -557,7 +584,9 @@ def tv_bound(
         }
         for i in range(1, v):
             ingredients[f"kappa_{i}"] = float(kappas[i])
-        return BoundReport(variant=variant, value=value, ingredients=ingredients)
+        return BoundReport(
+            variant=variant, value=value, ingredients=ingredients, params=params
+        )
 
     if variant in ("thm41_multi", "thm51_selfloop"):
         prof = _check_common(spec, pattern, variant, simple=False, balanced_flag=True)
@@ -576,7 +605,7 @@ def tv_bound(
                 )
         else:
             phi = 1.0  # unused
-        c, c_source = _c_from_spec(spec, pattern, c_override, eps)
+        c, c_source, params = _c_from_spec(spec, pattern, c_override, eps)
         kappas_m = {i: kappa(pattern, i, "multi") for i in range(1, v)}
         first = 1.0
         for i in range(1, t + 1):
@@ -606,7 +635,9 @@ def tv_bound(
         if s > 0:
             ingredients["phi_star"] = phi
             ingredients["negative_selfloop_exponent"] = int(negative_exponent)
-        return BoundReport(variant=variant, value=value, ingredients=ingredients)
+        return BoundReport(
+            variant=variant, value=value, ingredients=ingredients, params=params
+        )
 
     if variant in ("thm52_poisson_approx", "cor55_poisson_sbm"):
         prof = _check_common(spec, pattern, variant, simple=True, balanced_flag=True)
@@ -658,7 +689,7 @@ def tv_bound(
                 f"regime_corpn: an edge mean {mean} lies outside the envelope "
                 f"[{regime_c * scale}, {regime_C * scale}]"
             )
-    c, c_source = _c_from_spec(spec, pattern, c_override, eps)
+    c, c_source, params = _c_from_spec(spec, pattern, c_override, eps)
     alpha = _frac_float(prof.alpha)
     gamma = _frac_float(prof.gamma)
     C_big = float(regime_C)
@@ -692,4 +723,6 @@ def tv_bound(
         "alpha": alpha,
         "gamma": gamma,
     }
-    return BoundReport(variant="regime_corpn", value=value, ingredients=ingredients)
+    return BoundReport(
+        variant="regime_corpn", value=value, ingredients=ingredients, params=params
+    )

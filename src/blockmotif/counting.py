@@ -13,13 +13,20 @@ placements; ``count_copies_bruteforce`` independently sums over all
 injective vertex maps and divides by the automorphism count.  Both return
 exact integers (the fast path falls back to arbitrary precision whenever
 the product could overflow 64-bit arithmetic).
+
+The same binomial-product sums give the law of a copy count under a random
+configuration: ``_count_law`` walks the grid of per-slot values of one
+class assignment in fixed-size numpy chunks, and ``_class_multisets`` lists
+the class assignments up to vertex relabelling, which leaves counts and
+their laws unchanged.  The clump rates and the exact count law share them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -27,6 +34,10 @@ from .model import ObservedMultigraph
 from .patterns import PatternGraph, automorphism_count, placements
 
 __all__ = ["count_copies", "count_copies_bruteforce", "clump_size"]
+
+# rows of the configuration grid per chunk: bounds the enumerator's working
+# memory whatever the grid size
+_CHUNK_ROWS = 1 << 15
 
 
 @lru_cache(maxsize=32)
@@ -51,7 +62,6 @@ def _required_pairs(pattern: PatternGraph):
     Slot pairs are indexed in lexicographic order of
     ``combinations(range(v), 2)``; loop requirements as (slot, count).
     """
-    v = pattern.vertex_count
     out = []
     for pair_req, loop_req in placements(pattern):
         pairs = [(k, r) for k, r in enumerate(pair_req) if r > 0]
@@ -231,3 +241,100 @@ def clump_size(edge_config, pattern: PatternGraph) -> int:
             else:
                 total += prod
     return total
+
+
+def _copy_terms(pattern: PatternGraph, n: int) -> list[list[tuple[int, int]]]:
+    """Copy-count terms of the pattern on the slots of an n-vertex host.
+
+    The slots are the C(n, 2) vertex pairs in lexicographic order, then the
+    n self-loop slots.  Each (v-subset, orbit placement) gives one term: the
+    ``(slot, required multiplicity)`` pairs of that placement.  A host's copy
+    count is the sum over terms of the products of ``C(slot value, required)``.
+    """
+    v = pattern.vertex_count
+    pair_slot = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+    slot_pairs = list(combinations(range(v), 2))
+    reqs = _required_pairs(pattern)
+    terms = []
+    for subset in combinations(range(n), v):
+        for pairs, loops in reqs:
+            term = []
+            for k, r in pairs:
+                a, b = slot_pairs[k]
+                term.append((pair_slot[subset[a], subset[b]], r))
+            term += [(len(pair_slot) + subset[w], c) for w, c in loops]
+            terms.append(term)
+    return terms
+
+
+def _class_multisets(f, size: int):
+    """Class assignments of ``size`` vertices up to relabelling, weighted.
+
+    Yields each sorted assignment with its probability: the number of its
+    orderings (a multinomial coefficient) times the product of the class
+    probabilities ``f``.  Summing a relabelling-invariant quantity over
+    these equals summing it over all ``len(f) ** size`` assignments.
+    """
+    for assign in combinations_with_replacement(range(len(f)), size):
+        orderings = math.factorial(size)
+        for k in Counter(assign).values():
+            orderings //= math.factorial(k)
+        weight = float(orderings)
+        for c in assign:
+            weight *= f[c]
+        yield assign, weight
+
+
+def _count_law(tables, terms, weight: float) -> dict[int, float]:
+    """Probability mass per copy count over the full configuration grid.
+
+    Slot ``s`` independently takes value ``k`` with probability
+    ``tables[s][k]``; a configuration's count is the sum over ``terms`` of
+    the products of ``C(value of slot, required)`` over each term's
+    ``(slot, required)`` pairs (see ``_copy_terms``).  The grid is walked in
+    chunks of ``_CHUNK_ROWS`` mixed-radix indices (slot 0 most significant),
+    so working memory stays bounded; configurations of probability 0.0 are
+    skipped (so every returned mass is positive).  Counts are exact: int64
+    when the largest count the grid can reach and every binomial factor
+    fit, Python integers in object arrays otherwise.  Returns
+    ``{count: weight * P(count)}``.
+    """
+    tables = [np.asarray(t, dtype=np.float64) for t in tables]
+    radices = [len(t) for t in tables]
+    max_req = max((r for term in terms for _, r in term), default=0)
+    top = max(radices, default=1)
+    comb = [[math.comb(k, r) for k in range(top)] for r in range(max_req + 1)]
+    # largest count the grid can reach: every slot at its top value.  int64
+    # needs it and every table entry to fit; a product that wraps on the way
+    # still ends exact, as int64 arithmetic is exact modulo 2**64
+    worst = sum(
+        math.prod(math.comb(radices[s] - 1, r) for s, r in term) for term in terms
+    )
+    dtype = np.int64 if max(worst, *map(max, comb)) < 2**63 else object
+    comb = np.array(comb, dtype=dtype)
+    law: dict[int, float] = {}
+    size = math.prod(radices)
+    for start in range(0, size, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, size)
+        rest = np.arange(start, stop, dtype=np.int64)
+        digits = [None] * len(radices)
+        for s in reversed(range(len(radices))):
+            rest, digits[s] = np.divmod(rest, radices[s])
+        prob = np.full(stop - start, float(weight))
+        for t, d in zip(tables, digits):
+            prob *= t[d]
+        keep = prob != 0.0
+        if not keep.all():
+            prob = prob[keep]
+            digits = [d[keep] for d in digits]
+        counts = np.zeros(len(prob), dtype=dtype)
+        for term in terms:
+            copies = 1
+            for s, r in term:
+                copies = copies * comb[r][digits[s]]
+            counts += copies
+        values, inverse = np.unique(counts, return_inverse=True)
+        masses = np.bincount(inverse, weights=prob)
+        for c, m in zip(values.tolist(), masses.tolist()):
+            law[c] = law.get(c, 0.0) + m
+    return law

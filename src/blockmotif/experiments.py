@@ -2,27 +2,32 @@
 
 Two routes to the distribution of the copy count W:
 
-* ``exact_count_pmf`` enumerates every class assignment and every edge
-  configuration of a small finite-support model and accumulates the exact
-  law of W;
+* ``exact_count_pmf`` enumerates every edge configuration of a small
+  finite-support model and accumulates the exact law of W.  W is unchanged
+  when vertices are relabelled, so it walks class multisets weighted by
+  their number of orderings, and each multiset's configuration grid in
+  fixed-size numpy chunks that score every host with the same
+  binomial-product sums ``count_copies`` uses (``counting._count_law``);
 * ``monte_carlo_pmf`` samples whole graphs (one keyed substream per
   replicate) and counts copies in each.
 
 ``run_experiment`` glues these to the approximation module: it computes the
-structural profile, model extrema, clump rates, the requested
-total-variation bound, the reference law (compound Poisson, or plain
-Poisson for the Poisson-limit variants), the measured total-variation
-distance, and a pass/fail comparison including a Monte Carlo error
-allowance of ``sqrt(atoms / (4 reps))`` (a Cauchy-Schwarz bound on the
-expected estimation error, over the union of compared supports) plus the
-reference law's truncation deficit.
+structural profile, model extrema, clump rates (once: reused from the
+bound's report when it enumerated them; null for the Poisson-limit variants
+when they are too large to enumerate), the requested total-variation bound,
+the reference law (compound Poisson, or plain Poisson for the Poisson-limit
+variants), the measured total-variation distance, and a pass/fail
+comparison including a Monte Carlo error allowance of
+``sqrt(atoms / (4 reps))`` (a Cauchy-Schwarz bound on the expected
+estimation error, over the union of compared supports) plus the reference
+law's truncation deficit.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 
 from ._rng import substream_key
 from .approximation import (
@@ -34,10 +39,9 @@ from .approximation import (
     lambda_params,
     tv_bound,
 )
-from .counting import count_copies
+from .counting import _class_multisets, _copy_terms, _count_law, count_copies
 from .distributions import Categorical
 from .model import (
-    ObservedMultigraph,
     SbmmSpec,
     model_extrema,
     sample_graph,
@@ -62,13 +66,17 @@ __all__ = [
 
 EXACT_ENUMERATION_LIMIT = 10**8
 
+# bound variants whose reference law is Poisson(nu) rather than CP(lambda)
+POISSON_REFERENCE_VARIANTS = ("thm52_poisson_approx", "cor55_poisson_sbm")
+
 
 def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
     """Exact law of the copy count W by full enumeration.
 
     Requires categorical (finite-support) edge laws, no degree weights, and
     a feasible enumeration size; self-loop slots are enumerated only when
-    the pattern actually has self-loops.
+    the pattern actually has self-loops.  Hosts of probability 0.0 leave
+    no atom.
     """
     if spec.degree_weights is not None:
         raise PreconditionError(
@@ -104,48 +112,15 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
             f"(limit {EXACT_ENUMERATION_LIMIT})"
         )
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    count_cache: dict[tuple, int] = {}
+    pairs = list(combinations(range(n), 2))
+    terms = _copy_terms(pattern, n)
     pmf: dict[int, float] = {}
-
-    def copies_of(config: tuple) -> int:
-        w = count_cache.get(config)
-        if w is None:
-            edge_counts = {pairs[k]: c for k, c in enumerate(config[:n_pairs]) if c}
-            loop_counts = (
-                {i: c for i, c in enumerate(config[n_pairs:]) if c} if with_loops else {}
-            )
-            w = count_copies(ObservedMultigraph(n, edge_counts, loop_counts), pattern)
-            count_cache[config] = w
-        return w
-
-    for assign in product(range(Q), repeat=n):
-        prob0 = 1.0
-        for c in assign:
-            prob0 *= spec.f[c]
-        tables = [
-            tuple(float(p) for p in spec.edge_laws[assign[i]][assign[j]].probabilities)
-            for i, j in pairs
-        ]
+    for assign, weight in _class_multisets(spec.f, n):
+        tables = [spec.edge_laws[assign[i]][assign[j]].probabilities for i, j in pairs]
         if with_loops:
-            tables.extend(
-                tuple(float(p) for p in spec.self_loop_laws[assign[i]].probabilities)
-                for i in range(n)
-            )
-        config = [0] * len(tables)
-
-        def walk(idx: int, prob: float) -> None:
-            if prob == 0.0:
-                return
-            if idx == len(tables):
-                w = copies_of(tuple(config))
-                pmf[w] = pmf.get(w, 0.0) + prob
-            else:
-                for val, p in enumerate(tables[idx]):
-                    config[idx] = val
-                    walk(idx + 1, prob * p)
-
-        walk(0, prob0)
+            tables += [spec.self_loop_laws[c].probabilities for c in assign]
+        for w, p in _count_law(tables, terms, weight).items():
+            pmf[w] = pmf.get(w, 0.0) + p
 
     total = math.fsum(pmf.values())
     assert abs(total - 1.0) <= 1e-10, f"enumerated probabilities sum to {total}"
@@ -293,6 +268,8 @@ def run_experiment(config: dict) -> dict:
     spec, pattern = cfg["spec"], cfg["pattern"]
     variant, mode = cfg["variant"], cfg["mode"]
 
+    # the bound checks its hypotheses first, then enumerates the clump rates
+    # when c(lambda) needs them; other variants enumerate them here
     bound = tv_bound(
         spec,
         pattern,
@@ -302,8 +279,16 @@ def run_experiment(config: dict) -> dict:
         regime_c=cfg["regime_c"],
         regime_C=cfg["regime_C"],
     )
+    poisson_reference = bound.variant in POISSON_REFERENCE_VARIANTS
+    params = bound.params
+    if params is None:
+        try:
+            params = lambda_params(spec, pattern, cfg["eps"])
+        except InfeasibleError:
+            # the Poisson reference needs only nu; report the rates as null
+            if not poisson_reference:
+                raise
     nu = expected_count(spec, pattern)
-    params = lambda_params(spec, pattern, cfg["eps"])
 
     if mode == "exact":
         observed = exact_count_pmf(spec, pattern)
@@ -313,7 +298,6 @@ def run_experiment(config: dict) -> dict:
         reps_used = cfg["reps"]
 
     max_support = max(observed, default=0)
-    poisson_reference = bound.variant in ("thm52_poisson_approx", "cor55_poisson_sbm")
     ref_pmf, ref_kind = _reference_pmf(nu if poisson_reference else params, max_support)
     reference = {k: p for k, p in enumerate(ref_pmf) if p > 0.0}
     ref_deficit = max(0.0, 1.0 - math.fsum(ref_pmf))
@@ -329,7 +313,14 @@ def run_experiment(config: dict) -> dict:
     positive = [w for w in observed if w > 0]
     support_gcd = math.gcd(*positive) if positive else 0
 
-    cp_total = float(params.total)
+    clump_rates = None
+    if params is not None:
+        clump_rates = {
+            "lambda": [float(x) for x in params.lam],
+            "imax": params.imax,
+            "truncation_mass": params.truncation_mass,
+            "total": float(params.total),
+        }
     return {
         "config": {
             "spec": spec_to_json(spec),
@@ -343,12 +334,7 @@ def run_experiment(config: dict) -> dict:
         "profile": _profile_json(pattern),
         "extrema": _extrema_json(spec, pattern),
         "nu": nu,
-        "clump_rates": {
-            "lambda": [float(x) for x in params.lam],
-            "imax": params.imax,
-            "truncation_mass": params.truncation_mass,
-            "total": cp_total,
-        },
+        "clump_rates": clump_rates,
         "bound": {
             "variant": bound.variant,
             "value": bound.value,

@@ -209,6 +209,36 @@ def test_exact_and_float_paths_agree():
             assert float(x) == pytest.approx(y, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("name", ["cycle4", "doubled_edge_triangle", "loop_triangle"])
+def test_float_rates_match_exact_rates_on_two_unequal_classes(name):
+    # the float path walks class multisets with multinomial weights, the
+    # exact path every class assignment in rationals: unequal class weights
+    # and three-point laws make any mis-weighted multiset show
+    f = (Fraction(1, 3), Fraction(2, 3))
+    a = Categorical([Fraction(3, 5), Fraction(3, 10), Fraction(1, 10)])
+    b = Categorical([Fraction(7, 10), Fraction(1, 5), Fraction(1, 10)])
+    c = Categorical([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+    loops = (
+        bernoulli(Fraction(1, 5)),
+        Categorical([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]),
+    )
+    pattern = {
+        "cycle4": PatternGraph(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1}),
+        "doubled_edge_triangle": DOUBLED_EDGE_TRIANGLE,
+        "loop_triangle": LOOP_TRIANGLE,
+    }[name]
+    spec = SbmmSpec(7, 2, f, ((a, b), (b, c)), self_loop_laws=loops)
+    want = lambda_params(spec, pattern, exact=True)
+    got = lambda_params(spec, pattern)
+    assert got.imax == want.imax
+    assert len(got.lam) == len(want.lam)
+    assert any(want.lam[1:])  # clumps of more than one copy occur
+    for x, y in zip(want.lam, got.lam):
+        assert y == pytest.approx(float(x), rel=1e-12, abs=1e-15)
+    assert got.total == pytest.approx(float(want.total), rel=1e-12)
+    assert got.truncation_mass == want.truncation_mass == 0.0
+
+
 def test_exact_path_requires_categorical_laws():
     spec = one_class_spec(6, Poisson(0.2))
     with pytest.raises(PreconditionError):

@@ -20,6 +20,7 @@ from blockmotif import (
     pattern_from_name,
     rho,
 )
+from blockmotif.counting import _count_law
 from conftest import random_connected_pattern, random_multigraph
 
 TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
@@ -103,6 +104,26 @@ def test_bigint_fallback_matches_closed_form():
     got = count_copies(g, heavy)
     assert got == expect
     assert got == count_copies_bruteforce(g, heavy)
+
+
+@pytest.mark.parametrize("required", [3, 50])
+def test_count_law_keeps_large_counts_exact(required):
+    # one slot with values 0..99 and a term needing ``required`` of them:
+    # C(99, 3) is about 1.6e5; C(99, 50) is about 5e28, past int64, so those
+    # counts must stay Python integers
+    law = _count_law([[0.01] * 100], [[(0, required)]], 2.0)
+    want = {math.comb(k, required): 0.02 for k in range(required, 100)}
+    want[0] = 0.02 * required
+    assert max(want) > 2**15
+    assert law.keys() == want.keys()
+    assert all(type(c) is int for c in law)
+    for c, mass in want.items():
+        assert law[c] == pytest.approx(mass, rel=1e-12)
+    # a second slot that is always 0 makes every count 0, but the first
+    # slot's factor still reaches C(99, required) before that 0 multiplies it
+    law = _count_law([[0.01] * 100, [1.0]], [[(0, required), (1, 1)]], 2.0)
+    assert law.keys() == {0}
+    assert law[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_clump_size_frozen_values():

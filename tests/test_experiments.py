@@ -3,25 +3,31 @@ the total-variation metric, and the experiment runner's report."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockmotif import approximation, experiments
 from blockmotif import (
     Categorical,
     InfeasibleError,
+    ObservedMultigraph,
     PatternGraph,
     Poisson,
     PreconditionError,
     SbmmSpec,
+    count_copies_bruteforce,
     dumps_stable,
     exact_count_pmf,
     expected_count,
+    lambda_params,
     monte_carlo_pmf,
     parse_experiment_config,
+    pattern_from_name,
     pattern_to_json,
     run_experiment,
     spec_to_json,
@@ -30,6 +36,7 @@ from blockmotif import (
 
 TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
 LOOP_TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1}, {0: 1})
+DOUBLED_EDGE_TRIANGLE = PatternGraph(3, {(0, 1): 2, (0, 2): 1, (1, 2): 1})
 
 
 def bernoulli(p):
@@ -139,6 +146,52 @@ def test_exact_pmf_preconditions():
 def test_exact_pmf_size_guard():
     with pytest.raises(InfeasibleError):
         exact_count_pmf(one_class_spec(12, bernoulli(0.3)), TRIANGLE)
+
+
+def _labelled_host_oracle(spec, pattern):
+    """Exact law of W over every class assignment and labelled host.
+
+    Walks ``product(range(Q), repeat=n)`` and every pair (and, for looped
+    patterns, loop) count, and scores each host with the brute-force counter.
+    """
+    n = spec.n
+    pairs = list(combinations(range(n), 2))
+    copies = {}
+    masses = {}
+    for assign in product(range(spec.Q), repeat=n):
+        weight = math.prod(float(spec.f[c]) for c in assign)
+        tables = [spec.edge_laws[assign[i]][assign[j]].probabilities for i, j in pairs]
+        if pattern.self_loops:
+            tables += [spec.self_loop_laws[c].probabilities for c in assign]
+        for config in product(*(range(len(t)) for t in tables)):
+            prob = weight * math.prod(float(t[k]) for t, k in zip(tables, config))
+            if prob == 0.0:
+                continue
+            if config not in copies:
+                edges = dict(zip(pairs, config))
+                loops = dict(enumerate(config[len(pairs) :]))
+                host = ObservedMultigraph(n, edges, loops)
+                copies[config] = count_copies_bruteforce(host, pattern)
+            masses.setdefault(copies[config], []).append(prob)
+    return {w: math.fsum(probs) for w, probs in masses.items()}
+
+
+@pytest.mark.parametrize("pattern", [LOOP_TRIANGLE, DOUBLED_EDGE_TRIANGLE])
+def test_exact_pmf_matches_labelled_host_oracle_on_two_classes(pattern):
+    # zero entries in every law put zero-probability hosts in the grid, some
+    # with counts no positive-probability host reaches; none may leave an
+    # atom behind
+    same0 = Categorical([0.6, 0.0, 0.4])
+    cross = Categorical([0.7, 0.3, 0.0])
+    same1 = Categorical([0.5, 0.5, 0.0])
+    loops = (Categorical([0.8, 0.2]), Categorical([1.0, 0.0]))
+    laws = ((same0, cross), (cross, same1))
+    spec = SbmmSpec(4, 2, (0.3, 0.7), laws, self_loop_laws=loops)
+    got = exact_count_pmf(spec, pattern)
+    want = _labelled_host_oracle(spec, pattern)
+    assert set(got) == set(want)
+    for w, prob in want.items():
+        assert got[w] == pytest.approx(prob, abs=1e-14)
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -339,3 +392,107 @@ def test_experiment_reports_are_byte_stable():
         "seed": 9,
     }
     assert dumps_stable(run_experiment(config)) == dumps_stable(run_experiment(config))
+
+
+def test_poisson_reference_survives_infeasible_clump_rates():
+    # the Poisson reference needs only nu: clump rates too large to
+    # enumerate are reported as null instead of failing the experiment
+    same, cross = Poisson(0.5), Poisson(0.2)
+    spec = SbmmSpec(12, 2, (0.5, 0.5), ((same, cross), (cross, same)))
+    cycle4 = pattern_from_name("cycle:4")
+    with pytest.raises(InfeasibleError):
+        lambda_params(spec, cycle4)
+    config = {
+        "spec": spec,
+        "pattern": cycle4,
+        "variant": "thm52_poisson_approx",
+        "mode": "monte_carlo",
+        "reps": 50,
+        "seed": 1,
+    }
+    report = run_experiment(config)
+    assert report["clump_rates"] is None
+    assert report["reference"]["kind"] == "poisson"
+    assert report["nu"] == pytest.approx(expected_count(spec, cycle4), rel=1e-12)
+    with pytest.raises(InfeasibleError):
+        run_experiment(dict(config, variant="thm31_simple"))
+
+
+@pytest.mark.parametrize(
+    "variant, pattern, message",
+    [
+        ("thm99", "cycle:4", "unknown bound variant"),
+        ("thm31_simple", "doubled_cycle4", "parallel edges"),
+    ],
+)
+def test_bound_hypotheses_fail_before_clump_rates_are_enumerated(
+    variant, pattern, message
+):
+    # the clump rates of both patterns are too large to enumerate here; the
+    # unknown variant and the failed hypothesis must be reported instead
+    # (InfeasibleError is a ValueError too, so the message tells them apart)
+    same, cross = Poisson(0.5), Poisson(0.2)
+    spec = SbmmSpec(12, 2, (0.5, 0.5), ((same, cross), (cross, same)))
+    pattern = {
+        "cycle:4": pattern_from_name("cycle:4"),
+        "doubled_cycle4": PatternGraph(4, {(0, 1): 2, (1, 2): 1, (2, 3): 1, (0, 3): 1}),
+    }[pattern]
+    with pytest.raises(InfeasibleError):
+        lambda_params(spec, pattern)
+    config = {
+        "spec": spec,
+        "pattern": pattern,
+        "variant": variant,
+        "mode": "monte_carlo",
+        "reps": 5,
+    }
+    with pytest.raises(ValueError, match=message) as raised:
+        run_experiment(config)
+    assert not isinstance(raised.value, InfeasibleError)
+
+
+@pytest.mark.parametrize("variant", ["thm31_simple", "thm52_poisson_approx"])
+def test_experiment_enumerates_clump_rates_once(monkeypatch, variant):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lambda_params(*args, **kwargs)
+
+    monkeypatch.setattr(approximation, "lambda_params", counted)
+    monkeypatch.setattr(experiments, "lambda_params", counted)
+    config = {
+        "spec": one_class_spec(8, bernoulli(0.3)),
+        "pattern": TRIANGLE,
+        "variant": variant,
+        "mode": "monte_carlo",
+        "reps": 5,
+    }
+    report = run_experiment(config)
+    assert len(calls) == 1
+    want = lambda_params(config["spec"], TRIANGLE)
+    assert report["clump_rates"]["lambda"] == [float(x) for x in want.lam]
+
+
+def _clump_cycle4():
+    same, cross = Poisson(0.15), Poisson(0.05)
+    spec = SbmmSpec(20, 2, (0.5, 0.5), ((same, cross), (cross, same)))
+    return lambda_params(spec, pattern_from_name("cycle:4"), 1e-8)
+
+
+def _exact_enum():
+    spec = one_class_spec(5, Categorical([0.6, 0.3, 0.1]))
+    return exact_count_pmf(spec, TRIANGLE)
+
+
+@pytest.mark.parametrize("enumeration", [_clump_cycle4, _exact_enum])
+def test_enumeration_memory_stays_bounded(enumeration):
+    # both grids hold 59,049 or more configurations; the enumerator walks
+    # them in fixed chunks and caches nothing per configuration
+    tracemalloc.start()
+    try:
+        enumeration()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
