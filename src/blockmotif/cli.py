@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -27,12 +26,11 @@ from itertools import combinations
 from .approximation import (
     InfeasibleError,
     PreconditionError,
-    cp_pmf,
     lambda_params,
     tv_bound,
 )
 from .counting import count_copies
-from .experiments import run_experiment
+from .experiments import _profile_json, _reference_pmf, run_experiment
 from .model import graph_from_text, graph_to_text, sample_graph, spec_from_json
 from .patterns import (
     PatternGraph,
@@ -65,20 +63,6 @@ def _frac_str(x: Fraction | None):
     return None if x is None else str(x)
 
 
-def _profile_payload(pattern: PatternGraph) -> dict:
-    prof = balancedness_profile(pattern)
-    return {
-        "density": _frac_str(prof.density),
-        "pseudo_density": _frac_str(prof.pseudo_density),
-        "alpha": _frac_str(prof.alpha),
-        "gamma": _frac_str(prof.gamma),
-        "alpha_m": _frac_str(prof.alpha_m),
-        "gamma_m": _frac_str(prof.gamma_m),
-        "strictly_balanced": prof.strictly_balanced,
-        "strictly_pseudo_balanced": prof.strictly_pseudo_balanced,
-    }
-
-
 def _cmd_analyze(args) -> int:
     pattern = load_pattern(args.pattern)
     payload = {
@@ -90,7 +74,7 @@ def _cmd_analyze(args) -> int:
         "self_loops": pattern.loop_total,
         "automorphisms": automorphism_count(pattern),
         "rho": rho(pattern),
-        "profile": _profile_payload(pattern),
+        "profile": _profile_json(pattern),
     }
     print(dumps_stable(payload))
     return 0
@@ -128,12 +112,7 @@ def _cmd_lambda(args) -> int:
         "total": float(params.total),
     }
     print(dumps_stable(payload))
-    kmax = 64
-    while True:
-        pmf = cp_pmf(params, kmax)
-        if 1.0 - math.fsum(pmf) <= 1e-12 or kmax >= 100_000:
-            break
-        kmax = min(kmax * 4, 100_000)
+    pmf, _ = _reference_pmf(params, 0)
     print()
     print(pmf_to_csv(pmf), end="")
     return 0
@@ -208,12 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Pattern counts in block multigraph models: structural analysis, "
             "compound-Poisson approximation, error bounds, validation."
         ),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count (results are identical for every value)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,11 +8,10 @@ the same edge sets, so a placement on a fixed vertex set contributes the
 product of binomial coefficients ``C(observed, required)``, and placements
 are enumerated once per automorphism orbit.
 
-``count_copies`` sums this product over all vertex subsets and orbit
-placements; ``count_copies_bruteforce`` independently sums over all
-injective vertex maps and divides by the automorphism count.  Both return
-exact integers (the fast path falls back to arbitrary precision whenever
-the product could overflow 64-bit arithmetic).
+``count_copies`` sums the product over the injective maps of the pattern
+into the host that it grows along host adjacency, and divides by the
+automorphism count; ``count_copies_bruteforce`` independently sums it over
+every injective vertex map.  Both return exact Python integers.
 
 The same binomial-product sums give the law of a copy count under a random
 configuration: ``_count_law`` walks the grid of per-slot values of one
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
@@ -38,22 +36,6 @@ __all__ = ["count_copies", "count_copies_bruteforce", "clump_size"]
 # rows of the configuration grid per chunk: bounds the enumerator's working
 # memory whatever the grid size
 _CHUNK_ROWS = 1 << 15
-
-
-@lru_cache(maxsize=32)
-def _subset_array(n: int, v: int) -> np.ndarray:
-    """All v-subsets of 0..n-1 in lexicographic order, shape (C(n,v), v)."""
-    return np.array(list(combinations(range(n), v)), dtype=np.int64)
-
-
-@lru_cache(maxsize=32)
-def _comb_table(max_n: int, max_k: int) -> np.ndarray:
-    """Table of C(n, k) for 0 <= n <= max_n, 0 <= k <= max_k."""
-    table = np.zeros((max_n + 1, max_k + 1), dtype=np.int64)
-    for n in range(max_n + 1):
-        for k in range(min(n, max_k) + 1):
-            table[n, k] = math.comb(n, k)
-    return table
 
 
 def _required_pairs(pattern: PatternGraph):
@@ -70,92 +52,93 @@ def _required_pairs(pattern: PatternGraph):
     return out
 
 
-def _count_python(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
-    n, v = graph.n, pattern.vertex_count
-    slot_pairs = list(combinations(range(v), 2))
-    reqs = _required_pairs(pattern)
-    y = graph.edge_counts
-    s = graph.self_loop_counts
-    total = 0
-    for subset in combinations(range(n), v):
-        for pairs, loops in reqs:
-            prod = 1
-            for k, r in pairs:
-                a, b = slot_pairs[k]
-                prod *= math.comb(y.get((subset[a], subset[b]), 0), r)
-                if prod == 0:
-                    break
-            else:
-                for w, c in loops:
-                    prod *= math.comb(s.get(subset[w], 0), c)
-                    if prod == 0:
-                        break
-                else:
-                    total += prod
-    return total
+def _search_plan(pattern: PatternGraph) -> list[tuple[list[tuple[int, int]], int]]:
+    """Search order of the pattern vertices, with what placing each needs.
 
-
-def _count_numpy(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
-    n, v = graph.n, pattern.vertex_count
-    subsets = _subset_array(n, v)
-    slot_pairs = list(combinations(range(v), 2))
-    reqs = _required_pairs(pattern)
-
-    max_req = max(pattern.max_multiplicity, max(pattern.self_loops.values(), default=0))
-    max_obs = max(
-        max(graph.edge_counts.values(), default=0),
-        max(graph.self_loop_counts.values(), default=0),
-    )
-    table = _comb_table(max_obs, max_req)
-
-    dense = np.zeros((n, n), dtype=np.int64)
-    for (a, b), cnt in graph.edge_counts.items():
-        dense[a, b] = cnt
-    loops_vec = np.zeros(n, dtype=np.int64)
-    for w, cnt in graph.self_loop_counts.items():
-        loops_vec[w] = cnt
-
-    # observed counts per subset and slot pair (subsets are ascending, so the
-    # smaller slot of each pair maps to the smaller vertex)
-    pair_obs = {
-        k: dense[subsets[:, a], subsets[:, b]] for k, (a, b) in enumerate(slot_pairs)
-    }
-    total = 0
-    for pairs, loops in reqs:
-        prod = None
-        for k, r in pairs:
-            factor = table[pair_obs[k], r]
-            prod = factor if prod is None else prod * factor
-        for w, c in loops:
-            factor = table[loops_vec[subsets[:, w]], c]
-            prod = factor if prod is None else prod * factor
-        if prod is not None:
-            total += int(prod.sum())
-    return total
+    The order is breadth first over each component, so every vertex after a
+    component root has an earlier neighbour; roots prefer vertices with
+    self-loops, then high degree.  Returns one ``(checks, loops)`` pair per
+    step: ``checks`` lists the ``(earlier step, multiplicity)`` pairs of the
+    vertex's earlier neighbours (empty for a root) and ``loops`` is its
+    self-loop count.
+    """
+    v = pattern.vertex_count
+    nbrs: list[dict[int, int]] = [{} for _ in range(v)]
+    for (a, b), m in pattern.edge_mult.items():
+        nbrs[a][b] = m
+        nbrs[b][a] = m
+    loops = pattern.self_loops
+    order: list[int] = []
+    for root in sorted(range(v), key=lambda u: (u not in loops, -len(nbrs[u]))):
+        if root in order:
+            continue
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            order += [w for w in nbrs[order[i]] if w not in order]
+            i += 1
+    step_of = {u: i for i, u in enumerate(order)}
+    return [
+        (
+            sorted((step_of[w], m) for w, m in nbrs[u].items() if step_of[w] < i),
+            loops.get(u, 0),
+        )
+        for i, u in enumerate(order)
+    ]
 
 
 def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
-    """Number of copies of the pattern in the graph (exact integer)."""
+    """Number of copies of the pattern in the graph (exact integer).
+
+    Sums, over injective maps of the pattern's vertices into the host, the
+    product of ``C(observed, required)`` over pattern pairs and loops, and
+    divides by the automorphism count.  Maps grow one vertex at a time in
+    ``_search_plan`` order: a vertex with a placed neighbour only tries the
+    host neighbours of that neighbour's image, a component root tries every
+    host vertex (only the loop-carrying ones when it has loops), so the work
+    follows the host's edges rather than its C(n, v) vertex subsets.
+    """
     n, v = graph.n, pattern.vertex_count
     if v > n:
         raise ValueError(f"pattern has {v} vertices but the graph only {n}")
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for (a, b), y in graph.edge_counts.items():
+        adj[a][b] = y
+        adj[b][a] = y
+    host_loops = graph.self_loop_counts
+    plan = _search_plan(pattern)
+    image = [0] * v
 
-    # int64 safety: bound one placement's product by the worst-case binomials
-    max_obs = max(
-        max(graph.edge_counts.values(), default=0),
-        max(graph.self_loop_counts.values(), default=0),
-    )
-    worst = 1
-    for m in pattern.edge_mult.values():
-        worst *= math.comb(max_obs, m) if max_obs >= m else 1
-    for c in pattern.self_loops.values():
-        worst *= math.comb(max_obs, c) if max_obs >= c else 1
-    n_subsets = math.comb(n, v)
-    fits_int64 = worst * n_subsets * len(placements(pattern)) < 2**62
+    def extend(step: int, weight: int) -> int:
+        checks, loop_req = plan[step]
+        if checks:
+            candidates = adj[image[checks[0][0]]]
+        else:
+            candidates = host_loops if loop_req else range(n)
+        total = 0
+        for x in candidates:
+            if x in image[:step]:
+                continue
+            w = weight
+            for j, m in checks:
+                y = adj[image[j]].get(x, 0)
+                if y < m:
+                    break
+                w *= math.comb(y, m)
+            else:
+                if loop_req:
+                    s = host_loops.get(x, 0)
+                    if s < loop_req:
+                        continue
+                    w *= math.comb(s, loop_req)
+                if step + 1 == v:
+                    total += w
+                else:
+                    image[step] = x
+                    total += extend(step + 1, w)
+        return total
 
-    if fits_int64 and n_subsets * v <= 50_000_000:
-        return _count_numpy(graph, pattern)
-    return _count_python(graph, pattern)
+    return extend(0, 1) // automorphism_count(pattern)
 
 
 def count_copies_bruteforce(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
@@ -194,36 +177,21 @@ def clump_size(edge_config, pattern: PatternGraph) -> int:
 
     ``edge_config`` gives the observed count for each of the C(v,2) slot
     pairs (lexicographic order of ``combinations(range(v), 2)``), optionally
-    followed by v self-loop counts; alternatively a mapping from slot pairs
-    (and single slots for loops) to counts.  Returns the sum over orbit
-    placements of the binomial-coefficient product.
+    followed by v self-loop counts.  Returns the sum over orbit placements
+    of the binomial-coefficient product.
     """
     v = pattern.vertex_count
-    slot_pairs = list(combinations(range(v), 2))
-    if isinstance(edge_config, dict):
-        pair_counts = [0] * len(slot_pairs)
-        loop_counts = [0] * v
-        for key, cnt in edge_config.items():
-            if isinstance(key, tuple):
-                a, b = key
-                if a == b:
-                    loop_counts[a] = int(cnt)
-                else:
-                    key = (a, b) if a < b else (b, a)
-                    pair_counts[slot_pairs.index(key)] = int(cnt)
-            else:
-                loop_counts[int(key)] = int(cnt)
+    n_pairs = v * (v - 1) // 2
+    flat = [int(x) for x in edge_config]
+    if len(flat) == n_pairs:
+        pair_counts, loop_counts = flat, [0] * v
+    elif len(flat) == n_pairs + v:
+        pair_counts, loop_counts = flat[:n_pairs], flat[n_pairs:]
     else:
-        flat = [int(x) for x in edge_config]
-        if len(flat) == len(slot_pairs):
-            pair_counts, loop_counts = flat, [0] * v
-        elif len(flat) == len(slot_pairs) + v:
-            pair_counts, loop_counts = flat[: len(slot_pairs)], flat[len(slot_pairs) :]
-        else:
-            raise ValueError(
-                f"config needs {len(slot_pairs)} pair counts "
-                f"(optionally plus {v} loop counts), got {len(flat)}"
-            )
+        raise ValueError(
+            f"config needs {n_pairs} pair counts "
+            f"(optionally plus {v} loop counts), got {len(flat)}"
+        )
     total = 0
     for pair_req, loop_req in placements(pattern):
         prod = 1

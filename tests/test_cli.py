@@ -198,15 +198,6 @@ def test_table1_lists_sixteen_rows_with_exact_rationals(capsys):
     assert families == {"tree_path", "cycle", "complete_minus_edge", "complete"}
 
 
-def test_threads_flag_never_changes_output(capsys):
-    spec_json, _ = bernoulli_spec_json(12, 0.2)
-    base = run(capsys, "lambda", "--spec", spec_json, "--pattern", "triangle")
-    threaded = run(
-        capsys, "--threads", "4", "lambda", "--spec", spec_json, "--pattern", "triangle"
-    )
-    assert base == threaded
-
-
 def test_exit_codes(capsys, tmp_path):
     spec_json, _ = bernoulli_spec_json(10, 0.1)
     # 2: precondition failure names the hypothesis

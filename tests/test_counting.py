@@ -1,8 +1,9 @@
 """Copy counting: frozen hand computations, brute-force and networkx
-oracles, clump sizes, and the big-integer fallback path."""
+oracles, clump sizes, and counts past 64-bit arithmetic."""
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -96,11 +97,11 @@ def test_bruteforce_guards_graph_size():
 
 
 def test_bigint_fallback_matches_closed_form():
-    # C(200,3)^3 per placement overflows int64, forcing the python path
+    # C(200,3)^3 per placement is past int64: the count must stay exact
     g = ObservedMultigraph(5, {(i, j): 200 for i, j in combinations(range(5), 2)})
     heavy = PatternGraph(3, {(0, 1): 3, (0, 2): 3, (1, 2): 3})
     expect = math.comb(5, 3) * math.comb(200, 3) ** 3
-    assert expect >= 2**62  # the guard must actually trigger here
+    assert expect >= 2**62  # beyond what 64-bit arithmetic holds
     got = count_copies(g, heavy)
     assert got == expect
     assert got == count_copies_bruteforce(g, heavy)
@@ -135,19 +136,6 @@ def test_clump_size_frozen_values():
     assert clump_size((1, 1, 1, 2, 0, 0), LOOP_TRIANGLE) == 2
 
 
-def test_clump_size_dict_forms_match_flat():
-    flat = clump_size((2, 0, 1), DOUBLED_EDGE_TRIANGLE)
-    assert flat == clump_size({(0, 1): 2, (1, 2): 1}, DOUBLED_EDGE_TRIANGLE)
-    assert flat == clump_size({(1, 0): 2, (2, 1): 1}, DOUBLED_EDGE_TRIANGLE)
-    with_loops = clump_size((1, 1, 1, 2, 0, 0), LOOP_TRIANGLE)
-    assert with_loops == clump_size(
-        {(0, 1): 1, (0, 2): 1, (1, 2): 1, 0: 2}, LOOP_TRIANGLE
-    )
-    assert with_loops == clump_size(
-        {(0, 1): 1, (0, 2): 1, (1, 2): 1, (0, 0): 2}, LOOP_TRIANGLE
-    )
-
-
 def test_clump_size_rejects_bad_lengths():
     with pytest.raises(ValueError):
         clump_size((1, 1), TRIANGLE)
@@ -167,11 +155,11 @@ def test_count_is_sum_of_clump_sizes_over_subsets():
             )
         total = 0
         for subset in combinations(range(n), pattern.vertex_count):
-            config = {}
-            for a, b in combinations(range(pattern.vertex_count), 2):
-                config[(a, b)] = g.edge_counts.get((subset[a], subset[b]), 0)
-            for w in range(pattern.vertex_count):
-                config[(w, w)] = g.self_loop_counts.get(subset[w], 0)
+            config = [
+                g.edge_counts.get((subset[a], subset[b]), 0)
+                for a, b in combinations(range(pattern.vertex_count), 2)
+            ]
+            config += [g.self_loop_counts.get(w, 0) for w in subset]
             total += clump_size(config, pattern)
         assert total == count_copies(g, pattern)
 
@@ -197,6 +185,24 @@ def test_fast_count_matches_bruteforce_on_random_instances():
             pattern,
         )
         checked += 1
+    # disconnected and loop-only patterns: each further component is rooted
+    # over every host vertex, a loop-only vertex over the looped ones
+    fixed = [
+        PatternGraph(4, {(0, 1): 1, (2, 3): 1}),
+        PatternGraph(3, {(0, 1): 2}, {2: 1}),
+        PatternGraph(1, {}, {0: 2}),
+        PatternGraph(3, {(0, 1): 1, (1, 2): 1}, {0: 1, 2: 2}),
+        PatternGraph(5, {(0, 1): 1, (0, 2): 1, (1, 2): 1, (3, 4): 2}),
+    ]
+    for _ in range(8):
+        n = rng.randint(5, 7)
+        g = random_multigraph(rng, n, max_mult=3, density=rng.uniform(0.3, 0.9))
+        for pattern in fixed:
+            assert count_copies(g, pattern) == count_copies_bruteforce(g, pattern), (
+                g.edge_counts,
+                g.self_loop_counts,
+                pattern,
+            )
 
 
 def _nx_monomorphism_count(graph, pattern):
@@ -222,6 +228,24 @@ def test_simple_pattern_counts_match_networkx_monomorphisms():
         aut = automorphism_count(pattern)
         assert mono % aut == 0
         assert count_copies(g, pattern) == mono // aut
+
+
+def test_sparse_host_triangles_match_networkx_in_little_memory():
+    # about 300 edges on 200 vertices: the work and memory follow the edges,
+    # not the C(200, 3) = 1.3M vertex triples
+    host = nx.gnm_random_graph(200, 300, seed=5)
+    for a in range(0, 15, 3):  # plant a few triangles
+        host.add_edges_from([(a, a + 1), (a + 1, a + 2), (a, a + 2)])
+    g = ObservedMultigraph(200, {tuple(sorted(e)): 1 for e in host.edges})
+    tracemalloc.start()
+    try:
+        got = count_copies(g, TRIANGLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == sum(nx.triangles(host).values()) // 3
+    assert got > 0
+    assert peak < 4 * 2**20, peak
 
 
 @settings(max_examples=40, deadline=None)
