@@ -3,12 +3,16 @@
 Every random quantity in the package is derived from a 64-bit key that is a
 pure function of a master seed and a tuple of integer stream labels.  Each
 stream yields exactly one variate (by inversion of its distribution's CDF),
-so results never depend on evaluation order, chunking, or thread schedule.
+so results never depend on evaluation order, block size, or thread schedule.
 
 The mixing function is the splitmix64 finalizer; a stream key is obtained by
 folding each label into the state with a golden-ratio multiply followed by a
-remix.  Scalar (arbitrary-precision int) and numpy (uint64) implementations
-are provided and produce identical values.
+remix.  The scalar functions work on arbitrary-precision ints and are the
+reference; the numpy (uint64) ones produce identical values for whole arrays
+at once: ``replicate_keys`` gives the keys ``(seed, r)`` of a block of
+replicates, and ``key_chains`` / ``fold_labels`` extend every key of an
+array by one label at a time, so the sampler keys all vertices and pairs of
+all replicates in a block in a few array operations.
 """
 
 from __future__ import annotations
@@ -46,18 +50,33 @@ def substream_key(seed: int, *labels: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    """:func:`mix64` of every word, in place: ``z`` must be a fresh array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX_A)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX_B)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def substream_keys(seed: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized ``substream_key(seed, a_i, b_i)`` over label arrays."""
-    z0 = np.uint64(substream_key(seed))
+def key_chains(seeds: np.ndarray) -> np.ndarray:
+    """Vectorized ``substream_key(seed)`` over uint64 seeds."""
+    with np.errstate(over="ignore"):
+        return _mix64_np(seeds + np.uint64(_GOLDEN))
+
+
+def fold_labels(keys: np.ndarray, labels) -> np.ndarray:
+    """Fold one label into each key: ``substream_key(s, *prefix, label)``
+    from keys ``substream_key(s, *prefix)``, broadcasting keys against
+    the integer ``labels``."""
     golden = np.uint64(_GOLDEN)
     with np.errstate(over="ignore"):
-        za = _mix64_np(z0 ^ (a.astype(np.uint64) * golden))
-        return _mix64_np(za ^ (b.astype(np.uint64) * golden))
+        return _mix64_np(keys ^ (np.asarray(labels).astype(np.uint64) * golden))
+
+
+def replicate_keys(seed: int, indices: np.ndarray) -> np.ndarray:
+    """``substream_key(seed, r)`` for every replicate index r in ``indices``."""
+    return fold_labels(key_chains(np.uint64(seed & _MASK)), indices)
 
 
 def uniform_from_key(key: int) -> float:
@@ -67,4 +86,6 @@ def uniform_from_key(key: int) -> float:
 
 def uniforms_from_keys(keys: np.ndarray) -> np.ndarray:
     """Vectorized :func:`uniform_from_key`."""
-    return (keys >> np.uint64(11)).astype(np.float64) * _INV53
+    u = (keys >> np.uint64(11)).astype(np.float64)
+    u *= _INV53
+    return u

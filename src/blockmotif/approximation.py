@@ -114,13 +114,15 @@ class BoundReport:
     """A total-variation bound value plus every constant that built it.
 
     ``params`` holds the clump rates enumerated for ``c(lambda)``, or None
-    when the variant takes ``c`` from elsewhere (or needs none).
+    when the variant takes ``c`` from elsewhere (or needs none);
+    ``extrema`` the model extrema the bound was built from.
     """
 
     variant: str
     value: float
     ingredients: dict
     params: CompoundPoissonParams | None = None
+    extrema: ModelExtrema | None = None
 
 
 # -- means -------------------------------------------------------------------
@@ -210,8 +212,9 @@ def lambda_params(
     (categorical laws only), walks every class assignment one configuration
     at a time, and returns Fractions.
 
-    Raises :class:`InfeasibleError` when the enumeration would exceed
-    ``max_configs`` configurations.
+    Raises :class:`InfeasibleError` when the walk would visit more than
+    ``max_configs`` configurations: the sum, over the class assignments it
+    walks, of the product of the per-slot truncated support sizes.
     """
     _require_plain(spec, "the clump-rate computation")
     v = pattern.vertex_count
@@ -245,16 +248,34 @@ def lambda_params(
         for a in range(Q):
             loop_caps[a] = cap_for(spec.self_loop_laws[a])
 
-    max_pair_cap = max(pair_caps.values()) if pair_slots else 0
-    max_loop_cap = max(loop_caps.values()) if with_loops else 0
-    size = Q**v * (max_pair_cap + 1) ** pair_slots
-    if with_loops:
-        size *= (max_loop_cap + 1) ** v
+    slot_pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+
+    def slot_laws(assign):
+        # (law, truncation cap) of every slot of one class assignment
+        laws = []
+        for sa, sb in slot_pairs:
+            ca, cb = sorted((assign[sa], assign[sb]))
+            laws.append((spec.edge_laws[ca][cb], pair_caps[(ca, cb)]))
+        if with_loops:
+            laws += [(spec.self_loop_laws[c], loop_caps[c]) for c in assign]
+        return laws
+
+    def walk():
+        # the exact path walks every class assignment, the float path the
+        # class multisets with their weights
+        if exact:
+            return ((assign, None) for assign in product(range(Q), repeat=v))
+        return _class_multisets(spec.f, v)
+
+    size = sum(math.prod(cap + 1 for _, cap in slot_laws(a)) for a, _ in walk())
     if size > max_configs:
         raise InfeasibleError(
-            f"clump enumeration needs up to {size} configurations "
+            f"clump enumeration walks {size} configurations "
             f"(limit {max_configs})"
         )
+
+    max_pair_cap = max(pair_caps.values()) if pair_slots else 0
+    max_loop_cap = max(loop_caps.values()) if with_loops else 0
 
     # largest clump any truncated configuration can reach
     top_config = [max_pair_cap] * pair_slots + ([max_loop_cap] * v if with_loops else [])
@@ -282,24 +303,15 @@ def lambda_params(
                 tail_cache[key] = pmf_tail(law, cap + 1)[1]
         return tail_cache[key]
 
-    slot_pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
-
     def slot_tables(assign):
         # per-slot pmf tables of one class assignment, and the union bound
         # over slots on the probability that any slot exceeds its truncated
         # support
         tables = []
         excess = zero
-        for sa, sb in slot_pairs:
-            ca, cb = sorted((assign[sa], assign[sb]))
-            law = spec.edge_laws[ca][cb]
-            tables.append(pmfs(law, pair_caps[(ca, cb)]))
-            excess += tail_excess(law, pair_caps[(ca, cb)])
-        if with_loops:
-            for w in range(v):
-                law = spec.self_loop_laws[assign[w]]
-                tables.append(pmfs(law, loop_caps[assign[w]]))
-                excess += tail_excess(law, loop_caps[assign[w]])
+        for law, cap in slot_laws(assign):
+            tables.append(pmfs(law, cap))
+            excess += tail_excess(law, cap)
         return tables, excess
 
     size_prob = {}
@@ -307,7 +319,7 @@ def lambda_params(
 
     if exact:
         f = [Fraction(x) for x in spec.f]
-        for assign in product(range(Q), repeat=v):
+        for assign, _ in walk():
             a_prob = Fraction(1)
             for c in assign:
                 a_prob *= f[c]
@@ -324,7 +336,7 @@ def lambda_params(
                     size_prob[z] = size_prob.get(z, zero) + p
     else:
         terms = _copy_terms(pattern, v)
-        for assign, weight in _class_multisets(spec.f, v):
+        for assign, weight in walk():
             tables, excess = slot_tables(assign)
             neglected += weight * excess
             for z, p in _count_law(tables, terms, weight).items():
@@ -439,15 +451,15 @@ def _check_common(spec, pattern, variant, *, simple: bool, balanced_flag: bool):
     return prof
 
 
-def _c_from_spec(spec, pattern, c_override, eps):
+def _c_from_spec(spec, pattern, c_override, eps, ext):
     """c(lambda), its source, and the clump rates enumerated for it (None
-    when c comes from elsewhere), for the compound-Poisson variants."""
+    when c comes from elsewhere), for the compound-Poisson variants;
+    ``ext`` is the model's extrema for the pattern."""
     if c_override is not None:
         return float(c_override), "override", None
     if spec.degree_weights is not None:
         # clump rates are not computable with vertex-dependent means; fall
         # back to c <= exp(total rate) <= exp(mean count upper bound)
-        ext = model_extrema(spec, pattern)
         mean_upper = (
             math.comb(spec.n, pattern.vertex_count)
             * rho(pattern)
@@ -567,7 +579,7 @@ def tv_bound(
     if variant in ("thm31_simple", "cor35_inhom"):
         prof = _check_common(spec, pattern, variant, simple=True, balanced_flag=True)
         mu = ext.mu1_star if variant == "thm31_simple" else ext.inhom_max
-        c, c_source, params = _c_from_spec(spec, pattern, c_override, eps)
+        c, c_source, params = _c_from_spec(spec, pattern, c_override, eps, ext)
         kappas = {i: kappa(pattern, i, "simple") for i in range(1, v)}
         value = _simple_shell(n, v, e, rho_val, c, mu, kappas)
         ingredients = {
@@ -585,7 +597,11 @@ def tv_bound(
         for i in range(1, v):
             ingredients[f"kappa_{i}"] = float(kappas[i])
         return BoundReport(
-            variant=variant, value=value, ingredients=ingredients, params=params
+            variant=variant,
+            value=value,
+            ingredients=ingredients,
+            params=params,
+            extrema=ext,
         )
 
     if variant in ("thm41_multi", "thm51_selfloop"):
@@ -605,7 +621,7 @@ def tv_bound(
                 )
         else:
             phi = 1.0  # unused
-        c, c_source, params = _c_from_spec(spec, pattern, c_override, eps)
+        c, c_source, params = _c_from_spec(spec, pattern, c_override, eps, ext)
         kappas_m = {i: kappa(pattern, i, "multi") for i in range(1, v)}
         first = 1.0
         for i in range(1, t + 1):
@@ -636,7 +652,11 @@ def tv_bound(
             ingredients["phi_star"] = phi
             ingredients["negative_selfloop_exponent"] = int(negative_exponent)
         return BoundReport(
-            variant=variant, value=value, ingredients=ingredients, params=params
+            variant=variant,
+            value=value,
+            ingredients=ingredients,
+            params=params,
+            extrema=ext,
         )
 
     if variant in ("thm52_poisson_approx", "cor55_poisson_sbm"):
@@ -668,7 +688,9 @@ def tv_bound(
         }
         for i in range(1, v):
             ingredients[f"kappa_{i}"] = float(kappas[i])
-        return BoundReport(variant=variant, value=value, ingredients=ingredients)
+        return BoundReport(
+            variant=variant, value=value, ingredients=ingredients, extrema=ext
+        )
 
     # regime_corpn
     prof = _check_common(spec, pattern, variant, simple=True, balanced_flag=True)
@@ -689,7 +711,7 @@ def tv_bound(
                 f"regime_corpn: an edge mean {mean} lies outside the envelope "
                 f"[{regime_c * scale}, {regime_C * scale}]"
             )
-    c, c_source, params = _c_from_spec(spec, pattern, c_override, eps)
+    c, c_source, params = _c_from_spec(spec, pattern, c_override, eps, ext)
     alpha = _frac_float(prof.alpha)
     gamma = _frac_float(prof.gamma)
     C_big = float(regime_C)
@@ -724,5 +746,9 @@ def tv_bound(
         "gamma": gamma,
     }
     return BoundReport(
-        variant="regime_corpn", value=value, ingredients=ingredients, params=params
+        variant="regime_corpn",
+        value=value,
+        ingredients=ingredients,
+        params=params,
+        extrema=ext,
     )

@@ -9,9 +9,11 @@ product of binomial coefficients ``C(observed, required)``, and placements
 are enumerated once per automorphism orbit.
 
 ``count_copies`` sums the product over the injective maps of the pattern
-into the host that it grows along host adjacency, and divides by the
-automorphism count; ``count_copies_bruteforce`` independently sums it over
-every injective vertex map.  Both return exact Python integers.
+into the host that it grows along host adjacency (``_count_maps``, which
+takes the host as adjacency dicts so that sampled hosts need no
+``ObservedMultigraph``), and divides by the automorphism count;
+``count_copies_bruteforce`` independently sums it over every injective
+vertex map.  Both return exact Python integers.
 
 The same binomial-product sums give the law of a copy count under a random
 configuration: ``_count_law`` walks the grid of per-slot values of one
@@ -98,16 +100,31 @@ def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
     host vertex (only the loop-carrying ones when it has loops), so the work
     follows the host's edges rather than its C(n, v) vertex subsets.
     """
-    n, v = graph.n, pattern.vertex_count
-    if v > n:
-        raise ValueError(f"pattern has {v} vertices but the graph only {n}")
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    adj: list[dict[int, int]] = [{} for _ in range(graph.n)]
     for (a, b), y in graph.edge_counts.items():
         adj[a][b] = y
         adj[b][a] = y
-    host_loops = graph.self_loop_counts
-    plan = _search_plan(pattern)
+    total = _count_maps(adj, graph.self_loop_counts, _search_plan(pattern))
+    return total // automorphism_count(pattern)
+
+
+def _count_maps(
+    adj: list[dict[int, int]],
+    host_loops: dict[int, int],
+    plan: list[tuple[list[tuple[int, int]], int]],
+) -> int:
+    """Binomial-product sum over the injective maps of a planned pattern.
+
+    ``adj[x]`` maps each host neighbour of ``x`` to the pair's edge count,
+    ``host_loops`` maps loop-carrying host vertices to their loop counts,
+    and ``plan`` is the pattern's ``_search_plan``.  Dividing the result by
+    the pattern's automorphism count gives the copy count.
+    """
+    n, v = len(adj), len(plan)
+    if v > n:
+        raise ValueError(f"pattern has {v} vertices but the graph only {n}")
     image = [0] * v
+    used = [False] * n
 
     def extend(step: int, weight: int) -> int:
         checks, loop_req = plan[step]
@@ -117,7 +134,7 @@ def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
             candidates = host_loops if loop_req else range(n)
         total = 0
         for x in candidates:
-            if x in image[:step]:
+            if used[x]:
                 continue
             w = weight
             for j, m in checks:
@@ -135,10 +152,12 @@ def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
                     total += w
                 else:
                     image[step] = x
+                    used[x] = True
                     total += extend(step + 1, w)
+                    used[x] = False
         return total
 
-    return extend(0, 1) // automorphism_count(pattern)
+    return extend(0, 1)
 
 
 def count_copies_bruteforce(graph: ObservedMultigraph, pattern: PatternGraph) -> int:

@@ -9,15 +9,17 @@ Two routes to the distribution of the copy count W:
   fixed-size numpy chunks that score every host with the same
   binomial-product sums ``count_copies`` uses (``counting._count_law``);
 * ``monte_carlo_pmf`` samples whole graphs (one keyed substream per
-  replicate) and counts copies in each.
+  replicate), a block of replicates per numpy pass, and counts copies in
+  each straight from the block's arrays.
 
 ``run_experiment`` glues these to the approximation module: it computes the
-structural profile, model extrema, clump rates (once: reused from the
-bound's report when it enumerated them; null for the Poisson-limit variants
-when they are too large to enumerate), the requested total-variation bound,
-the reference law (compound Poisson, or plain Poisson for the Poisson-limit
-variants), the measured total-variation distance, and a pass/fail
-comparison including a Monte Carlo error allowance of
+structural profile, model extrema (once: reused from the bound's report),
+clump rates (once: reused from the bound's report when it enumerated them;
+null for the Poisson-limit variants when they are too large to enumerate),
+the requested total-variation bound, the reference law (compound Poisson,
+or plain Poisson for the Poisson-limit variants), the measured
+total-variation distance, and a pass/fail comparison including a Monte
+Carlo error allowance of
 ``sqrt(atoms / (4 reps))`` (a Cauchy-Schwarz bound on the expected
 estimation error, over the union of compared supports) plus the reference
 law's truncation deficit.
@@ -29,7 +31,9 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from ._rng import substream_key
+import numpy as np
+
+from ._rng import replicate_keys
 from .approximation import (
     CompoundPoissonParams,
     InfeasibleError,
@@ -39,17 +43,19 @@ from .approximation import (
     lambda_params,
     tv_bound,
 )
-from .counting import _class_multisets, _copy_terms, _count_law, count_copies
-from .distributions import Categorical
-from .model import (
-    SbmmSpec,
-    model_extrema,
-    sample_graph,
-    spec_from_json,
-    spec_to_json,
+from .counting import (  # noqa: F401 -- count_copies is re-exported for callers
+    _class_multisets,
+    _copy_terms,
+    _count_law,
+    _count_maps,
+    _search_plan,
+    count_copies,
 )
+from .distributions import Categorical
+from .model import ModelExtrema, SbmmSpec, _sample_block, spec_from_json, spec_to_json
 from .patterns import (
     PatternGraph,
+    automorphism_count,
     balancedness_profile,
     pattern_from_json,
     pattern_from_name,
@@ -65,6 +71,10 @@ __all__ = [
 ]
 
 EXACT_ENUMERATION_LIMIT = 10**8
+
+# pair and loop counts per Monte Carlo block: bounds the sampler's working
+# memory whatever reps and n are (a block holds at least one replicate)
+_BLOCK_CELLS = 1 << 15
 
 # bound variants whose reference law is Poisson(nu) rather than CP(lambda)
 POISSON_REFERENCE_VARIANTS = ("thm52_poisson_approx", "cor55_poisson_sbm")
@@ -132,17 +142,33 @@ def monte_carlo_pmf(
 ) -> tuple[dict[int, float], dict[int, int]]:
     """Empirical law of W over ``reps`` independent sampled graphs.
 
-    Replicate r uses the substream keyed (seed, r), so the result does not
-    depend on evaluation order or worker count.  Returns the empirical pmf
+    Replicate r is the graph ``sample_graph(spec, substream_key(seed, r))``.
+    Replicates are sampled in blocks of at most ``_BLOCK_CELLS`` pair and
+    loop counts, and each is counted straight from the block's arrays; the
+    result does not depend on the block size.  Returns the empirical pmf
     and the exact integer histogram.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    n = spec.n
+    plan = _search_plan(pattern)
+    aut = automorphism_count(pattern)
+    iu, ju = np.triu_indices(n, k=1)
+    block = max(1, _BLOCK_CELLS // (len(iu) + n))
     hist: dict[int, int] = {}
-    for r in range(reps):
-        graph = sample_graph(spec, substream_key(seed, r))
-        w = count_copies(graph, pattern)
-        hist[w] = hist.get(w, 0) + 1
+    for start in range(0, reps, block):
+        keys = replicate_keys(seed, np.arange(start, min(start + block, reps)))
+        _, pairs, loops = _sample_block(spec, keys)
+        for row, row_loops in zip(pairs, loops):
+            adj: list[dict[int, int]] = [{} for _ in range(n)]
+            nz = np.flatnonzero(row)
+            for a, b, y in zip(iu[nz].tolist(), ju[nz].tolist(), row[nz].tolist()):
+                adj[a][b] = y
+                adj[b][a] = y
+            nz = np.flatnonzero(row_loops)
+            host_loops = dict(zip(nz.tolist(), row_loops[nz].tolist()))
+            w = _count_maps(adj, host_loops, plan) // aut
+            hist[w] = hist.get(w, 0) + 1
     hist = dict(sorted(hist.items()))
     pmf = {w: c / reps for w, c in hist.items()}
     return pmf, hist
@@ -183,8 +209,7 @@ def _profile_json(pattern: PatternGraph) -> dict:
     }
 
 
-def _extrema_json(spec: SbmmSpec, pattern: PatternGraph) -> dict:
-    ext = model_extrema(spec, pattern)
+def _extrema_json(ext: ModelExtrema) -> dict:
     out = {
         "mu1_star": ext.mu1_star,
         "mu_star": list(ext.mu_star),
@@ -332,7 +357,7 @@ def run_experiment(config: dict) -> dict:
             "eps": cfg["eps"],
         },
         "profile": _profile_json(pattern),
-        "extrema": _extrema_json(spec, pattern),
+        "extrema": _extrema_json(bound.extrema),
         "nu": nu,
         "clump_rates": clump_rates,
         "bound": {

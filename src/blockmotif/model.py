@@ -11,8 +11,11 @@ Sampling is reproducible by construction: every random quantity reads
 exactly one uniform from a keyed substream — classes from ``(seed, 0, i)``,
 the count of pair ``i < j`` from ``(seed, i, j)``, the self-loop count of
 vertex ``i`` from ``(seed, i, i)``, all with 1-based vertex labels — and is
-produced from that uniform by inverting the law's CDF.  Results therefore
-never depend on iteration order, grouping, or worker count.
+produced from that uniform by inverting the law's CDF.  One sampler,
+``_sample_block``, draws a block of graphs, one per key, as arrays in one
+numpy pass; ``sample_graph`` is a block of one.  Each value depends only on
+its own key and labels, so results never depend on iteration order or on
+how replicates are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._rng import substream_keys, uniforms_from_keys
+from ._rng import _MASK, fold_labels, key_chains, uniforms_from_keys
 from .distributions import (
     Categorical,
     EdgeCountDistribution,
@@ -269,25 +272,28 @@ def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
 def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Elementwise smallest k with Poisson(rate) CDF(k) >= u.
 
-    Forward CDF stepping; each element's result depends only on its own
-    (u, rate), so any grouping of calls yields identical values.
+    Forward CDF stepping, over only the elements whose CDF is still below
+    their u; each element's result depends only on its own (u, rate), so
+    any grouping of calls yields identical values.
     """
     rates = np.asarray(rates, dtype=np.float64)
     if rates.size and float(np.max(rates)) > 700.0:
         raise ValueError("Poisson rate too large for direct CDF inversion")
     pmf = np.exp(-rates)
-    cdf = pmf.copy()
     counts = np.zeros(u.shape, dtype=np.int64)
-    active = cdf < u
+    active = np.flatnonzero(pmf < u)
+    u, rates, pmf = (x.reshape(-1)[active] for x in (u, rates, pmf))
+    cdf = pmf.copy()
     k = 0
-    while active.any():
+    while active.size:
         k += 1
         if k > 10**6:
             raise RuntimeError("Poisson CDF inversion did not converge")
-        pmf[active] *= rates[active] / k
-        cdf[active] += pmf[active]
-        counts[active] = k
-        active &= (cdf < u) & (pmf > 0.0)
+        pmf *= rates / k
+        cdf += pmf
+        counts.reshape(-1)[active] = k
+        keep = (cdf < u) & (pmf > 0.0)
+        active, u, rates, pmf, cdf = (x[keep] for x in (active, u, rates, pmf, cdf))
     return counts
 
 
@@ -315,55 +321,71 @@ def _sample_counts(u: np.ndarray, law: EdgeCountDistribution) -> np.ndarray:
     raise TypeError(f"not an edge-count law: {law!r}")
 
 
-def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
-    """Draw one multigraph from the model, deterministically in ``seed``."""
-    n = spec.n
-    # vertex classes from substreams (seed, 0, i), 1-based i
-    labels = np.arange(1, n + 1, dtype=np.uint64)
-    class_u = uniforms_from_keys(substream_keys(seed, np.zeros(n, dtype=np.uint64), labels))
-    cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
-    classes = np.minimum(
-        np.searchsorted(cum_f, class_u, side="right"), spec.Q - 1
-    ).astype(np.int64)
+def _sample_by_class(u: np.ndarray, cls: np.ndarray, laws: dict) -> np.ndarray:
+    """Invert each uniform ``u`` through the law ``laws[cls]`` at its place."""
+    counts = np.zeros(u.shape, dtype=np.int64)
+    for c, law in laws.items():
+        mask = cls == c
+        if mask.any():
+            counts[mask] = _sample_counts(u[mask], law)
+    return counts
 
-    # pair counts from substreams (seed, i, j), i < j, 1-based
+
+def _sample_block(spec: SbmmSpec, keys: np.ndarray):
+    """Sample one graph per uint64 key, all in one pass.
+
+    Row r is the graph ``sample_graph(spec, keys[r])``: returns the classes
+    ``(R, n)``, the pair counts ``(R, C(n, 2))`` with pairs in the order of
+    ``np.triu_indices(n, 1)``, and the self-loop counts ``(R, n)`` (zero
+    without self-loop laws).  Every value reads its own keyed uniform and
+    every inversion works elementwise, so a row does not depend on the
+    other keys in the block.
+    """
+    n, Q = spec.n, spec.Q
+    labels = np.arange(1, n + 1)
     iu, ju = np.triu_indices(n, k=1)
-    pair_u = uniforms_from_keys(
-        substream_keys(seed, (iu + 1).astype(np.uint64), (ju + 1).astype(np.uint64))
-    )
-    counts = np.zeros(len(iu), dtype=np.int64)
-    ci, cj = classes[iu], classes[ju]
+    # substream_key(key, i) for i = 0..n: the prefix of every stream
+    prefix = fold_labels(key_chains(keys)[:, None], np.arange(n + 1))
+
+    # vertex classes from substreams (key, 0, i)
+    class_u = uniforms_from_keys(fold_labels(prefix[:, :1], labels))
+    cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
+    classes = np.minimum(np.searchsorted(cum_f, class_u, side="right"), Q - 1)
+
+    # pair counts from substreams (key, i, j), i < j
+    pair_u = uniforms_from_keys(fold_labels(prefix[:, iu + 1], ju + 1))
+    # class pair a * Q + b of every pair (the law matrix is symmetric)
+    cls = classes[:, iu] * Q + classes[:, ju]
     if spec.degree_weights is not None:
-        omega = np.array(
-            [[spec.edge_laws[a][b].rate for b in range(spec.Q)] for a in range(spec.Q)]
-        )
+        omega = np.array([[law.rate for law in row] for row in spec.edge_laws])
         theta = np.asarray(spec.degree_weights, dtype=np.float64)
-        counts = _poisson_icdf(pair_u, theta[iu] * theta[ju] * omega[ci, cj])
+        pairs = _poisson_icdf(pair_u, theta[iu] * theta[ju] * omega.reshape(-1)[cls])
     else:
-        lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
-        for a in range(spec.Q):
-            for b in range(a, spec.Q):
-                mask = (lo == a) & (hi == b)
-                if mask.any():
-                    counts[mask] = _sample_counts(pair_u[mask], spec.edge_laws[a][b])
+        laws = {a * Q + b: spec.edge_laws[a][b] for a in range(Q) for b in range(Q)}
+        pairs = _sample_by_class(pair_u, cls, laws)
 
-    edge_counts = {
-        (int(iu[k]), int(ju[k])): int(counts[k]) for k in np.nonzero(counts)[0]
-    }
-
-    loop_counts = {}
+    # self-loop counts from substreams (key, i, i)
+    loops = np.zeros(classes.shape, dtype=np.int64)
     if spec.self_loop_laws is not None:
-        loop_u = uniforms_from_keys(substream_keys(seed, labels, labels))
-        loops = np.zeros(n, dtype=np.int64)
-        for a in range(spec.Q):
-            mask = classes == a
-            if mask.any():
-                loops[mask] = _sample_counts(loop_u[mask], spec.self_loop_laws[a])
-        loop_counts = {int(i): int(loops[i]) for i in np.nonzero(loops)[0]}
+        loop_u = uniforms_from_keys(fold_labels(prefix[:, 1:], labels))
+        laws = dict(enumerate(spec.self_loop_laws))
+        loops = _sample_by_class(loop_u, classes, laws)
+    return classes, pairs, loops
 
-    return ObservedMultigraph(
-        n, edge_counts, loop_counts, classes=tuple(int(c) for c in classes)
-    )
+
+def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
+    """Draw one multigraph from the model, deterministically in ``seed``.
+
+    ``seed`` is taken modulo 2**64, like every stream key.
+    """
+    key = np.array([seed & _MASK], dtype=np.uint64)
+    (classes,), (pairs,), (loops,) = _sample_block(spec, key)
+    iu, ju = np.triu_indices(spec.n, k=1)
+    nz = np.flatnonzero(pairs)
+    edges = dict(zip(zip(iu[nz].tolist(), ju[nz].tolist()), pairs[nz].tolist()))
+    nz = np.flatnonzero(loops)
+    self_loops = dict(zip(nz.tolist(), loops[nz].tolist()))
+    return ObservedMultigraph(spec.n, edges, self_loops, classes=classes.tolist())
 
 
 # -- serialization -----------------------------------------------------------

@@ -26,6 +26,7 @@ from blockmotif import (
     expected_count,
     lambda_params,
     occurrence_mean,
+    pattern_from_name,
     pmf_tail,
     poisson_c_factor,
     poisson_tail_q2,
@@ -309,6 +310,29 @@ def test_lambda_enumeration_size_guard():
     spec = random_spec(random.Random(0), 12, 2)
     with pytest.raises(InfeasibleError):
         lambda_params(spec, TRIANGLE, max_configs=10)
+    # the guard counts the configurations the walk visits: for cycle:4 on
+    # two Poisson classes at eps 1e-8 (truncation caps 8 and 6) the
+    # class-multiset walk visits 1,757,457, under the default limit,
+    # although the labelled grid at the largest cap, 2^4 * 9^6 = 8,503,056,
+    # is not
+    same, cross = Poisson(0.5), Poisson(0.2)
+    spec = SbmmSpec(12, 2, (0.5, 0.5), ((same, cross), (cross, same)))
+    cycle4 = pattern_from_name("cycle:4")
+    with pytest.raises(InfeasibleError, match="walks 1757457 configurations"):
+        lambda_params(spec, cycle4, 1e-8, max_configs=1_757_456)
+    params = lambda_params(spec, cycle4, 1e-8)
+    mean = math.fsum(i * lam for i, lam in enumerate(params.lam, start=1))
+    assert mean == pytest.approx(expected_count(spec, cycle4), rel=1e-6)
+    # the exact path walks all 2^3 labelled class assignments of a triangle,
+    # the float path its 4 class multisets, each over 2^3 configurations
+    two_point = SbmmSpec(
+        6, 2, (0.5, 0.5),
+        ((bernoulli(0.3), bernoulli(0.1)), (bernoulli(0.1), bernoulli(0.5))),
+    )
+    with pytest.raises(InfeasibleError, match="walks 64 configurations"):
+        lambda_params(two_point, TRIANGLE, exact=True, max_configs=63)
+    with pytest.raises(InfeasibleError, match="walks 32 configurations"):
+        lambda_params(two_point, TRIANGLE, max_configs=31)
 
 
 def test_pattern_larger_than_model_is_rejected():

@@ -4,6 +4,7 @@ the total-variation metric, and the experiment runner's report."""
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from blockmotif import approximation, experiments
 from blockmotif import (
     Categorical,
+    Geometric,
     InfeasibleError,
     ObservedMultigraph,
     PatternGraph,
@@ -25,14 +27,18 @@ from blockmotif import (
     exact_count_pmf,
     expected_count,
     lambda_params,
+    model_extrema,
     monte_carlo_pmf,
     parse_experiment_config,
     pattern_from_name,
     pattern_to_json,
     run_experiment,
+    sample_graph,
     spec_to_json,
+    tv_bound,
     tv_distance,
 )
+from blockmotif._rng import substream_key
 
 TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
 LOOP_TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1}, {0: 1})
@@ -223,6 +229,56 @@ def test_monte_carlo_rejects_nonpositive_reps():
     spec = one_class_spec(4, bernoulli(0.35))
     with pytest.raises(ValueError):
         monte_carlo_pmf(spec, TRIANGLE, 0, 1)
+
+
+MC_ORACLE_CASES = {
+    "categorical": (
+        SbmmSpec(
+            8, 2, (0.4, 0.6),
+            ((Categorical([0.5, 0.3, 0.2]), bernoulli(0.4)),
+             (bernoulli(0.4), Categorical([0.4, 0.6]))),
+        ),
+        TRIANGLE,
+    ),
+    "poisson": (
+        SbmmSpec(
+            9, 2, (0.5, 0.5),
+            ((Poisson(0.9), Poisson(0.3)), (Poisson(0.3), Poisson(0.6))),
+        ),
+        pattern_from_name("cycle:4"),
+    ),
+    "geometric": (one_class_spec(7, Geometric(0.45)), DOUBLED_EDGE_TRIANGLE),
+    "degree_weighted": (
+        SbmmSpec(
+            8, 1, (1.0,), ((Poisson(0.6),),),
+            degree_weights=(0.5, 1.0, 1.5, 2.0, 0.7, 1.1, 0.9, 1.3),
+        ),
+        TRIANGLE,
+    ),
+    "self_loops": (
+        one_class_spec(7, bernoulli(0.5), Categorical([0.5, 0.3, 0.2])),
+        LOOP_TRIANGLE,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MC_ORACLE_CASES))
+def test_monte_carlo_matches_per_replicate_bruteforce_oracle(monkeypatch, case):
+    # replicate r is the graph sample_graph(spec, substream_key(seed, r)),
+    # recounted here by brute force; blocks of 1, 3 (the last one partial)
+    # and all replicates must give the same histogram
+    spec, pattern = MC_ORACLE_CASES[case]
+    reps, seed = 40, 5
+    want = Counter(
+        count_copies_bruteforce(sample_graph(spec, substream_key(seed, r)), pattern)
+        for r in range(reps)
+    )
+    assert len(want) > 1
+    cells = spec.n * (spec.n - 1) // 2 + spec.n
+    for block in (1, 3, reps):
+        monkeypatch.setattr(experiments, "_BLOCK_CELLS", block * cells)
+        _, hist = monte_carlo_pmf(spec, pattern, reps, seed)
+        assert hist == dict(sorted(want.items())), block
 
 
 # -- total-variation distance --------------------------------------------------
@@ -474,6 +530,37 @@ def test_experiment_enumerates_clump_rates_once(monkeypatch, variant):
     assert report["clump_rates"]["lambda"] == [float(x) for x in want.lam]
 
 
+@pytest.mark.parametrize("variant", ["thm31_simple", "thm52_poisson_approx"])
+def test_experiment_computes_model_extrema_once(monkeypatch, variant):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return model_extrema(*args, **kwargs)
+
+    for module in (approximation, experiments):
+        monkeypatch.setattr(module, "model_extrema", counted, raising=False)
+    spec = one_class_spec(8, bernoulli(0.3))
+    config = {
+        "spec": spec,
+        "pattern": TRIANGLE,
+        "variant": variant,
+        "mode": "monte_carlo",
+        "reps": 5,
+    }
+    report = run_experiment(config)
+    assert len(calls) == 1
+    assert report["extrema"] == experiments._extrema_json(model_extrema(spec, TRIANGLE))
+    # degree weights: c(lambda) falls back to the mean upper bound, which
+    # reads the same extrema
+    weighted = SbmmSpec(
+        8, 1, (1.0,), ((Poisson(0.3),),), degree_weights=(1.0, 1.2) * 4
+    )
+    bound = tv_bound(weighted, TRIANGLE, "cor35_inhom")
+    assert len(calls) == 2
+    assert bound.extrema == model_extrema(weighted, TRIANGLE)
+
+
 def _clump_cycle4():
     same, cross = Poisson(0.15), Poisson(0.05)
     spec = SbmmSpec(20, 2, (0.5, 0.5), ((same, cross), (cross, same)))
@@ -485,10 +572,19 @@ def _exact_enum():
     return exact_count_pmf(spec, TRIANGLE)
 
 
-@pytest.mark.parametrize("enumeration", [_clump_cycle4, _exact_enum])
+def _mc_triangle():
+    n = 60
+    same, cross = Poisson(3 / n), Poisson(1 / n)
+    spec = SbmmSpec(n, 2, (0.5, 0.5), ((same, cross), (cross, same)))
+    return monte_carlo_pmf(spec, TRIANGLE, 5000, 1)
+
+
+@pytest.mark.parametrize("enumeration", [_clump_cycle4, _exact_enum, _mc_triangle])
 def test_enumeration_memory_stays_bounded(enumeration):
     # both grids hold 59,049 or more configurations; the enumerator walks
-    # them in fixed chunks and caches nothing per configuration
+    # them in fixed chunks and caches nothing per configuration.  The Monte
+    # Carlo sampler walks its 5000 replicates in blocks: their pair counts
+    # alone, as one (5000, 1770) int64 array, would take 70 MB
     tracemalloc.start()
     try:
         enumeration()

@@ -98,15 +98,16 @@ def test_unit_degree_weights_match_plain_poisson_sampling():
         assert sample_graph(plain, seed) == sample_graph(corrected, seed)
 
 
-def test_sample_matches_per_key_scalar_oracle():
-    # independent scalar re-derivation of the keyed inversion sampler
+@pytest.mark.parametrize("seed", [0, 2024, -3, 2**64 - 1, 2**64 + 5])
+def test_sample_matches_per_key_scalar_oracle(seed):
+    # independent scalar re-derivation of the keyed inversion sampler; the
+    # scalar keys take any int seed modulo 2**64
     spec = SbmmSpec(
         7, 2, (0.35, 0.65),
         ((Categorical((0.6, 0.3, 0.1)), Poisson(0.9)),
          (Poisson(0.9), Categorical((0.2, 0.5, 0.3)))),
         self_loop_laws=(Categorical((0.7, 0.3)), Categorical((0.9, 0.1))),
     )
-    seed = 2024
     got = sample_graph(spec, seed)
 
     def classify(i):
