@@ -25,9 +25,12 @@ are relabelled, so the float path enumerates class multisets, each weighted
 by its number of orderings, and walks each multiset's configuration grid in
 fixed-size numpy chunks (``counting._count_law``): probabilities are
 products of table lookups, clump sizes sums over placements of binomial
-lookups, and masses are accumulated per clump size.  The ``exact=True``
-path keeps a plain loop over every class assignment and configuration in
-rational arithmetic and serves as the float path's oracle.
+lookups, and masses are accumulated per clump size.  This walk
+(``_host_law``) gives the law of the copy count on any number m of random
+vertices: m = v here, and m = n for ``experiments.exact_count_pmf``, under
+one size guard.  The ``exact=True`` path keeps a plain loop over every
+class assignment and configuration in rational arithmetic and serves as
+the float path's oracle.
 
 The total-variation error bounds come in seven variants (named in
 ``tv_bound``), each a closed form in the pattern's structural exponents and
@@ -43,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, count, islice, product
 
 from .counting import _class_multisets, _copy_terms, _count_law, clump_size
 from .distributions import (
@@ -185,15 +188,66 @@ def expected_count(spec: SbmmSpec, pattern: PatternGraph) -> float:
 # -- clump rates --------------------------------------------------------------
 
 
-def _pmf_list(law, cap: int, exact: bool):
-    if exact:
-        if not isinstance(law, Categorical):
-            raise PreconditionError(
-                "the exact-rational path requires categorical laws only"
+def _check_walk(sizes, limit: int, what: str) -> None:
+    """Raise :class:`InfeasibleError` if a walk exceeds ``limit`` configurations.
+
+    ``sizes`` yields the configuration count of each class assignment walked.
+    Counting stops once the sum passes the limit, so a refusal is cheap; if
+    assignments remain, the message names the limit, not a partial sum.
+    """
+    sizes = iter(sizes)
+    total = 0
+    for size in sizes:
+        total += size
+        if total > limit:
+            walked = total if next(sizes, None) is None else f"more than {limit}"
+            raise InfeasibleError(
+                f"{what} walks {walked} configurations (limit {limit})"
             )
-        probs = [Fraction(p) for p in law.probabilities]
-        return [(probs[k] if k < len(probs) else Fraction(0)) for k in range(cap + 1)]
-    return [pmf_tail(law, k)[0] for k in range(cap + 1)]
+
+
+def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
+    """Law of the copy count on ``m`` random vertices, and the neglected mass.
+
+    Walks the class multisets of the vertices and each one's grid of slot
+    values (pairs in ``combinations`` order, then loops when the pattern has
+    them), a slot with law ``law`` taking the values ``0..cap(law)``.  The
+    neglected mass is the union bound, over slots, on some slot exceeding
+    its cap.  Refuses walks of more than ``limit`` configurations.
+    """
+    pairs = list(combinations(range(m), 2))
+    slots = {}
+
+    def slot_laws(assign):
+        laws = [spec.edge_laws[assign[i]][assign[j]] for i, j in pairs]
+        if pattern.self_loops:
+            laws += [spec.self_loop_laws[c] for c in assign]
+        return laws
+
+    def slot(law):
+        # (pmf up to the cap, P(Y > cap)); the tail is summed forward, with no
+        # cancellation, so the neglected mass stays certified even after the
+        # C(n, v) blow-up
+        if law not in slots:
+            top = cap(law)
+            table = [pmf_tail(law, k)[0] for k in range(top + 1)]
+            slots[law] = table, pmf_tail(law, top + 1)[1]
+        return slots[law]
+
+    sizes = (
+        math.prod(len(slot(law)[0]) for law in slot_laws(assign))
+        for assign, _ in _class_multisets(spec.f, m)
+    )
+    _check_walk(sizes, limit, what)
+    terms = _copy_terms(pattern, m)
+    pmf: dict[int, float] = {}
+    neglected = 0.0
+    for assign, weight in _class_multisets(spec.f, m):
+        tables = [slot(law) for law in slot_laws(assign)]
+        neglected += weight * sum((tail for _, tail in tables), 0.0)
+        for w, p in _count_law([t for t, _ in tables], terms, weight).items():
+            pmf[w] = pmf.get(w, 0.0) + p
+    return pmf, neglected
 
 
 def lambda_params(
@@ -208,9 +262,9 @@ def lambda_params(
     Enumerates, for one vertex set, every class multiset (weighted by its
     orderings) and every edge (and self-loop) configuration with per-pair
     supports truncated where the law's tail falls below ``eps``, in
-    fixed-size chunks.  ``exact=True`` switches to rational arithmetic
-    (categorical laws only), walks every class assignment one configuration
-    at a time, and returns Fractions.
+    fixed-size chunks (``_host_law`` at ``m = v``).  ``exact=True`` switches
+    to rational arithmetic (categorical laws only), walks every class
+    assignment one configuration at a time, and returns Fractions.
 
     Raises :class:`InfeasibleError` when the walk would visit more than
     ``max_configs`` configurations: the sum, over the class assignments it
@@ -222,13 +276,12 @@ def lambda_params(
     if v > n:
         raise PreconditionError(f"pattern has {v} vertices but the model only {n}")
 
-    pair_slots = v * (v - 1) // 2
     with_loops = bool(pattern.self_loops)
     if with_loops and spec.self_loop_laws is None:
         # the model never produces self-loops, so no copies ever occur
         return CompoundPoissonParams(lam=(), imax=0, truncation_mass=0.0, total=0.0)
 
-    def cap_for(law):
+    def cap(law):
         # the exact path keeps the whole (finite) support so that nothing is
         # neglected; the float path truncates where the tail drops below eps
         if exact:
@@ -239,109 +292,54 @@ def lambda_params(
             return len(law.probabilities) - 1
         return truncation_bound(law, eps)
 
-    pair_caps = {}
-    for a in range(Q):
-        for b in range(a, Q):
-            pair_caps[(a, b)] = cap_for(spec.edge_laws[a][b])
-    loop_caps = {}
-    if with_loops:
-        for a in range(Q):
-            loop_caps[a] = cap_for(spec.self_loop_laws[a])
-
-    slot_pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
-
-    def slot_laws(assign):
-        # (law, truncation cap) of every slot of one class assignment
-        laws = []
-        for sa, sb in slot_pairs:
-            ca, cb = sorted((assign[sa], assign[sb]))
-            laws.append((spec.edge_laws[ca][cb], pair_caps[(ca, cb)]))
-        if with_loops:
-            laws += [(spec.self_loop_laws[c], loop_caps[c]) for c in assign]
-        return laws
-
-    def walk():
-        # the exact path walks every class assignment, the float path the
-        # class multisets with their weights
-        if exact:
-            return ((assign, None) for assign in product(range(Q), repeat=v))
-        return _class_multisets(spec.f, v)
-
-    size = sum(math.prod(cap + 1 for _, cap in slot_laws(a)) for a, _ in walk())
-    if size > max_configs:
-        raise InfeasibleError(
-            f"clump enumeration walks {size} configurations "
-            f"(limit {max_configs})"
-        )
-
-    max_pair_cap = max(pair_caps.values()) if pair_slots else 0
-    max_loop_cap = max(loop_caps.values()) if with_loops else 0
-
     # largest clump any truncated configuration can reach
-    top_config = [max_pair_cap] * pair_slots + ([max_loop_cap] * v if with_loops else [])
+    top_config = [max(map(cap, spec.distinct_laws()))] * (v * (v - 1) // 2)
+    if with_loops:
+        top_config += [max(map(cap, spec.self_loop_laws))] * v
     imax = clump_size(top_config, pattern)
 
     zero = Fraction(0) if exact else 0.0
-
-    pmf_cache = {}
-    tail_cache = {}
-
-    def pmfs(law, cap):
-        key = (law, cap)
-        if key not in pmf_cache:
-            pmf_cache[key] = _pmf_list(law, cap, exact)
-        return pmf_cache[key]
-
-    def tail_excess(law, cap):
-        # P(Y > cap), summed forward so there is no cancellation: the
-        # neglected mass stays certified even after the C(n, v) blow-up
-        key = (law, cap)
-        if key not in tail_cache:
-            if exact:
-                tail_cache[key] = max(1 - sum(pmfs(law, cap), zero), zero)
-            else:
-                tail_cache[key] = pmf_tail(law, cap + 1)[1]
-        return tail_cache[key]
-
-    def slot_tables(assign):
-        # per-slot pmf tables of one class assignment, and the union bound
-        # over slots on the probability that any slot exceeds its truncated
-        # support
-        tables = []
-        excess = zero
-        for law, cap in slot_laws(assign):
-            tables.append(pmfs(law, cap))
-            excess += tail_excess(law, cap)
-        return tables, excess
-
-    size_prob = {}
-    neglected = zero
-
     if exact:
+        # the float path's oracle: every labelled class assignment and every
+        # configuration, in rational arithmetic, scored by clump_size
         f = [Fraction(x) for x in spec.f]
-        for assign, _ in walk():
-            a_prob = Fraction(1)
-            for c in assign:
-                a_prob *= f[c]
-            tables, excess = slot_tables(assign)
-            neglected += a_prob * excess
+        slot_pairs = list(combinations(range(v), 2))
+
+        def slot_laws(assign):
+            laws = [spec.edge_laws[assign[a]][assign[b]] for a, b in slot_pairs]
+            if with_loops:
+                laws += [spec.self_loop_laws[c] for c in assign]
+            return laws
+
+        sizes = (
+            math.prod(len(law.probabilities) for law in slot_laws(assign))
+            for assign in product(range(Q), repeat=v)
+        )
+        _check_walk(sizes, max_configs, "clump enumeration")
+        size_prob = {}
+        neglected = zero
+        for assign in product(range(Q), repeat=v):
+            a_prob = math.prod((f[c] for c in assign), start=Fraction(1))
+            laws = slot_laws(assign)
+            tables = [[Fraction(p) for p in law.probabilities] for law in laws]
+            # a slot exceeds its support only when its probabilities sum
+            # below 1 as rationals
+            for t in tables:
+                neglected += a_prob * max(1 - sum(t, zero), zero)
             for config in product(*(range(len(t)) for t in tables)):
                 p = a_prob
                 for t, val in zip(tables, config):
                     p *= t[val]
                 if p == zero:
                     continue
-                z = clump_size(list(config), pattern)
+                z = clump_size(config, pattern)
                 if z > 0:
                     size_prob[z] = size_prob.get(z, zero) + p
     else:
-        terms = _copy_terms(pattern, v)
-        for assign, weight in walk():
-            tables, excess = slot_tables(assign)
-            neglected += weight * excess
-            for z, p in _count_law(tables, terms, weight).items():
-                if z > 0:
-                    size_prob[z] = size_prob.get(z, zero) + p
+        law, neglected = _host_law(
+            spec, pattern, v, cap, max_configs, "clump enumeration"
+        )
+        size_prob = {z: p for z, p in law.items() if z > 0}
 
     n_sets = math.comb(n, v)
     lam = tuple(n_sets * size_prob.get(i, zero) for i in range(1, imax + 1))
@@ -365,15 +363,21 @@ def cp_pmf(params: CompoundPoissonParams, kmax: int) -> list[float]:
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    return list(islice(_cp_terms(params), kmax + 1))
+
+
+def _cp_terms(params: CompoundPoissonParams):
+    """P(0), P(1), ... of ``cp_pmf``'s recursion, one term at a time."""
     lam = [float(x) for x in params.lam]
     out = [math.exp(-math.fsum(lam))]
-    for k in range(1, kmax + 1):
+    yield out[0]
+    for k in count(1):
         acc = 0.0
         for i in range(1, min(k, len(lam)) + 1):
             if lam[i - 1]:
                 acc += i * lam[i - 1] * out[k - i]
         out.append(acc / k)
-    return out
+        yield out[k]
 
 
 def c_lambda_upper(params: CompoundPoissonParams) -> float:

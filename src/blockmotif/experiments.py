@@ -3,11 +3,11 @@
 Two routes to the distribution of the copy count W:
 
 * ``exact_count_pmf`` enumerates every edge configuration of a small
-  finite-support model and accumulates the exact law of W.  W is unchanged
-  when vertices are relabelled, so it walks class multisets weighted by
-  their number of orderings, and each multiset's configuration grid in
-  fixed-size numpy chunks that score every host with the same
-  binomial-product sums ``count_copies`` uses (``counting._count_law``);
+  finite-support model and accumulates the exact law of W.  It is the
+  clump rates' walk (``approximation._host_law``) on all n vertices: class
+  multisets weighted by their number of orderings, and each multiset's
+  configuration grid in fixed-size numpy chunks that score every host with
+  the same binomial-product sums ``count_copies`` uses;
 * ``monte_carlo_pmf`` samples whole graphs (one keyed substream per
   replicate), a block of replicates per numpy pass, and counts copies in
   each straight from the block's arrays.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import islice
 
 import numpy as np
 
@@ -38,15 +38,13 @@ from .approximation import (
     CompoundPoissonParams,
     InfeasibleError,
     PreconditionError,
-    cp_pmf,
+    _cp_terms,
+    _host_law,
     expected_count,
     lambda_params,
     tv_bound,
 )
 from .counting import (  # noqa: F401 -- count_copies is re-exported for callers
-    _class_multisets,
-    _copy_terms,
-    _count_law,
     _count_maps,
     _search_plan,
     count_copies,
@@ -84,9 +82,10 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
     """Exact law of the copy count W by full enumeration.
 
     Requires categorical (finite-support) edge laws, no degree weights, and
-    a feasible enumeration size; self-loop slots are enumerated only when
-    the pattern actually has self-loops.  Hosts of probability 0.0 leave
-    no atom.
+    a walk of at most ``EXACT_ENUMERATION_LIMIT`` configurations (counted
+    over the class multisets it visits); self-loop slots are enumerated
+    only when the pattern actually has self-loops.  Hosts of probability
+    0.0 leave no atom.
     """
     if spec.degree_weights is not None:
         raise PreconditionError(
@@ -96,42 +95,25 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
     for law in spec.distinct_laws():
         if not isinstance(law, Categorical):
             raise PreconditionError("exact enumeration requires categorical edge laws")
-    n, Q = spec.n, spec.Q
+    n = spec.n
     v = pattern.vertex_count
     if v > n:
         raise PreconditionError(f"pattern has {v} vertices but the model only {n}")
 
-    with_loops = bool(pattern.self_loops)
-    if with_loops and spec.self_loop_laws is None:
-        return {0: 1.0}
-    if with_loops:
+    if pattern.self_loops:
+        if spec.self_loop_laws is None:
+            return {0: 1.0}
         for law in spec.self_loop_laws:
             if not isinstance(law, Categorical):
                 raise PreconditionError(
                     "exact enumeration requires categorical self-loop laws"
                 )
 
-    n_pairs = n * (n - 1) // 2
-    max_support = max(len(law.probabilities) for law in spec.distinct_laws())
-    size = Q**n * max_support**n_pairs
-    if with_loops:
-        size *= max(len(law.probabilities) for law in spec.self_loop_laws) ** n
-    if size > EXACT_ENUMERATION_LIMIT:
-        raise InfeasibleError(
-            f"exact enumeration needs up to {size} configurations "
-            f"(limit {EXACT_ENUMERATION_LIMIT})"
-        )
-
-    pairs = list(combinations(range(n), 2))
-    terms = _copy_terms(pattern, n)
-    pmf: dict[int, float] = {}
-    for assign, weight in _class_multisets(spec.f, n):
-        tables = [spec.edge_laws[assign[i]][assign[j]].probabilities for i, j in pairs]
-        if with_loops:
-            tables += [spec.self_loop_laws[c].probabilities for c in assign]
-        for w, p in _count_law(tables, terms, weight).items():
-            pmf[w] = pmf.get(w, 0.0) + p
-
+    # every slot keeps its whole finite support, so nothing is neglected
+    pmf, _ = _host_law(
+        spec, pattern, n, lambda law: len(law.probabilities) - 1,
+        EXACT_ENUMERATION_LIMIT, "exact enumeration",
+    )
     total = math.fsum(pmf.values())
     assert abs(total - 1.0) <= 1e-10, f"enumerated probabilities sum to {total}"
     return dict(sorted(pmf.items()))
@@ -151,6 +133,10 @@ def monte_carlo_pmf(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     n = spec.n
+    if pattern.vertex_count > n:
+        raise PreconditionError(
+            f"pattern has {pattern.vertex_count} vertices but the model only {n}"
+        )
     plan = _search_plan(pattern)
     aut = automorphism_count(pattern)
     iu, ju = np.triu_indices(n, k=1)
@@ -239,9 +225,11 @@ def _reference_pmf(params_or_nu, min_support: int) -> tuple[list[float], str]:
             total=float(params_or_nu),
         )
         kind = "poisson"
+    terms = _cp_terms(params)
+    pmf: list[float] = []
     kmax = max(min_support, 64)
     while True:
-        pmf = cp_pmf(params, kmax)
+        pmf += islice(terms, kmax + 1 - len(pmf))
         if 1.0 - math.fsum(pmf) <= 1e-12 or kmax >= 100_000:
             return pmf, kind
         kmax = min(kmax * 4, 100_000)

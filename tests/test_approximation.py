@@ -4,6 +4,7 @@ numeric oracles."""
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from blockmotif import approximation
 from blockmotif import (
     BOUND_VARIANTS,
     Categorical,
@@ -211,7 +213,7 @@ def test_exact_and_float_paths_agree():
 
 
 @pytest.mark.parametrize("name", ["cycle4", "doubled_edge_triangle", "loop_triangle"])
-def test_float_rates_match_exact_rates_on_two_unequal_classes(name):
+def test_float_rates_match_exact_rates_on_two_unequal_classes(name, monkeypatch):
     # the float path walks class multisets with multinomial weights, the
     # exact path every class assignment in rationals: unequal class weights
     # and three-point laws make any mis-weighted multiset show
@@ -229,7 +231,15 @@ def test_float_rates_match_exact_rates_on_two_unequal_classes(name):
         "loop_triangle": LOOP_TRIANGLE,
     }[name]
     spec = SbmmSpec(7, 2, f, ((a, b), (b, c)), self_loop_laws=loops)
-    want = lambda_params(spec, pattern, exact=True)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact path ran the float path's walk")
+
+    # the exact path is the oracle, so it must not run the code it checks
+    with monkeypatch.context() as patched:
+        for helper in ("_host_law", "_count_law", "_copy_terms"):
+            patched.setattr(approximation, helper, forbidden)
+        want = lambda_params(spec, pattern, exact=True)
     got = lambda_params(spec, pattern)
     assert got.imax == want.imax
     assert len(got.lam) == len(want.lam)
@@ -333,6 +343,21 @@ def test_lambda_enumeration_size_guard():
         lambda_params(two_point, TRIANGLE, exact=True, max_configs=63)
     with pytest.raises(InfeasibleError, match="walks 32 configurations"):
         lambda_params(two_point, TRIANGLE, max_configs=31)
+    # the guard stops counting once the walk passes the limit: cycle:6 on
+    # 30 Bernoulli classes walks C(35, 6) class multisets of 2^15
+    # configurations each, about 5.3e10 in all, and the refusal must not
+    # cost the whole count, neither directly nor through the bound
+    laws = [
+        [bernoulli(0.01 * (1 + (a + b) % 7)) for b in range(30)] for a in range(30)
+    ]
+    many = SbmmSpec(40, 30, (1 / 30,) * 30, laws)
+    cycle6 = pattern_from_name("cycle:6")
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleError, match="walks more than 5000000 configurations"):
+        lambda_params(many, cycle6)
+    with pytest.raises(InfeasibleError, match="walks more than 5000000 configurations"):
+        tv_bound(many, cycle6, "thm31_simple")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_pattern_larger_than_model_is_rejected():

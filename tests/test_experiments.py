@@ -147,11 +147,30 @@ def test_exact_pmf_preconditions():
         exact_count_pmf(dc, TRIANGLE)
     with pytest.raises(PreconditionError, match="vertices"):
         exact_count_pmf(one_class_spec(2, bernoulli(0.3)), TRIANGLE)
+    # Monte Carlo refuses the same input before it samples anything
+    with pytest.raises(PreconditionError, match="3 vertices but the model only 2"):
+        monte_carlo_pmf(one_class_spec(2, bernoulli(0.3)), TRIANGLE, 10, 0)
 
 
-def test_exact_pmf_size_guard():
+def test_exact_pmf_size_guard(monkeypatch):
     with pytest.raises(InfeasibleError):
         exact_count_pmf(one_class_spec(12, bernoulli(0.3)), TRIANGLE)
+    # the guard counts the walk: 5 class multisets of 4 vertices, each over
+    # 2^6 pair configurations, 320 in all (the labelled bound Q^n * 2^6 would
+    # be 1024)
+    spec = SbmmSpec(
+        4, 2, (0.3, 0.7),
+        ((bernoulli(0.4), bernoulli(0.1)), (bernoulli(0.1), bernoulli(0.6))),
+    )
+    monkeypatch.setattr(experiments, "EXACT_ENUMERATION_LIMIT", 319)
+    with pytest.raises(InfeasibleError, match="walks 320 configurations"):
+        exact_count_pmf(spec, TRIANGLE)
+    monkeypatch.setattr(experiments, "EXACT_ENUMERATION_LIMIT", 320)
+    got = exact_count_pmf(spec, TRIANGLE)
+    want = _labelled_host_oracle(spec, TRIANGLE)
+    assert set(got) == set(want)
+    for w, prob in want.items():
+        assert got[w] == pytest.approx(prob, abs=1e-14)
 
 
 def _labelled_host_oracle(spec, pattern):

@@ -1,0 +1,185 @@
+"""Golden reports: CLI output bytes must not drift.
+
+Each case runs ``blockmotif experiment --config F --out R`` (the report plus
+its two pmf CSV sidecars) or ``blockmotif lambda`` and compares the bytes
+with the files under ``tests/golden``.  The cases cover exact and Monte
+Carlo mode, the compound-Poisson and Poisson references, self-loops and two
+classes.  The golden bytes were written on x86-64 Linux; 17-digit floats may
+differ in the last digit on another libm.
+
+To rewrite the golden files after an intended output change, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import json
+import os
+
+import pytest
+
+from blockmotif import (
+    Categorical,
+    Geometric,
+    PatternGraph,
+    Poisson,
+    SbmmSpec,
+    pattern_to_json,
+    spec_to_json,
+)
+from blockmotif.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+LOOP_TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1}, {0: 1})
+
+
+def _bernoulli(p):
+    return Categorical([1 - p, p])
+
+
+def _two_class(n, f, same0, cross, same1, loops=None):
+    return SbmmSpec(n, 2, f, ((same0, cross), (cross, same1)), self_loop_laws=loops)
+
+
+EXPERIMENTS = {
+    "exact_triangle": {
+        "spec": SbmmSpec(5, 1, (1.0,), ((Categorical([0.6, 0.3, 0.1]),),)),
+        "pattern": "triangle",
+        "variant": "thm41_multi",
+        "mode": "exact",
+    },
+    "exact_two_class_cycle4": {
+        "spec": _two_class(
+            6, (0.4, 0.6), _bernoulli(0.5), _bernoulli(0.2), _bernoulli(0.6)
+        ),
+        "pattern": "cycle:4",
+        "variant": "thm31_simple",
+        "mode": "exact",
+    },
+    "exact_loops": {
+        "spec": _two_class(
+            4,
+            (0.3, 0.7),
+            Categorical([0.6, 0.0, 0.4]),
+            Categorical([0.7, 0.3, 0.0]),
+            Categorical([0.5, 0.5, 0.0]),
+            loops=(Categorical([0.8, 0.2]), Categorical([1.0, 0.0])),
+        ),
+        "pattern": LOOP_TRIANGLE,
+        "variant": "thm51_selfloop",
+        "mode": "exact",
+    },
+    "mc_two_class_cycle4": {
+        "spec": _two_class(10, (0.5, 0.5), Poisson(0.3), Poisson(0.1), Poisson(0.3)),
+        "pattern": "cycle:4",
+        "variant": "thm31_simple",
+        "mode": "monte_carlo",
+        "reps": 200,
+        "seed": 3,
+        "eps": 1e-3,
+    },
+    # a mean of 27.5 copies: the reference pmf grows past its first 64 terms
+    "mc_poisson_reference": {
+        "spec": SbmmSpec(12, 1, (1.0,), ((_bernoulli(0.5),),)),
+        "pattern": "triangle",
+        "variant": "thm52_poisson_approx",
+        "mode": "monte_carlo",
+        "reps": 300,
+        "seed": 5,
+    },
+    "mc_geometric_loops": {
+        "spec": SbmmSpec(
+            9, 1, (1.0,), ((Geometric(0.1),),), self_loop_laws=(Geometric(0.1),)
+        ),
+        "pattern": LOOP_TRIANGLE,
+        "variant": "thm51_selfloop",
+        "mode": "monte_carlo",
+        "reps": 300,
+        "seed": 4,
+        "eps": 1e-3,
+    },
+}
+
+LAMBDAS = {
+    "lambda_two_class_cycle4": (
+        _two_class(12, (0.5, 0.5), Poisson(0.3), Poisson(0.1), Poisson(0.3)),
+        "cycle:4",
+        1e-3,
+    ),
+    "lambda_geometric_loops": (
+        SbmmSpec(
+            9, 1, (1.0,), ((Geometric(0.1),),), self_loop_laws=(Geometric(0.1),)
+        ),
+        LOOP_TRIANGLE,
+        1e-3,
+    ),
+}
+
+
+def _config_json(config):
+    out = dict(config, spec=spec_to_json(config["spec"]))
+    if isinstance(out["pattern"], PatternGraph):
+        out["pattern"] = pattern_to_json(out["pattern"])
+    return out
+
+
+def _experiment_outputs(name, workdir):
+    """File name -> text of the report and CSVs ``experiment --out`` writes."""
+    config_path = os.path.join(workdir, f"{name}_config.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(_config_json(EXPERIMENTS[name]), fh)
+    out = os.path.join(workdir, f"{name}.json")
+    assert main(["experiment", "--config", config_path, "--out", out]) == 0
+    files = {}
+    for fname in (f"{name}.json", f"{name}_reference.csv", f"{name}_observed.csv"):
+        with open(os.path.join(workdir, fname), "r", encoding="utf-8") as fh:
+            files[fname] = fh.read()
+    return files
+
+
+def _lambda_argv(name):
+    spec, pattern, eps = LAMBDAS[name]
+    if isinstance(pattern, PatternGraph):
+        pattern = json.dumps(pattern_to_json(pattern))
+    spec = json.dumps(spec_to_json(spec))
+    return ["lambda", "--spec", spec, "--pattern", pattern, "--eps", repr(eps)]
+
+
+def _read_golden(fname):
+    with open(os.path.join(GOLDEN, fname), "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_report_and_csvs_match_golden_bytes(name, tmp_path):
+    for fname, text in _experiment_outputs(name, str(tmp_path)).items():
+        assert text == _read_golden(fname), fname
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDAS))
+def test_lambda_output_matches_golden_bytes(name, capsys):
+    assert main(_lambda_argv(name)) == 0
+    out = capsys.readouterr().out
+    assert out == _read_golden(f"{name}.txt")
+
+
+def _write_golden():
+    import contextlib
+    import io
+    import tempfile
+
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in sorted(EXPERIMENTS):
+            for fname, text in _experiment_outputs(name, workdir).items():
+                with open(os.path.join(GOLDEN, fname), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+    for name in sorted(LAMBDAS):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(_lambda_argv(name)) == 0
+        with open(os.path.join(GOLDEN, f"{name}.txt"), "w", encoding="utf-8") as fh:
+            fh.write(buf.getvalue())
+
+
+if __name__ == "__main__":
+    _write_golden()
