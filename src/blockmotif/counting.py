@@ -8,12 +8,14 @@ the same edge sets, so a placement on a fixed vertex set contributes the
 product of binomial coefficients ``C(observed, required)``, and placements
 are enumerated once per automorphism orbit.
 
-``count_copies`` sums the product over the injective maps of the pattern
-into the host that it grows along host adjacency (``_count_maps``, which
-takes the host as adjacency dicts so that sampled hosts need no
-``ObservedMultigraph``), and divides by the automorphism count;
-``count_copies_bruteforce`` independently sums it over every injective
-vertex map.  Both return exact Python integers.
+``_count_block`` sums the product over the injective maps of the pattern
+into each host of a block, for all hosts at once: the block's hosts are one
+graph in compressed adjacency arrays, and the partial maps grow one pattern
+vertex at a time along host edges, as numpy arrays expanded in bounded
+chunks.  ``monte_carlo_pmf`` hands it each sampled block; ``count_copies``
+hands it one ``ObservedMultigraph`` as a block of one and divides by the
+automorphism count.  ``count_copies_bruteforce`` independently sums the
+product over every injective vertex map.  All return exact integers.
 
 The same binomial-product sums give the law of a copy count under a random
 configuration: ``_count_law`` walks the grid of per-slot values of one
@@ -38,6 +40,10 @@ __all__ = ["count_copies", "count_copies_bruteforce", "clump_size"]
 # rows of the configuration grid per chunk: bounds the enumerator's working
 # memory whatever the grid size
 _CHUNK_ROWS = 1 << 15
+
+# candidate partial maps per expansion of the copy counter's frontier:
+# bounds its working memory whatever the hosts' sizes and degrees
+_FRONTIER_CHUNK = 1 << 14
 
 
 def _required_pairs(pattern: PatternGraph):
@@ -94,70 +100,131 @@ def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
 
     Sums, over injective maps of the pattern's vertices into the host, the
     product of ``C(observed, required)`` over pattern pairs and loops, and
-    divides by the automorphism count.  Maps grow one vertex at a time in
-    ``_search_plan`` order: a vertex with a placed neighbour only tries the
-    host neighbours of that neighbour's image, a component root tries every
-    host vertex (only the loop-carrying ones when it has loops), so the work
-    follows the host's edges rather than its C(n, v) vertex subsets.
+    divides by the automorphism count.  The host is a block of one for
+    ``_count_block``, so its work follows the host's edges rather than its
+    C(n, v) vertex subsets.
     """
-    adj: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for (a, b), y in graph.edge_counts.items():
-        adj[a][b] = y
-        adj[b][a] = y
-    total = _count_maps(adj, graph.self_loop_counts, _search_plan(pattern))
-    return total // automorphism_count(pattern)
-
-
-def _count_maps(
-    adj: list[dict[int, int]],
-    host_loops: dict[int, int],
-    plan: list[tuple[list[tuple[int, int]], int]],
-) -> int:
-    """Binomial-product sum over the injective maps of a planned pattern.
-
-    ``adj[x]`` maps each host neighbour of ``x`` to the pair's edge count,
-    ``host_loops`` maps loop-carrying host vertices to their loop counts,
-    and ``plan`` is the pattern's ``_search_plan``.  Dividing the result by
-    the pattern's automorphism count gives the copy count.
-    """
-    n, v = len(adj), len(plan)
+    n, v = graph.n, pattern.vertex_count
     if v > n:
         raise ValueError(f"pattern has {v} vertices but the graph only {n}")
-    image = [0] * v
-    used = [False] * n
+    a, b = np.array(list(graph.edge_counts), dtype=np.int64).reshape(-1, 2).T
+    # counts past int64 make object arrays; the leading 0 keeps an empty
+    # list integer
+    y = np.array([0, *graph.edge_counts.values()])[1:]
+    loops = np.array([0, *(graph.self_loop_counts.get(w, 0) for w in range(n))])
+    plan = _search_plan(pattern)
+    (total,) = _count_block(plan, loops[None, 1:], np.zeros_like(a), a, b, y)
+    return int(total) // automorphism_count(pattern)
 
-    def extend(step: int, weight: int) -> int:
+
+def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
+    """Binomial-product sums over the injective maps of a planned pattern,
+    for every host of a block at once.
+
+    ``plan`` is the pattern's ``_search_plan``.  Host ``r`` has
+    ``n = loops.shape[1]`` vertices with ``loops[r]`` self-loops, and
+    ``y[k]`` parallel edges on the pair ``a[k] < b[k]`` of host ``rows[k]``.
+    Host ``r``'s vertex ``x`` is vertex ``r * n + x`` of one block graph, in
+    compressed adjacency with its neighbours sorted.  The partial maps of
+    all hosts grow together, one plan step at a time, as arrays: a vertex
+    with placed neighbours tries the neighbours of the first one's image
+    and looks up the pair counts to the others; a component root tries
+    every vertex of its own host.  Partial maps are expanded in chunks of
+    at most ``_FRONTIER_CHUNK`` candidates (or one map's), depth first, so
+    working memory stays bounded.  Returns one sum per host: int64 when a
+    certified bound on it fits, Python integers in an object array
+    otherwise.  Dividing by the automorphism count gives the copy counts.
+    """
+    hosts, n = loops.shape
+    size = hosts * n
+    v = len(plan)
+    # binomials come from a table over the distinct counts (0 included, so
+    # an absent pair reads index 0)
+    values, index = np.unique(
+        np.concatenate(([0], y, loops.ravel())), return_inverse=True
+    )
+    y_index, loop_index = index[1 : len(y) + 1], index[len(y) + 1 :]
+    src = np.concatenate((rows * n + a, rows * n + b))
+    dst = np.concatenate((rows * n + b, rows * n + a))
+    keys = src * size + dst
+    order = np.argsort(keys)
+    # the sentinel key size**2 exceeds every lookup, so searchsorted stays
+    # in range and a miss reads count index 0
+    keys = np.append(keys[order], size * size)
+    nbrs = dst[order]
+    pair_index = np.append(np.concatenate((y_index, y_index))[order], 0)
+    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
+
+    top = int(values[-1])
+    max_req = max([m for checks, c in plan for _, m in checks] + [c for _, c in plan])
+    table = [[math.comb(int(t), m) for t in values] for m in range(max_req + 1)]
+    # largest sum a host can reach: every step's candidates times the top
+    # binomial of each requirement.  int64 needs it and every table entry to
+    # fit; a product that wraps on the way still ends exact, as int64
+    # arithmetic is exact modulo 2**64
+    max_deg = int(np.diff(indptr).max(initial=0))
+    worst = 1
+    for checks, c in plan:
+        worst *= (max_deg if checks else n) * math.comb(top, c)
+        for _, m in checks:
+            worst *= math.comb(top, m)
+    dtype = np.int64 if max(worst, *map(max, table)) < 2**63 else object
+    table = np.array(table, dtype=dtype)
+    totals = np.zeros(hosts, dtype=dtype)
+
+    def grow(step, host, images, weight):
         checks, loop_req = plan[step]
         if checks:
-            candidates = adj[image[checks[0][0]]]
+            u = images[:, checks[0][0]]
+            first, deg = indptr[u], indptr[u + 1] - indptr[u]
         else:
-            candidates = host_loops if loop_req else range(n)
-        total = 0
-        for x in candidates:
-            if used[x]:
-                continue
-            w = weight
-            for j, m in checks:
-                y = adj[image[j]].get(x, 0)
-                if y < m:
-                    break
-                w *= math.comb(y, m)
-            else:
-                if loop_req:
-                    s = host_loops.get(x, 0)
-                    if s < loop_req:
-                        continue
-                    w *= math.comb(s, loop_req)
-                if step + 1 == v:
-                    total += w
+            first, deg = host * n, np.full(len(host), n)
+        ends = np.cumsum(deg)
+        lo = 0
+        while lo < len(host):
+            done = ends[lo - 1] if lo else 0
+            hi = int(np.searchsorted(ends, done + _FRONTIER_CHUNK, "right"))
+            hi = max(hi, lo + 1)
+            d = deg[lo:hi]
+            owner = np.repeat(np.arange(lo, hi), d)
+            # candidate t of the chunk is entry t - (ends - d - done) of its
+            # map's range, which starts at ``first``
+            shift = first[lo:hi] - ends[lo:hi] + d + done
+            cand = np.arange(len(owner)) + np.repeat(shift, d)
+            x = nbrs[cand] if checks else cand
+            keep = np.ones(len(x), dtype=bool)
+            for j in range(step):
+                keep &= x != images[owner, j]
+            factors = []
+            for k, (j, m) in enumerate(checks):
+                if k:
+                    query = images[owner, j] * size + x
+                    pos = np.searchsorted(keys, query)
+                    hit = np.where(keys[pos] == query, pair_index[pos], 0)
+                    factors.append(table[m][hit])
                 else:
-                    image[step] = x
-                    used[x] = True
-                    total += extend(step + 1, w)
-                    used[x] = False
-        return total
+                    factors.append(table[m][pair_index[cand]])
+            if loop_req:
+                factors.append(table[loop_req][loop_index[x]])
+            for f in factors:
+                keep &= f != 0
+            owner, x = owner[keep], x[keep]
+            w = weight[owner]
+            for f in factors:
+                w = w * f[keep]
+            if step + 1 == v:
+                np.add.at(totals, host[owner], w)
+            elif len(owner):
+                grow(step + 1, host[owner], np.column_stack((images[owner], x)), w)
+            lo = hi
 
-    return extend(0, 1)
+    no_images = np.zeros((hosts, 0), dtype=np.int64)
+    grow(0, np.arange(hosts), no_images, np.ones(hosts, dtype=dtype))
+    # grow refers to itself: dropping it frees the block's arrays now rather
+    # than at the next garbage collection, which comes rarely as numpy
+    # arrays do not count towards its threshold
+    del grow
+    return totals
 
 
 def count_copies_bruteforce(graph: ObservedMultigraph, pattern: PatternGraph) -> int:

@@ -9,8 +9,8 @@ Two routes to the distribution of the copy count W:
   configuration grid in fixed-size numpy chunks that score every host with
   the same binomial-product sums ``count_copies`` uses;
 * ``monte_carlo_pmf`` samples whole graphs (one keyed substream per
-  replicate), a block of replicates per numpy pass, and counts copies in
-  each straight from the block's arrays.
+  replicate), a block of replicates per numpy pass, and counts the copies
+  in all of a block's replicates in one pass of the block counter.
 
 ``run_experiment`` glues these to the approximation module: it computes the
 structural profile, model extrema (once: reused from the bound's report),
@@ -45,7 +45,7 @@ from .approximation import (
     tv_bound,
 )
 from .counting import (  # noqa: F401 -- count_copies is re-exported for callers
-    _count_maps,
+    _count_block,
     _search_plan,
     count_copies,
 )
@@ -126,9 +126,9 @@ def monte_carlo_pmf(
 
     Replicate r is the graph ``sample_graph(spec, substream_key(seed, r))``.
     Replicates are sampled in blocks of at most ``_BLOCK_CELLS`` pair and
-    loop counts, and each is counted straight from the block's arrays; the
-    result does not depend on the block size.  Returns the empirical pmf
-    and the exact integer histogram.
+    loop counts, and each block is counted at once by ``_count_block`` from
+    its nonzero pair counts; the result does not depend on the block size.
+    Returns the empirical pmf and the exact integer histogram.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -145,15 +145,9 @@ def monte_carlo_pmf(
     for start in range(0, reps, block):
         keys = replicate_keys(seed, np.arange(start, min(start + block, reps)))
         _, pairs, loops = _sample_block(spec, keys)
-        for row, row_loops in zip(pairs, loops):
-            adj: list[dict[int, int]] = [{} for _ in range(n)]
-            nz = np.flatnonzero(row)
-            for a, b, y in zip(iu[nz].tolist(), ju[nz].tolist(), row[nz].tolist()):
-                adj[a][b] = y
-                adj[b][a] = y
-            nz = np.flatnonzero(row_loops)
-            host_loops = dict(zip(nz.tolist(), row_loops[nz].tolist()))
-            w = _count_maps(adj, host_loops, plan) // aut
+        rows, k = np.nonzero(pairs)
+        totals = _count_block(plan, loops, rows, iu[k], ju[k], pairs[rows, k])
+        for w in (totals // aut).tolist():
             hist[w] = hist.get(w, 0) + 1
     hist = dict(sorted(hist.items()))
     pmf = {w: c / reps for w, c in hist.items()}

@@ -21,6 +21,7 @@ from blockmotif import (
     pattern_from_name,
     rho,
 )
+from blockmotif import counting
 from blockmotif.counting import _count_law
 from conftest import random_connected_pattern, random_multigraph
 
@@ -105,6 +106,14 @@ def test_bigint_fallback_matches_closed_form():
     got = count_copies(g, heavy)
     assert got == expect
     assert got == count_copies_bruteforce(g, heavy)
+
+
+def test_host_counts_past_int64_stay_exact():
+    g = ObservedMultigraph(3, {(0, 1): 2**64, (1, 2): 5}, {1: 2**70, 2: 3})
+    loop_path = PatternGraph(3, {(0, 1): 2, (1, 2): 1}, {1: 1})
+    got = count_copies(g, loop_path)
+    assert got == count_copies_bruteforce(g, loop_path)
+    assert got > 2**64
 
 
 @pytest.mark.parametrize("required", [3, 50])
@@ -230,13 +239,18 @@ def test_simple_pattern_counts_match_networkx_monomorphisms():
         assert count_copies(g, pattern) == mono // aut
 
 
-def test_sparse_host_triangles_match_networkx_in_little_memory():
-    # about 300 edges on 200 vertices: the work and memory follow the edges,
-    # not the C(200, 3) = 1.3M vertex triples
+def _sparse_host():
+    # about 300 edges on 200 vertices, with a few planted triangles
     host = nx.gnm_random_graph(200, 300, seed=5)
-    for a in range(0, 15, 3):  # plant a few triangles
+    for a in range(0, 15, 3):
         host.add_edges_from([(a, a + 1), (a + 1, a + 2), (a, a + 2)])
-    g = ObservedMultigraph(200, {tuple(sorted(e)): 1 for e in host.edges})
+    return host, ObservedMultigraph(200, {tuple(sorted(e)): 1 for e in host.edges})
+
+
+def test_sparse_host_triangles_match_networkx_in_little_memory():
+    # the work and memory follow the edges, not the C(200, 3) = 1.3M vertex
+    # triples
+    host, g = _sparse_host()
     tracemalloc.start()
     try:
         got = count_copies(g, TRIANGLE)
@@ -246,6 +260,14 @@ def test_sparse_host_triangles_match_networkx_in_little_memory():
     assert got == sum(nx.triangles(host).values()) // 3
     assert got > 0
     assert peak < 4 * 2**20, peak
+
+
+def test_count_does_not_depend_on_frontier_chunk(monkeypatch):
+    _, g = _sparse_host()
+    want = [count_copies(g, p) for p in (TRIANGLE, PATH3)]
+    for chunk in (1, 7):
+        monkeypatch.setattr(counting, "_FRONTIER_CHUNK", chunk)
+        assert [count_copies(g, p) for p in (TRIANGLE, PATH3)] == want, chunk
 
 
 @settings(max_examples=40, deadline=None)

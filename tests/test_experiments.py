@@ -8,11 +8,12 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmotif import approximation, experiments
+from blockmotif import approximation, counting, experiments
 from blockmotif import (
     Categorical,
     Geometric,
@@ -22,6 +23,7 @@ from blockmotif import (
     Poisson,
     PreconditionError,
     SbmmSpec,
+    automorphism_count,
     count_copies_bruteforce,
     dumps_stable,
     exact_count_pmf,
@@ -38,11 +40,13 @@ from blockmotif import (
     tv_bound,
     tv_distance,
 )
-from blockmotif._rng import substream_key
+from blockmotif._rng import replicate_keys, substream_key
+from blockmotif.model import _sample_block
 
 TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
 LOOP_TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1}, {0: 1})
 DOUBLED_EDGE_TRIANGLE = PatternGraph(3, {(0, 1): 2, (0, 2): 1, (1, 2): 1})
+HEAVY_TRIANGLE = PatternGraph(3, {(0, 1): 3, (0, 2): 3, (1, 2): 3})
 
 
 def bernoulli(p):
@@ -278,6 +282,21 @@ MC_ORACLE_CASES = {
         one_class_spec(7, bernoulli(0.5), Categorical([0.5, 0.3, 0.2])),
         LOOP_TRIANGLE,
     ),
+    # second component roots: a root that strays into another replicate's
+    # vertices changes these counts
+    "disjoint_edges": (
+        one_class_spec(8, Categorical([0.7, 0.2, 0.1])),
+        PatternGraph(4, {(0, 1): 1, (2, 3): 1}),
+    ),
+    "edge_and_loop_vertex": (
+        one_class_spec(7, bernoulli(0.3), Categorical([0.6, 0.3, 0.1])),
+        PatternGraph(3, {(0, 1): 1}, {2: 1}),
+    ),
+    # a pair carries 0 or 200 edges: C(200, 3)**3 per placement is past int64
+    "past_int64": (
+        one_class_spec(5, Categorical([0.3] + [0.0] * 199 + [0.7])),
+        HEAVY_TRIANGLE,
+    ),
 }
 
 
@@ -298,6 +317,36 @@ def test_monte_carlo_matches_per_replicate_bruteforce_oracle(monkeypatch, case):
         monkeypatch.setattr(experiments, "_BLOCK_CELLS", block * cells)
         _, hist = monte_carlo_pmf(spec, pattern, reps, seed)
         assert hist == dict(sorted(want.items())), block
+
+
+def test_block_counts_stay_exact_past_int64():
+    # every replicate of one block, counted together, equals its own
+    # brute-force count, and the counts are Python integers past int64
+    spec, pattern = MC_ORACLE_CASES["past_int64"]
+    reps, seed = 12, 3
+    _, pairs, loops = _sample_block(spec, replicate_keys(seed, np.arange(reps)))
+    iu, ju = np.triu_indices(spec.n, k=1)
+    rows, k = np.nonzero(pairs)
+    totals = counting._count_block(
+        counting._search_plan(pattern), loops, rows, iu[k], ju[k], pairs[rows, k]
+    )
+    got = [t // automorphism_count(pattern) for t in totals.tolist()]
+    want = [
+        count_copies_bruteforce(sample_graph(spec, substream_key(seed, r)), pattern)
+        for r in range(reps)
+    ]
+    assert got == want
+    assert max(want) >= 2**63
+    assert all(type(w) is int for w in got)
+
+
+@pytest.mark.parametrize("case", ["poisson", "disjoint_edges"])
+def test_monte_carlo_does_not_depend_on_frontier_chunk(monkeypatch, case):
+    spec, pattern = MC_ORACLE_CASES[case]
+    want = monte_carlo_pmf(spec, pattern, 40, 5)
+    for chunk in (1, 7):
+        monkeypatch.setattr(counting, "_FRONTIER_CHUNK", chunk)
+        assert monte_carlo_pmf(spec, pattern, 40, 5) == want, chunk
 
 
 # -- total-variation distance --------------------------------------------------
@@ -598,12 +647,21 @@ def _mc_triangle():
     return monte_carlo_pmf(spec, TRIANGLE, 5000, 1)
 
 
-@pytest.mark.parametrize("enumeration", [_clump_cycle4, _exact_enum, _mc_triangle])
+def _mc_dense_cycle4():
+    spec = one_class_spec(30, Categorical([0.5, 0.5]))
+    return monte_carlo_pmf(spec, pattern_from_name("cycle:4"), 20, 1)
+
+
+@pytest.mark.parametrize(
+    "enumeration", [_clump_cycle4, _exact_enum, _mc_triangle, _mc_dense_cycle4]
+)
 def test_enumeration_memory_stays_bounded(enumeration):
     # both grids hold 59,049 or more configurations; the enumerator walks
     # them in fixed chunks and caches nothing per configuration.  The Monte
     # Carlo sampler walks its 5000 replicates in blocks: their pair counts
-    # alone, as one (5000, 1770) int64 array, would take 70 MB
+    # alone, as one (5000, 1770) int64 array, would take 70 MB.  On the 20
+    # dense hosts the copy counter meets about 1.9 million candidate partial
+    # maps, so it grows them in chunks
     tracemalloc.start()
     try:
         enumeration()
