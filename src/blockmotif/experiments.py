@@ -70,7 +70,7 @@ __all__ = [
 
 EXACT_ENUMERATION_LIMIT = 10**8
 
-# pair and loop counts per Monte Carlo block: bounds the sampler's working
+# pair and loop cells per Monte Carlo block: bounds the sampler's working
 # memory whatever reps and n are (a block holds at least one replicate)
 _BLOCK_CELLS = 1 << 15
 
@@ -126,9 +126,11 @@ def monte_carlo_pmf(
 
     Replicate r is the graph ``sample_graph(spec, substream_key(seed, r))``.
     Replicates are sampled in blocks of at most ``_BLOCK_CELLS`` pair and
-    loop counts, and each block is counted at once by ``_count_block`` from
-    its nonzero pair counts; the result does not depend on the block size.
-    Returns the empirical pmf and the exact integer histogram.
+    loop cells.  The sampler inverts only the cells above their law's cut
+    and hands over the block's nonzero pair counts as ``(row, pair, count)``
+    triples, which ``_count_block`` counts at once with the block's loop
+    counts; the result does not depend on the block size.  Returns the
+    empirical pmf and the exact integer histogram.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -144,9 +146,8 @@ def monte_carlo_pmf(
     hist: dict[int, int] = {}
     for start in range(0, reps, block):
         keys = replicate_keys(seed, np.arange(start, min(start + block, reps)))
-        _, pairs, loops = _sample_block(spec, keys)
-        rows, k = np.nonzero(pairs)
-        totals = _count_block(plan, loops, rows, iu[k], ju[k], pairs[rows, k])
+        _, (rows, k, y), loops = _sample_block(spec, keys)
+        totals = _count_block(plan, loops, rows, iu[k], ju[k], y)
         for w in (totals // aut).tolist():
             hist[w] = hist.get(w, 0) + 1
     hist = dict(sorted(hist.items()))

@@ -13,9 +13,15 @@ the count of pair ``i < j`` from ``(seed, i, j)``, the self-loop count of
 vertex ``i`` from ``(seed, i, i)``, all with 1-based vertex labels — and is
 produced from that uniform by inverting the law's CDF.  One sampler,
 ``_sample_block``, draws a block of graphs, one per key, as arrays in one
-numpy pass; ``sample_graph`` is a block of one.  Each value depends only on
-its own key and labels, so results never depend on iteration order or on
-how replicates are grouped into blocks.
+numpy pass; ``sample_graph`` is a block of one.  Every cell hashes its
+uniform, but a law's CDF at 0 gives a float cut at or below which the
+uniform provably inverts to 0, so only the candidates above it are
+inverted: in the sparse regime most pairs are never inverted, and the
+block comes back as the triples of its nonzero pair counts.  Each value
+depends only on its own key and labels, so results never depend on
+iteration order or on how replicates are grouped into blocks.  Whether a
+Poisson mean is too large to invert is decided by the spec alone, before
+anything is drawn.
 """
 
 from __future__ import annotations
@@ -269,16 +275,35 @@ def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
     )
 
 
+# direct CDF inversion starts from exp(-rate), which underflows near rate 745
+_MAX_POISSON_RATE = 700.0
+
+
+def _check_poisson_rates(spec: SbmmSpec) -> None:
+    """Refuse a model with a Poisson mean too large to invert directly.
+
+    The spec alone decides: every Poisson edge and self-loop law counts,
+    and with degree weights the largest pair mean, the two largest
+    weights times the largest rate, stands in for the edge laws.
+    """
+    edge = [law.rate for row in spec.edge_laws for law in row if isinstance(law, Poisson)]
+    if spec.degree_weights is not None:
+        top = sorted(spec.degree_weights, reverse=True)
+        edge = [top[0] * top[1] * max(edge)] if len(top) >= 2 else []
+    loop = [law.rate for law in spec.self_loop_laws or () if isinstance(law, Poisson)]
+    if max(edge + loop, default=0.0) > _MAX_POISSON_RATE:
+        raise ValueError("Poisson rate too large for direct CDF inversion")
+
+
 def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Elementwise smallest k with Poisson(rate) CDF(k) >= u.
 
     Forward CDF stepping, over only the elements whose CDF is still below
     their u; each element's result depends only on its own (u, rate), so
-    any grouping of calls yields identical values.
+    any grouping of calls yields identical values.  Rates must not exceed
+    ``_MAX_POISSON_RATE``.
     """
     rates = np.asarray(rates, dtype=np.float64)
-    if rates.size and float(np.max(rates)) > 700.0:
-        raise ValueError("Poisson rate too large for direct CDF inversion")
     pmf = np.exp(-rates)
     counts = np.zeros(u.shape, dtype=np.int64)
     active = np.flatnonzero(pmf < u)
@@ -321,56 +346,106 @@ def _sample_counts(u: np.ndarray, law: EdgeCountDistribution) -> np.ndarray:
     raise TypeError(f"not an edge-count law: {law!r}")
 
 
-def _sample_by_class(u: np.ndarray, cls: np.ndarray, laws: dict) -> np.ndarray:
-    """Invert each uniform ``u`` through the law ``laws[cls]`` at its place."""
-    counts = np.zeros(u.shape, dtype=np.int64)
-    for c, law in laws.items():
-        mask = cls == c
-        if mask.any():
-            counts[mask] = _sample_counts(u[mask], law)
-    return counts
+def _zero_cut(law: EdgeCountDistribution) -> float:
+    """A uniform ``u <= cut`` inverts to 0 under ``law``.
+
+    The cut reads the same floats as the inversion, so for Poisson and
+    categorical laws ``u > cut`` holds exactly when the count is positive;
+    every geometric uniform stays a candidate.
+    """
+    if isinstance(law, Poisson):
+        # _poisson_icdf's first test, pmf < u, at k = 0
+        return float(np.exp(-np.full(1, law.rate))[0])
+    if isinstance(law, Categorical):
+        # searchsorted(cum, u, "right") is 0 exactly when u < cum[0]
+        cum0 = np.cumsum(np.asarray(law.probabilities, dtype=np.float64))[0]
+        return float(np.nextafter(cum0, -np.inf))
+    return -1.0
+
+
+def _sample_cells(keys: np.ndarray, law_of, laws) -> tuple:
+    """Nonzero counts of the cells whose stream keys are ``keys``.
+
+    ``law_of`` maps flat cell indices to indices into ``laws``.  Only the
+    candidates, whose uniform exceeds their law's cut, are inverted, one
+    law at a time; the rest are 0.  No uniform at or below the lowest cut
+    is a candidate, so that test comes first, on the uniforms' 53-bit
+    integers ``m``: ``m / 2**53 > cut`` exactly when ``m > floor(cut *
+    2**53)``, the scaling being exact.  Returns the flat cell indices,
+    increasing, and their positive counts.
+    """
+    cuts = np.array([_zero_cut(law) for law in laws])
+    lowest = max(math.floor(cuts.min() * 2.0**53) + 1, 0)
+    cells = np.flatnonzero(keys >> np.uint64(11) >= np.uint64(lowest))
+    u = uniforms_from_keys(keys.reshape(-1)[cells])
+    law_index = law_of(cells)
+    at = np.flatnonzero(u > cuts[law_index])
+    cells, u, law_index = cells[at], u[at], law_index[at]
+    counts = np.zeros(cells.shape, dtype=np.int64)
+    for c, law in enumerate(laws):
+        at = np.flatnonzero(law_index == c)
+        if at.size:
+            counts[at] = _sample_counts(u[at], law)
+    keep = np.flatnonzero(counts)
+    return cells[keep], counts[keep]
 
 
 def _sample_block(spec: SbmmSpec, keys: np.ndarray):
     """Sample one graph per uint64 key, all in one pass.
 
-    Row r is the graph ``sample_graph(spec, keys[r])``: returns the classes
-    ``(R, n)``, the pair counts ``(R, C(n, 2))`` with pairs in the order of
-    ``np.triu_indices(n, 1)``, and the self-loop counts ``(R, n)`` (zero
-    without self-loop laws).  Every value reads its own keyed uniform and
-    every inversion works elementwise, so a row does not depend on the
-    other keys in the block.
+    Row r is the graph ``sample_graph(spec, keys[r])``.  Returns the classes
+    ``(R, n)``; the nonzero pair counts as triples ``(rows, k, y)``, sorted
+    by ``(row, k)``, where ``k`` indexes the pairs of ``np.triu_indices(n,
+    1)``; and the self-loop counts ``(R, n)`` (zero without self-loop laws).
+    Every cell hashes its own keyed uniform, but only the cells above their
+    law's cut (``_zero_cut``), the ones that can carry an edge, are
+    inverted.  Every inversion works elementwise, so a row does not depend
+    on the other keys in the block.
     """
+    _check_poisson_rates(spec)
     n, Q = spec.n, spec.Q
     labels = np.arange(1, n + 1)
     iu, ju = np.triu_indices(n, k=1)
     # substream_key(key, i) for i = 0..n: the prefix of every stream
     prefix = fold_labels(key_chains(keys)[:, None], np.arange(n + 1))
 
-    # vertex classes from substreams (key, 0, i)
-    class_u = uniforms_from_keys(fold_labels(prefix[:, :1], labels))
-    cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
-    classes = np.minimum(np.searchsorted(cum_f, class_u, side="right"), Q - 1)
+    # vertex classes from substreams (key, 0, i); one class needs no draw
+    classes = np.zeros((len(keys), n), dtype=np.int64)
+    if Q > 1:
+        class_u = uniforms_from_keys(fold_labels(prefix[:, :1], labels))
+        cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
+        classes = np.minimum(np.searchsorted(cum_f, class_u, side="right"), Q - 1)
 
     # pair counts from substreams (key, i, j), i < j
-    pair_u = uniforms_from_keys(fold_labels(prefix[:, iu + 1], ju + 1))
-    # class pair a * Q + b of every pair (the law matrix is symmetric)
-    cls = classes[:, iu] * Q + classes[:, ju]
+    pair_keys = fold_labels(prefix[:, iu + 1], ju + 1)
     if spec.degree_weights is not None:
         omega = np.array([[law.rate for law in row] for row in spec.edge_laws])
         theta = np.asarray(spec.degree_weights, dtype=np.float64)
-        pairs = _poisson_icdf(pair_u, theta[iu] * theta[ju] * omega.reshape(-1)[cls])
+        rates = theta[iu] * theta[ju] * omega[classes[:, iu], classes[:, ju]]
+        pair_u = uniforms_from_keys(pair_keys)
+        cells = np.flatnonzero(pair_u > np.exp(-rates))
+        y = _poisson_icdf(pair_u.reshape(-1)[cells], rates.reshape(-1)[cells])
     else:
-        laws = {a * Q + b: spec.edge_laws[a][b] for a in range(Q) for b in range(Q)}
-        pairs = _sample_by_class(pair_u, cls, laws)
+        # one law per unordered class pair (the law matrix is symmetric)
+        laws = list(dict.fromkeys(spec.distinct_laws()))
+        law_at = np.array([[laws.index(law) for law in row] for row in spec.edge_laws])
+
+        def pair_laws(cells):
+            r, k = np.divmod(cells, len(iu))
+            return law_at[classes[r, iu[k]], classes[r, ju[k]]]
+
+        cells, y = _sample_cells(pair_keys, pair_laws, laws)
+    rows, k = np.divmod(cells, len(iu))
 
     # self-loop counts from substreams (key, i, i)
-    loops = np.zeros(classes.shape, dtype=np.int64)
+    loops = np.zeros(classes.size, dtype=np.int64)
     if spec.self_loop_laws is not None:
-        loop_u = uniforms_from_keys(fold_labels(prefix[:, 1:], labels))
-        laws = dict(enumerate(spec.self_loop_laws))
-        loops = _sample_by_class(loop_u, classes, laws)
-    return classes, pairs, loops
+        loop_keys = fold_labels(prefix[:, 1:], labels)
+        cells, counts = _sample_cells(
+            loop_keys, classes.reshape(-1).__getitem__, spec.self_loop_laws
+        )
+        loops[cells] = counts
+    return classes, (rows, k, y), loops.reshape(classes.shape)
 
 
 def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
@@ -379,10 +454,9 @@ def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
     ``seed`` is taken modulo 2**64, like every stream key.
     """
     key = np.array([seed & _MASK], dtype=np.uint64)
-    (classes,), (pairs,), (loops,) = _sample_block(spec, key)
+    (classes,), (_, k, y), (loops,) = _sample_block(spec, key)
     iu, ju = np.triu_indices(spec.n, k=1)
-    nz = np.flatnonzero(pairs)
-    edges = dict(zip(zip(iu[nz].tolist(), ju[nz].tolist()), pairs[nz].tolist()))
+    edges = dict(zip(zip(iu[k].tolist(), ju[k].tolist()), y.tolist()))
     nz = np.flatnonzero(loops)
     self_loops = dict(zip(nz.tolist(), loops[nz].tolist()))
     return ObservedMultigraph(spec.n, edges, self_loops, classes=classes.tolist())

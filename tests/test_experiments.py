@@ -324,11 +324,10 @@ def test_block_counts_stay_exact_past_int64():
     # brute-force count, and the counts are Python integers past int64
     spec, pattern = MC_ORACLE_CASES["past_int64"]
     reps, seed = 12, 3
-    _, pairs, loops = _sample_block(spec, replicate_keys(seed, np.arange(reps)))
+    _, (rows, k, y), loops = _sample_block(spec, replicate_keys(seed, np.arange(reps)))
     iu, ju = np.triu_indices(spec.n, k=1)
-    rows, k = np.nonzero(pairs)
     totals = counting._count_block(
-        counting._search_plan(pattern), loops, rows, iu[k], ju[k], pairs[rows, k]
+        counting._search_plan(pattern), loops, rows, iu[k], ju[k], y
     )
     got = [t // automorphism_count(pattern) for t in totals.tolist()]
     want = [
@@ -338,6 +337,28 @@ def test_block_counts_stay_exact_past_int64():
     assert got == want
     assert max(want) >= 2**63
     assert all(type(w) is int for w in got)
+
+
+@pytest.mark.parametrize(
+    "case", ["categorical", "degree_weighted", "geometric", "self_loops"]
+)
+def test_block_sampler_returns_sorted_nonzero_triples(case):
+    # the counter reads a block's pair counts as (row, k, y) triples: sorted
+    # by (row, k), one per nonzero pair, rebuilding each replicate's graph
+    spec, _ = MC_ORACLE_CASES[case]
+    reps, seed = 12, 4
+    classes, (rows, k, y), loops = _sample_block(spec, replicate_keys(seed, np.arange(reps)))
+    iu, ju = np.triu_indices(spec.n, k=1)
+    assert (y > 0).all()
+    assert ((0 <= k) & (k < len(iu))).all()
+    assert (np.diff(rows * len(iu) + k) > 0).all()
+    for r in range(reps):
+        graph = sample_graph(spec, substream_key(seed, r))
+        at = rows == r
+        edges = dict(zip(zip(iu[k[at]].tolist(), ju[k[at]].tolist()), y[at].tolist()))
+        assert edges == graph.edge_counts
+        assert tuple(classes[r].tolist()) == graph.classes
+        assert {w: s for w, s in enumerate(loops[r].tolist()) if s} == graph.self_loop_counts
 
 
 @pytest.mark.parametrize("case", ["poisson", "disjoint_edges"])

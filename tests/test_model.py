@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -19,12 +20,15 @@ from blockmotif import (
     graph_to_text,
     model_extrema,
     moment,
+    monte_carlo_pmf,
+    pattern_from_name,
     pmf_tail,
     sample_graph,
     spec_from_json,
     spec_to_json,
 )
 from blockmotif._rng import substream_key, uniform_from_key
+from blockmotif.model import _sample_counts, _zero_cut
 
 PLAIN_LAWS = ((Poisson(0.8), Poisson(0.3)), (Poisson(0.3), Poisson(1.2)))
 
@@ -98,16 +102,28 @@ def test_unit_degree_weights_match_plain_poisson_sampling():
         assert sample_graph(plain, seed) == sample_graph(corrected, seed)
 
 
-@pytest.mark.parametrize("seed", [0, 2024, -3, 2**64 - 1, 2**64 + 5])
-def test_sample_matches_per_key_scalar_oracle(seed):
+ORACLE_SEEDS = [0, 2024, -3, 2**64 - 1, 2**64 + 5]
+TWO_CLASS_ORACLE_SPEC = SbmmSpec(
+    7, 2, (0.35, 0.65),
+    ((Categorical((0.6, 0.3, 0.1)), Poisson(0.9)),
+     (Poisson(0.9), Categorical((0.2, 0.5, 0.3)))),
+    self_loop_laws=(Categorical((0.7, 0.3)), Categorical((0.9, 0.1))),
+)
+# one class draws no class uniform; a loop law with P(0) = 0 has a cut below 0
+ONE_CLASS_ORACLE_SPEC = SbmmSpec(
+    7, 1, (1.0,), ((Poisson(0.3),),),
+    self_loop_laws=(Categorical((0.0, 0.4, 0.6)),),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [pytest.param(TWO_CLASS_ORACLE_SPEC, s, id=str(s)) for s in ORACLE_SEEDS]
+    + [pytest.param(ONE_CLASS_ORACLE_SPEC, s, id=f"one_class-{s}") for s in ORACLE_SEEDS],
+)
+def test_sample_matches_per_key_scalar_oracle(spec, seed):
     # independent scalar re-derivation of the keyed inversion sampler; the
     # scalar keys take any int seed modulo 2**64
-    spec = SbmmSpec(
-        7, 2, (0.35, 0.65),
-        ((Categorical((0.6, 0.3, 0.1)), Poisson(0.9)),
-         (Poisson(0.9), Categorical((0.2, 0.5, 0.3)))),
-        self_loop_laws=(Categorical((0.7, 0.3)), Categorical((0.9, 0.1))),
-    )
     got = sample_graph(spec, seed)
 
     def classify(i):
@@ -137,11 +153,12 @@ def test_sample_matches_per_key_scalar_oracle(seed):
             cdf += pmf
         return k
 
-    classes = tuple(classify(i) for i in range(7))
+    n = spec.n
+    classes = tuple(classify(i) for i in range(n))
     assert got.classes == classes
     edges = {}
-    for i in range(7):
-        for j in range(i + 1, 7):
+    for i in range(n):
+        for j in range(i + 1, n):
             u = uniform_from_key(substream_key(seed, i + 1, j + 1))
             a, b = sorted((classes[i], classes[j]))
             y = invert(spec.edge_laws[a][b], u)
@@ -149,12 +166,66 @@ def test_sample_matches_per_key_scalar_oracle(seed):
                 edges[(i, j)] = y
     assert got.edge_counts == edges
     loops = {}
-    for i in range(7):
+    for i in range(n):
         u = uniform_from_key(substream_key(seed, i + 1, i + 1))
         s = invert(spec.self_loop_laws[classes[i]], u)
         if s:
             loops[i] = s
     assert got.self_loop_counts == loops
+
+
+CUT_LAWS = [
+    Poisson(0.0), Poisson(1 / 60), Poisson(2.0), Poisson(600.0),
+    Categorical((0.0, 0.3, 0.7)), Categorical((1.0,)),
+    Categorical((F(1, 3), F(1, 6), F(1, 2))),
+    Geometric(0.0), Geometric(0.45),
+]
+
+
+@pytest.mark.parametrize("law", CUT_LAWS, ids=repr)
+def test_zero_cut_bounds_the_positive_counts(law):
+    # the sampler inverts only uniforms above their law's cut; it draws what
+    # inverting every cell would only if no uniform at or below the cut
+    # inverts to a positive count
+    cut = _zero_cut(law)
+    edge = [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
+    u = np.concatenate((edge, np.random.default_rng(7).random(10**4)))
+    u = u[(u >= 0.0) & (u < 1.0)]  # the range of a keyed uniform
+    positive = _sample_counts(u, law) > 0
+    assert not (positive & (u <= cut)).any()
+    if not isinstance(law, Geometric):
+        assert (positive == (u > cut)).all()
+
+
+RATE_TOO_LARGE_SPECS = {
+    "edge_law": SbmmSpec(
+        3, 2, (0.5, 0.5), ((Poisson(1), Poisson(1)), (Poisson(1), Poisson(800)))
+    ),
+    "loop_law": SbmmSpec(
+        3, 2, (0.5, 0.5), ((Poisson(1),) * 2,) * 2,
+        self_loop_laws=(Poisson(1), Poisson(900)),
+    ),
+    "degree_weights": SbmmSpec(
+        3, 1, (1.0,), ((Poisson(1.0),),), degree_weights=(30.0, 30.0, 1.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATE_TOO_LARGE_SPECS))
+def test_poisson_rate_limit_depends_on_the_spec_alone(case):
+    # a law no drawn class pair happens to use still refuses the model
+    spec = RATE_TOO_LARGE_SPECS[case]
+    for seed in range(12):
+        with pytest.raises(ValueError, match="too large"):
+            sample_graph(spec, seed)
+    with pytest.raises(ValueError, match="too large"):
+        monte_carlo_pmf(spec, pattern_from_name("triangle"), 5, 0)
+
+
+def test_degree_weights_decide_the_rate_limit():
+    # small weights bring a large rate's pair means under the limit
+    spec = SbmmSpec(3, 1, (1.0,), ((Poisson(800.0),),), degree_weights=(0.5,) * 3)
+    assert sample_graph(spec, 0).n == 3
 
 
 def test_class_frequencies_match_f():
@@ -227,8 +298,6 @@ def test_degree_corrected_rates_scale_pair_means():
 
 
 def test_model_extrema_takes_maxima_over_class_pairs():
-    from blockmotif import pattern_from_name
-
     tri = pattern_from_name("triangle")
     spec = _plain_spec()
     ext = model_extrema(spec, tri)
@@ -259,8 +328,6 @@ def test_model_extrema_multigraph_pattern_orders():
 
 
 def test_model_extrema_self_loops_and_degree_weights():
-    from blockmotif import pattern_from_name
-
     tri = pattern_from_name("triangle")
     spec = SbmmSpec(
         6, 1, (1.0,), ((Poisson(0.3),),),
