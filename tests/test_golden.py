@@ -1,10 +1,11 @@
 """Golden reports: CLI output bytes must not drift.
 
 Each case runs ``blockmotif experiment --config F --out R`` (the report plus
-its two pmf CSV sidecars) or ``blockmotif lambda`` and compares the bytes
-with the files under ``tests/golden``.  The cases cover exact and Monte
-Carlo mode, the compound-Poisson and Poisson references, self-loops and two
-classes.  The golden bytes were written on x86-64 Linux; 17-digit floats may
+its two pmf CSV sidecars), ``blockmotif lambda`` or ``blockmotif bound`` and
+compares the bytes with the files under ``tests/golden``.  The cases cover
+exact and Monte Carlo mode, the compound-Poisson and Poisson references,
+self-loops, two classes, and the bound variants and options no experiment
+report pins.  The golden bytes were written on x86-64 Linux; 17-digit floats may
 differ in the last digit on another libm.
 
 To rewrite the golden files after an intended output change, run
@@ -30,6 +31,8 @@ from blockmotif.cli import main
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 LOOP_TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1}, {0: 1})
+# the loop sits at an end: the overlap at i = 3 needs phi^(2s - i) = phi^-1
+LOOP_PATH = PatternGraph(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1}, {0: 1})
 
 
 def _bernoulli(p):
@@ -115,6 +118,49 @@ LAMBDAS = {
 }
 
 
+# name -> (spec, pattern, variant, extra CLI arguments)
+BOUNDS = {
+    # degree weights: c(lambda) falls back to the mean upper bound
+    "bound_cor35_degree_weighted": (
+        SbmmSpec(
+            8, 1, (1.0,), ((Poisson(0.3),),),
+            degree_weights=(0.5, 1.0, 1.5, 2.0, 0.7, 1.1, 0.9, 1.3),
+        ),
+        "triangle",
+        "cor35_inhom",
+        [],
+    ),
+    "bound_cor55_poisson_sbm": (
+        _two_class(10, (0.4, 0.6), Poisson(0.2), Poisson(0.05), Poisson(0.15)),
+        "triangle",
+        "cor55_poisson_sbm",
+        [],
+    ),
+    # pair means 0.1 = n^(-1/density) for the triangle at n = 10
+    "bound_regime_corpn": (
+        _two_class(10, (0.5, 0.5), Poisson(0.1), Poisson(0.08), Poisson(0.12)),
+        "triangle",
+        "regime_corpn",
+        ["--regime-c", "0.5", "--regime-C", "2.0"],
+    ),
+    "bound_thm52_c_override": (
+        SbmmSpec(12, 1, (1.0,), ((_bernoulli(0.3),),)),
+        "cycle:4",
+        "thm52_poisson_approx",
+        ["--c-override", "0.75"],
+    ),
+    "bound_thm51_negative_loop_exponent": (
+        SbmmSpec(
+            7, 1, (1.0,), ((Categorical([0.6, 0.3, 0.1]),),),
+            self_loop_laws=(Categorical([0.7, 0.3]),),
+        ),
+        LOOP_PATH,
+        "thm51_selfloop",
+        ["--c-override", "3.0"],
+    ),
+}
+
+
 def _config_json(config):
     out = dict(config, spec=spec_to_json(config["spec"]))
     if isinstance(out["pattern"], PatternGraph):
@@ -144,6 +190,14 @@ def _lambda_argv(name):
     return ["lambda", "--spec", spec, "--pattern", pattern, "--eps", repr(eps)]
 
 
+def _bound_argv(name):
+    spec, pattern, variant, extra = BOUNDS[name]
+    if isinstance(pattern, PatternGraph):
+        pattern = json.dumps(pattern_to_json(pattern))
+    spec = json.dumps(spec_to_json(spec))
+    return ["bound", "--spec", spec, "--pattern", pattern, "--variant", variant, *extra]
+
+
 def _read_golden(fname):
     with open(os.path.join(GOLDEN, fname), "r", encoding="utf-8") as fh:
         return fh.read()
@@ -162,6 +216,13 @@ def test_lambda_output_matches_golden_bytes(name, capsys):
     assert out == _read_golden(f"{name}.txt")
 
 
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_bound_output_matches_golden_bytes(name, capsys):
+    assert main(_bound_argv(name)) == 0
+    out = capsys.readouterr().out
+    assert out == _read_golden(f"{name}.txt")
+
+
 def _write_golden():
     import contextlib
     import io
@@ -173,10 +234,12 @@ def _write_golden():
             for fname, text in _experiment_outputs(name, workdir).items():
                 with open(os.path.join(GOLDEN, fname), "w", encoding="utf-8") as fh:
                     fh.write(text)
-    for name in sorted(LAMBDAS):
+    stdout_cases = [(name, _lambda_argv(name)) for name in sorted(LAMBDAS)]
+    stdout_cases += [(name, _bound_argv(name)) for name in sorted(BOUNDS)]
+    for name, argv in stdout_cases:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(_lambda_argv(name)) == 0
+            assert main(argv) == 0
         with open(os.path.join(GOLDEN, f"{name}.txt"), "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
 
