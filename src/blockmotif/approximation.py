@@ -34,7 +34,10 @@ the float path's oracle.
 
 The total-variation error bounds come in seven variants (named in
 ``tv_bound``), each a closed form in the pattern's structural exponents and
-the model's extreme moments.  The multiplicative constant ``c(lambda)`` is
+the model's extreme moments; all but ``regime_corpn`` share one shape
+(``_shell``) and differ only in the factors they feed it.  Each variant
+checks all its hypotheses before ``c`` is taken, and takes ``c`` before the
+value.  The multiplicative constant ``c(lambda)`` is
 taken from its generic upper bound ``exp(lambda) * min(1, 1/lambda_1)``
 unless overridden, and the Poisson-limit variants use the sharper factor
 ``(1 - exp(-nu)) / nu`` instead.
@@ -430,7 +433,7 @@ def _pow(base: float, exponent) -> float:
     return math.pow(b, x)
 
 
-def _check_common(spec, pattern, variant, *, simple: bool, balanced_flag: bool):
+def _check_common(spec, pattern, variant, *, simple: bool):
     """Shared hypothesis checks; returns the balancedness profile."""
     if pattern.vertex_count > spec.n:
         raise PreconditionError(
@@ -445,13 +448,10 @@ def _check_common(spec, pattern, variant, *, simple: bool, balanced_flag: bool):
             raise PreconditionError(f"{variant}: pattern has parallel edges")
         if pattern.loop_total > 0:
             raise PreconditionError(f"{variant}: pattern has self-loops")
-        if balanced_flag and not prof.strictly_balanced:
+        if not prof.strictly_balanced:
             raise PreconditionError(f"{variant}: pattern is not strictly balanced")
-    else:
-        if balanced_flag and not prof.strictly_pseudo_balanced:
-            raise PreconditionError(
-                f"{variant}: pattern is not strictly pseudo-balanced"
-            )
+    elif not prof.strictly_pseudo_balanced:
+        raise PreconditionError(f"{variant}: pattern is not strictly pseudo-balanced")
     return prof
 
 
@@ -475,69 +475,43 @@ def _c_from_spec(spec, pattern, c_override, eps, ext):
     return c_lambda_upper(params), "clump_upper", params
 
 
-def _simple_shell(n, v, e, rho_val, c, mu, kappas):
-    """Common shape of the simple-pattern bounds.
+def _shell(n, v, scale, outer, lead, overlap, extra=0.0):
+    """The closed form every bound but ``regime_corpn`` shares.
 
-    value = (c rho^2 / v!) n^v mu^e { (v^2/v!) n^(v-1) mu^e
-            + sum_i C(v,i) n^(v-i) mu^kappa_i / (v-i)! }.
+    value = scale n^v prod(outer) { (v^2/v!) n^(v-1) prod(lead) + extra
+            + sum_{i=1}^{v-1} C(v,i) n^(v-i) prod(overlap[i]) / (v-i)! },
+
+    with ``scale = c rho^2 / v!``.  Each product multiplies its factors one
+    at a time, left to right, onto the term before it, so every variant
+    combines its floats in one fixed order; a factor of 1.0 or an ``extra``
+    of 0.0 leaves the bits of the value unchanged.
     """
-    vfact = math.factorial(v)
-    inner = (v * v / vfact) * float(n) ** (v - 1) * _pow(mu, e)
+    inner = (v * v / math.factorial(v)) * float(n) ** (v - 1)
+    for x in lead:
+        inner *= x
+    inner += extra
     for i in range(1, v):
-        inner += (
-            math.comb(v, i)
-            * float(n) ** (v - i)
-            * _pow(mu, kappas[i])
-            / math.factorial(v - i)
-        )
-    return (c * rho_val * rho_val / vfact) * float(n) ** v * _pow(mu, e) * inner
-
-
-def _multi_shell(n, v, e, rho_val, c, first_term_product, psi, kappas_m, phi, s):
-    """Common shape of the multiplicity-aware bounds.
-
-    value = (c rho^2 / v!) n^v { (v^2/v!) n^(v-1) phi^(2s) prod_i mu**_i^(2 e_i)
-            + sum_i C(v,i) n^(v-i) phi^(2s-i) psi^(e+kappa_m_i) / (v-i)! }.
-    """
-    vfact = math.factorial(v)
-    inner = (v * v / vfact) * float(n) ** (v - 1) * _pow(phi, 2 * s) * first_term_product
-    for i in range(1, v):
-        loop_factor = _pow(phi, 2 * s - i) if s else 1.0
-        inner += (
-            math.comb(v, i)
-            * float(n) ** (v - i)
-            * loop_factor
-            * _pow(psi, e + kappas_m[i])
-            / math.factorial(v - i)
-        )
-    return (c * rho_val * rho_val / vfact) * float(n) ** v * inner
-
-
-def _poisson_shell(n, v, e, rho_val, factor, mu, q2, kappas):
-    """Common shape of the Poisson-limit bounds.
-
-    value = factor (rho^2/v!) n^v mu^(e-1) { (v^2/v!) n^(v-1) mu^(e+1)
-            + q2 + sum_i C(v,i) n^(v-i) mu^(kappa_i+1) / (v-i)! }.
-    """
-    vfact = math.factorial(v)
-    inner = (v * v / vfact) * float(n) ** (v - 1) * _pow(mu, e + 1) + q2
-    for i in range(1, v):
-        inner += (
-            math.comb(v, i)
-            * float(n) ** (v - i)
-            * _pow(mu, kappas[i] + 1)
-            / math.factorial(v - i)
-        )
-    return (
-        (factor * rho_val * rho_val / vfact)
-        * float(n) ** v
-        * _pow(mu, e - 1)
-        * inner
-    )
+        term = math.comb(v, i) * float(n) ** (v - i)
+        for x in overlap[i]:
+            term *= x
+        inner += term / math.factorial(v - i)
+    value = scale * float(n) ** v
+    for x in outer:
+        value *= x
+    return value * inner
 
 
 def _frac_float(x) -> float:
     return math.inf if x is None else float(x)
+
+
+# the extremum of the pair means that a single-mean bound raises to its powers
+_MEAN_KEY = {
+    "thm31_simple": "mu1_star",
+    "cor35_inhom": "inhom_max",
+    "thm52_poisson_approx": "mu1_star",
+    "cor55_poisson_sbm": "omega_star",
+}
 
 
 def tv_bound(
@@ -575,182 +549,125 @@ def tv_bound(
             f"{variant}: models with degree weights are only covered by "
             "cor35_inhom"
         )
-
+    multi = variant in ("thm41_multi", "thm51_selfloop")
+    poisson = variant in ("thm52_poisson_approx", "cor55_poisson_sbm")
     n, v, e = spec.n, pattern.vertex_count, pattern.edge_total
+    s, t = pattern.loop_total, pattern.max_multiplicity
     rho_val = rho(pattern)
     ext = model_extrema(spec, pattern)
 
-    if variant in ("thm31_simple", "cor35_inhom"):
-        prof = _check_common(spec, pattern, variant, simple=True, balanced_flag=True)
-        mu = ext.mu1_star if variant == "thm31_simple" else ext.inhom_max
-        c, c_source, params = _c_from_spec(spec, pattern, c_override, eps, ext)
-        kappas = {i: kappa(pattern, i, "simple") for i in range(1, v)}
-        value = _simple_shell(n, v, e, rho_val, c, mu, kappas)
-        ingredients = {
-            "n": n,
-            "v": v,
-            "e": e,
-            "rho": rho_val,
-            "c_lambda": c,
-            "c_source": c_source,
-            ("mu1_star" if variant == "thm31_simple" else "inhom_max"): mu,
-            "density": float(prof.density),
-            "alpha": _frac_float(prof.alpha),
-            "gamma": _frac_float(prof.gamma),
-        }
-        for i in range(1, v):
-            ingredients[f"kappa_{i}"] = float(kappas[i])
-        return BoundReport(
-            variant=variant,
-            value=value,
-            ingredients=ingredients,
-            params=params,
-            extrema=ext,
+    # hypotheses: the shared ones, then the variant's own
+    prof = _check_common(spec, pattern, variant, simple=not multi)
+    negative_exponent = s > 0 and any(2 * s - i < 0 for i in range(1, v))
+    phi = 1.0  # phi^0 for a pattern without self-loops
+    if s > 0:
+        phi = 0.0 if ext.phi_star is None else ext.phi_star
+    if negative_exponent and phi == 0.0:
+        raise PreconditionError(
+            f"{variant}: the bound needs a negative power of the "
+            "mean self-loop count, which is zero"
         )
-
-    if variant in ("thm41_multi", "thm51_selfloop"):
-        prof = _check_common(spec, pattern, variant, simple=False, balanced_flag=True)
-        s = pattern.loop_total
-        t = pattern.max_multiplicity
-        hist = pattern.multiplicity_histogram()
-        phi = ext.phi_star
-        negative_exponent = s > 0 and any(2 * s - i < 0 for i in range(1, v))
-        if s > 0:
-            if phi is None:
-                phi = 0.0
-            if negative_exponent and phi == 0.0:
+    if variant == "cor55_poisson_sbm" and ext.omega_star is None:
+        raise PreconditionError(f"{variant}: edge laws are not all Poisson")
+    if variant == "regime_corpn":
+        if regime_c is None or regime_C is None:
+            raise PreconditionError(
+                "regime_corpn: needs envelope constants regime_c and regime_C"
+            )
+        if not (0 < regime_c <= regime_C):
+            raise PreconditionError("regime_corpn: needs 0 < regime_c <= regime_C")
+        d = float(prof.density)
+        unit = float(n) ** (-1.0 / d)
+        for law in spec.distinct_laws():
+            mean = moment(law, 1)
+            if not (
+                regime_c * unit * (1 - 1e-12) <= mean <= regime_C * unit * (1 + 1e-12)
+            ):
                 raise PreconditionError(
-                    f"{variant}: the bound needs a negative power of the "
-                    "mean self-loop count, which is zero"
+                    f"regime_corpn: an edge mean {mean} lies outside the envelope "
+                    f"[{regime_c * unit}, {regime_C * unit}]"
                 )
-        else:
-            phi = 1.0  # unused
+
+    # then c: the Poisson factor, or c(lambda) with the clump rates it needs
+    ingredients = {"n": n, "v": v, "e": e}
+    if multi:
+        ingredients.update(s=s, t=t)
+    ingredients["rho"] = rho_val
+    params = None
+    if poisson:
+        nu = expected_count(spec, pattern)
+        c = float(c_override) if c_override is not None else poisson_c_factor(nu)
+        ingredients.update(nu=nu, poisson_factor=c)
+    else:
         c, c_source, params = _c_from_spec(spec, pattern, c_override, eps, ext)
-        kappas_m = {i: kappa(pattern, i, "multi") for i in range(1, v)}
+        ingredients.update(c_lambda=c, c_source=c_source)
+
+    # then the value
+    vfact = math.factorial(v)
+    scale = c * rho_val * rho_val / vfact
+    tail = {}
+    if variant == "regime_corpn":
+        alpha = _frac_float(prof.alpha)
+        gamma = _frac_float(prof.gamma)
+        C_big = float(regime_C)
+        if math.isinf(alpha) or math.isinf(gamma):
+            # no proper subgraph: the overlap terms vanish identically
+            a_term = 0.0
+            b_term = 0.0
+        else:
+            a_term = (1.0 + C_big**alpha) ** (v - 1) * float(n) ** (1.0 - alpha / d)
+            b_term = (
+                C_big ** (e + gamma) * (1.0 + C_big**-d) ** (v - 1) * float(n) ** (-gamma / d)
+            )
+        value = scale * C_big**e * (
+            (v * v / vfact) * C_big**e / float(n) + min(a_term, b_term)
+        )
+        ingredients.update(
+            regime_c=float(regime_c), regime_C=C_big, regime_A=a_term, regime_B=b_term
+        )
+    elif multi:
+        hist = pattern.multiplicity_histogram()
         first = 1.0
         for i in range(1, t + 1):
             first *= _pow(ext.mu_dstar[i - 1], 2 * hist.get(i, 0))
-        value = _multi_shell(
-            n, v, e, rho_val, c, first, ext.psi, kappas_m, phi, s
-        )
-        ingredients = {
-            "n": n,
-            "v": v,
-            "e": e,
-            "s": s,
-            "t": t,
-            "rho": rho_val,
-            "c_lambda": c,
-            "c_source": c_source,
-            "psi": ext.psi,
-            "pseudo_density": float(prof.pseudo_density),
-            "alpha_m": _frac_float(prof.alpha_m),
-            "gamma_m": _frac_float(prof.gamma_m),
+            tail[f"mu_dstar_{i}"] = ext.mu_dstar[i - 1]
+            tail[f"e_hist_{i}"] = hist.get(i, 0)
+        kappas = {i: kappa(pattern, i, "multi") for i in range(1, v)}
+        overlap = {
+            i: (_pow(phi, 2 * s - i) if s else 1.0, _pow(ext.psi, e + kappas[i]))
+            for i in range(1, v)
         }
-        for i in range(1, t + 1):
-            ingredients[f"mu_dstar_{i}"] = ext.mu_dstar[i - 1]
-            ingredients[f"e_hist_{i}"] = hist.get(i, 0)
-        for i in range(1, v):
-            ingredients[f"kappa_m_{i}"] = float(kappas_m[i])
+        value = _shell(n, v, scale, (), (_pow(phi, 2 * s), first), overlap)
+        ingredients["psi"] = ext.psi
+        tail.update((f"kappa_m_{i}", float(kappas[i])) for i in range(1, v))
         if s > 0:
-            ingredients["phi_star"] = phi
-            ingredients["negative_selfloop_exponent"] = int(negative_exponent)
-        return BoundReport(
-            variant=variant,
-            value=value,
-            ingredients=ingredients,
-            params=params,
-            extrema=ext,
-        )
-
-    if variant in ("thm52_poisson_approx", "cor55_poisson_sbm"):
-        prof = _check_common(spec, pattern, variant, simple=True, balanced_flag=True)
-        if variant == "cor55_poisson_sbm":
-            if ext.omega_star is None:
-                raise PreconditionError(f"{variant}: edge laws are not all Poisson")
-            mu = ext.omega_star
-            q2 = 0.5 * ext.omega_star**2
-        else:
-            mu = ext.mu1_star
-            q2 = ext.q2_star
-        nu = expected_count(spec, pattern)
-        factor = float(c_override) if c_override is not None else poisson_c_factor(nu)
-        kappas = {i: kappa(pattern, i, "simple") for i in range(1, v)}
-        value = _poisson_shell(n, v, e, rho_val, factor, mu, q2, kappas)
-        ingredients = {
-            "n": n,
-            "v": v,
-            "e": e,
-            "rho": rho_val,
-            "nu": nu,
-            "poisson_factor": factor,
-            ("mu1_star" if variant == "thm52_poisson_approx" else "omega_star"): mu,
-            ("q2_star" if variant == "thm52_poisson_approx" else "q2_bound"): q2,
-            "density": float(prof.density),
-            "alpha": _frac_float(prof.alpha),
-            "gamma": _frac_float(prof.gamma),
-        }
-        for i in range(1, v):
-            ingredients[f"kappa_{i}"] = float(kappas[i])
-        return BoundReport(
-            variant=variant, value=value, ingredients=ingredients, extrema=ext
-        )
-
-    # regime_corpn
-    prof = _check_common(spec, pattern, variant, simple=True, balanced_flag=True)
-    if regime_c is None or regime_C is None:
-        raise PreconditionError(
-            "regime_corpn: needs envelope constants regime_c and regime_C"
-        )
-    if not (0 < regime_c <= regime_C):
-        raise PreconditionError("regime_corpn: needs 0 < regime_c <= regime_C")
-    d = float(prof.density)
-    scale = float(n) ** (-1.0 / d)
-    for law in spec.distinct_laws():
-        mean = moment(law, 1)
-        if not (
-            regime_c * scale * (1 - 1e-12) <= mean <= regime_C * scale * (1 + 1e-12)
-        ):
-            raise PreconditionError(
-                f"regime_corpn: an edge mean {mean} lies outside the envelope "
-                f"[{regime_c * scale}, {regime_C * scale}]"
-            )
-    c, c_source, params = _c_from_spec(spec, pattern, c_override, eps, ext)
-    alpha = _frac_float(prof.alpha)
-    gamma = _frac_float(prof.gamma)
-    C_big = float(regime_C)
-    vfact = math.factorial(v)
-    if math.isinf(alpha) or math.isinf(gamma):
-        # no proper subgraph: the overlap terms vanish identically
-        a_term = 0.0
-        b_term = 0.0
+            tail.update(phi_star=phi, negative_selfloop_exponent=int(negative_exponent))
     else:
-        a_term = (1.0 + C_big**alpha) ** (v - 1) * float(n) ** (1.0 - alpha / d)
-        b_term = (
-            C_big ** (e + gamma) * (1.0 + C_big**-d) ** (v - 1) * float(n) ** (-gamma / d)
+        # the Poisson limits raise mu one power higher inside, one lower
+        # outside, and add the tail term q2
+        shift = int(poisson)
+        mu = ingredients[_MEAN_KEY[variant]] = getattr(ext, _MEAN_KEY[variant])
+        extra = 0.0
+        if variant == "thm52_poisson_approx":
+            extra = ingredients["q2_star"] = ext.q2_star
+        elif poisson:
+            extra = ingredients["q2_bound"] = 0.5 * ext.omega_star**2
+        kappas = {i: kappa(pattern, i, "simple") for i in range(1, v)}
+        overlap = {i: (_pow(mu, kappas[i] + shift),) for i in range(1, v)}
+        value = _shell(
+            n, v, scale, (_pow(mu, e - shift),), (_pow(mu, e + shift),), overlap, extra
         )
-    value = (
-        (c * rho_val * rho_val / vfact)
-        * C_big**e
-        * ((v * v / vfact) * C_big**e / float(n) + min(a_term, b_term))
-    )
-    ingredients = {
-        "n": n,
-        "v": v,
-        "e": e,
-        "rho": rho_val,
-        "c_lambda": c,
-        "c_source": c_source,
-        "regime_c": float(regime_c),
-        "regime_C": C_big,
-        "regime_A": a_term,
-        "regime_B": b_term,
-        "density": d,
-        "alpha": alpha,
-        "gamma": gamma,
-    }
+        tail.update((f"kappa_{i}", float(kappas[i])) for i in range(1, v))
+
+    names = ("density", "alpha", "gamma")
+    if multi:
+        names = ("pseudo_density", "alpha_m", "gamma_m")
+    ingredients[names[0]] = float(getattr(prof, names[0]))
+    for name in names[1:]:
+        ingredients[name] = _frac_float(getattr(prof, name))
+    ingredients.update(tail)
     return BoundReport(
-        variant="regime_corpn",
+        variant=variant,
         value=value,
         ingredients=ingredients,
         params=params,

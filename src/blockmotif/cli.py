@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import combinations
 
 from .approximation import (
@@ -30,7 +29,14 @@ from .approximation import (
     tv_bound,
 )
 from .counting import count_copies
-from .experiments import _profile_json, _reference_pmf, run_experiment
+from .experiments import (
+    _bound_json,
+    _frac_json,
+    _profile_json,
+    _rates_json,
+    _reference_pmf,
+    run_experiment,
+)
 from .model import graph_from_text, graph_to_text, sample_graph, spec_from_json
 from .patterns import (
     PatternGraph,
@@ -57,10 +63,6 @@ def _load_json_arg(text: str):
 
 def _load_spec(text: str):
     return spec_from_json(_load_json_arg(text))
-
-
-def _frac_str(x: Fraction | None):
-    return None if x is None else str(x)
 
 
 def _cmd_analyze(args) -> int:
@@ -92,12 +94,7 @@ def _cmd_bound(args) -> int:
         regime_c=args.regime_c,
         regime_C=args.regime_C,
     )
-    payload = {
-        "variant": report.variant,
-        "value": report.value,
-        "ingredients": report.ingredients,
-    }
-    print(dumps_stable(payload))
+    print(dumps_stable(_bound_json(report)))
     return 0
 
 
@@ -105,13 +102,7 @@ def _cmd_lambda(args) -> int:
     spec = _load_spec(args.spec)
     pattern = load_pattern(args.pattern)
     params = lambda_params(spec, pattern, args.eps)
-    payload = {
-        "lambda": [float(x) for x in params.lam],
-        "imax": params.imax,
-        "truncation_mass": params.truncation_mass,
-        "total": float(params.total),
-    }
-    print(dumps_stable(payload))
+    print(dumps_stable(_rates_json(params)))
     pmf, _ = _reference_pmf(params, 0)
     print()
     print(pmf_to_csv(pmf), end="")
@@ -174,8 +165,8 @@ def _cmd_table1(args) -> int:
         for name, pattern in _table1_families(v):
             prof = balancedness_profile(pattern)
             print(
-                f"{name},{v},{prof.density},{_frac_str(prof.alpha)},"
-                f"{_frac_str(prof.gamma)}"
+                f"{name},{v},{prof.density},{_frac_json(prof.alpha)},"
+                f"{_frac_json(prof.gamma)}"
             )
     return 0
 

@@ -35,11 +35,13 @@ import numpy as np
 
 from ._rng import replicate_keys
 from .approximation import (
+    BoundReport,
     CompoundPoissonParams,
     InfeasibleError,
     PreconditionError,
     _cp_terms,
     _host_law,
+    _require_plain,
     expected_count,
     lambda_params,
     tv_bound,
@@ -87,11 +89,7 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
     only when the pattern actually has self-loops.  Hosts of probability
     0.0 leave no atom.
     """
-    if spec.degree_weights is not None:
-        raise PreconditionError(
-            "exact enumeration requires identically distributed pair counts, "
-            "but the model has degree weights"
-        )
+    _require_plain(spec, "exact enumeration")
     for law in spec.distinct_laws():
         if not isinstance(law, Categorical):
             raise PreconditionError("exact enumeration requires categorical edge laws")
@@ -127,8 +125,8 @@ def monte_carlo_pmf(
     Replicate r is the graph ``sample_graph(spec, substream_key(seed, r))``.
     Replicates are sampled in blocks of at most ``_BLOCK_CELLS`` pair and
     loop cells.  The sampler inverts only the cells above their law's cut
-    and hands over the block's nonzero pair counts as ``(row, pair, count)``
-    triples, which ``_count_block`` counts at once with the block's loop
+    and hands over the block's nonzero pair counts as ``(row, a, b, count)``
+    arrays, which ``_count_block`` counts at once with the block's loop
     counts; the result does not depend on the block size.  Returns the
     empirical pmf and the exact integer histogram.
     """
@@ -141,13 +139,12 @@ def monte_carlo_pmf(
         )
     plan = _search_plan(pattern)
     aut = automorphism_count(pattern)
-    iu, ju = np.triu_indices(n, k=1)
-    block = max(1, _BLOCK_CELLS // (len(iu) + n))
+    block = max(1, _BLOCK_CELLS // (n * (n - 1) // 2 + n))
     hist: dict[int, int] = {}
     for start in range(0, reps, block):
         keys = replicate_keys(seed, np.arange(start, min(start + block, reps)))
-        _, (rows, k, y), loops = _sample_block(spec, keys)
-        totals = _count_block(plan, loops, rows, iu[k], ju[k], y)
+        _, pairs, loops = _sample_block(spec, keys)
+        totals = _count_block(plan, loops, *pairs)
         for w in (totals // aut).tolist():
             hist[w] = hist.get(w, 0) + 1
     hist = dict(sorted(hist.items()))
@@ -172,21 +169,38 @@ def tv_distance(p: dict, q: dict) -> float:
     return core + 0.5 * abs(deficit_p - deficit_q)
 
 
+def _frac_json(x: Fraction | None):
+    return None if x is None else str(x)
+
+
 def _profile_json(pattern: PatternGraph) -> dict:
     prof = balancedness_profile(pattern)
-
-    def frac(x: Fraction | None):
-        return None if x is None else str(x)
-
     return {
-        "density": frac(prof.density),
-        "pseudo_density": frac(prof.pseudo_density),
-        "alpha": frac(prof.alpha),
-        "gamma": frac(prof.gamma),
-        "alpha_m": frac(prof.alpha_m),
-        "gamma_m": frac(prof.gamma_m),
+        "density": _frac_json(prof.density),
+        "pseudo_density": _frac_json(prof.pseudo_density),
+        "alpha": _frac_json(prof.alpha),
+        "gamma": _frac_json(prof.gamma),
+        "alpha_m": _frac_json(prof.alpha_m),
+        "gamma_m": _frac_json(prof.gamma_m),
         "strictly_balanced": prof.strictly_balanced,
         "strictly_pseudo_balanced": prof.strictly_pseudo_balanced,
+    }
+
+
+def _rates_json(params: CompoundPoissonParams) -> dict:
+    return {
+        "lambda": [float(x) for x in params.lam],
+        "imax": params.imax,
+        "truncation_mass": params.truncation_mass,
+        "total": float(params.total),
+    }
+
+
+def _bound_json(bound: BoundReport) -> dict:
+    return {
+        "variant": bound.variant,
+        "value": bound.value,
+        "ingredients": bound.ingredients,
     }
 
 
@@ -321,14 +335,6 @@ def run_experiment(config: dict) -> dict:
     positive = [w for w in observed if w > 0]
     support_gcd = math.gcd(*positive) if positive else 0
 
-    clump_rates = None
-    if params is not None:
-        clump_rates = {
-            "lambda": [float(x) for x in params.lam],
-            "imax": params.imax,
-            "truncation_mass": params.truncation_mass,
-            "total": float(params.total),
-        }
     return {
         "config": {
             "spec": spec_to_json(spec),
@@ -342,12 +348,8 @@ def run_experiment(config: dict) -> dict:
         "profile": _profile_json(pattern),
         "extrema": _extrema_json(bound.extrema),
         "nu": nu,
-        "clump_rates": clump_rates,
-        "bound": {
-            "variant": bound.variant,
-            "value": bound.value,
-            "ingredients": bound.ingredients,
-        },
+        "clump_rates": None if params is None else _rates_json(params),
+        "bound": _bound_json(bound),
         "reference": {
             "kind": ref_kind,
             "kmax": len(ref_pmf) - 1,

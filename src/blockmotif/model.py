@@ -17,8 +17,8 @@ numpy pass; ``sample_graph`` is a block of one.  Every cell hashes its
 uniform, but a law's CDF at 0 gives a float cut at or below which the
 uniform provably inverts to 0, so only the candidates above it are
 inverted: in the sparse regime most pairs are never inverted, and the
-block comes back as the triples of its nonzero pair counts.  Each value
-depends only on its own key and labels, so results never depend on
+block comes back as the endpoints and counts of its nonzero pairs.  Each
+value depends only on its own key and labels, so results never depend on
 iteration order or on how replicates are grouped into blocks.  Whether a
 Poisson mean is too large to invert is decided by the spec alone, before
 anything is drawn.
@@ -241,6 +241,15 @@ class ModelExtrema:
     inhom_max: float
 
 
+def _max_pair_mean(spec: SbmmSpec) -> float | None:
+    """The largest pair mean under degree weights: the two largest weights
+    times the largest rate; None when fewer than two vertices make no pair."""
+    top = sorted(spec.degree_weights, reverse=True)
+    if len(top) < 2:
+        return None
+    return top[0] * top[1] * max(law.rate for law in spec.distinct_laws())
+
+
 def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
     """Maxima over class pairs of the moment functionals the bounds use."""
     laws = spec.distinct_laws()
@@ -256,13 +265,11 @@ def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
     omega_star = None
     if all(isinstance(law, Poisson) for law in laws):
         omega_star = max(law.rate for law in laws)
+    inhom_max = mu1_star
     if spec.degree_weights is not None:
-        top = sorted(spec.degree_weights, reverse=True)
-        if len(top) < 2:
+        inhom_max = _max_pair_mean(spec)
+        if inhom_max is None:
             raise ValueError("degree weights need at least two vertices")
-        inhom_max = top[0] * top[1] * omega_star
-    else:
-        inhom_max = mu1_star
     return ModelExtrema(
         mu1_star=mu1_star,
         mu_star=mu_star,
@@ -288,8 +295,8 @@ def _check_poisson_rates(spec: SbmmSpec) -> None:
     """
     edge = [law.rate for row in spec.edge_laws for law in row if isinstance(law, Poisson)]
     if spec.degree_weights is not None:
-        top = sorted(spec.degree_weights, reverse=True)
-        edge = [top[0] * top[1] * max(edge)] if len(top) >= 2 else []
+        largest = _max_pair_mean(spec)
+        edge = [] if largest is None else [largest]
     loop = [law.rate for law in spec.self_loop_laws or () if isinstance(law, Poisson)]
     if max(edge + loop, default=0.0) > _MAX_POISSON_RATE:
         raise ValueError("Poisson rate too large for direct CDF inversion")
@@ -394,9 +401,9 @@ def _sample_block(spec: SbmmSpec, keys: np.ndarray):
     """Sample one graph per uint64 key, all in one pass.
 
     Row r is the graph ``sample_graph(spec, keys[r])``.  Returns the classes
-    ``(R, n)``; the nonzero pair counts as triples ``(rows, k, y)``, sorted
-    by ``(row, k)``, where ``k`` indexes the pairs of ``np.triu_indices(n,
-    1)``; and the self-loop counts ``(R, n)`` (zero without self-loop laws).
+    ``(R, n)``; the nonzero pair counts as ``(rows, a, b, y)``, pair ``a <
+    b`` of row ``rows`` carrying ``y`` edges, sorted by ``(row, a, b)``; and
+    the self-loop counts ``(R, n)`` (zero without self-loop laws).
     Every cell hashes its own keyed uniform, but only the cells above their
     law's cut (``_zero_cut``), the ones that can carry an edge, are
     inverted.  Every inversion works elementwise, so a row does not depend
@@ -436,6 +443,7 @@ def _sample_block(spec: SbmmSpec, keys: np.ndarray):
 
         cells, y = _sample_cells(pair_keys, pair_laws, laws)
     rows, k = np.divmod(cells, len(iu))
+    a, b = iu[k], ju[k]
 
     # self-loop counts from substreams (key, i, i)
     loops = np.zeros(classes.size, dtype=np.int64)
@@ -445,7 +453,7 @@ def _sample_block(spec: SbmmSpec, keys: np.ndarray):
             loop_keys, classes.reshape(-1).__getitem__, spec.self_loop_laws
         )
         loops[cells] = counts
-    return classes, (rows, k, y), loops.reshape(classes.shape)
+    return classes, (rows, a, b, y), loops.reshape(classes.shape)
 
 
 def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
@@ -454,9 +462,8 @@ def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
     ``seed`` is taken modulo 2**64, like every stream key.
     """
     key = np.array([seed & _MASK], dtype=np.uint64)
-    (classes,), (_, k, y), (loops,) = _sample_block(spec, key)
-    iu, ju = np.triu_indices(spec.n, k=1)
-    edges = dict(zip(zip(iu[k].tolist(), ju[k].tolist()), y.tolist()))
+    (classes,), (_, a, b, y), (loops,) = _sample_block(spec, key)
+    edges = dict(zip(zip(a.tolist(), b.tolist()), y.tolist()))
     nz = np.flatnonzero(loops)
     self_loops = dict(zip(nz.tolist(), loops[nz].tolist()))
     return ObservedMultigraph(spec.n, edges, self_loops, classes=classes.tolist())

@@ -324,11 +324,8 @@ def test_block_counts_stay_exact_past_int64():
     # brute-force count, and the counts are Python integers past int64
     spec, pattern = MC_ORACLE_CASES["past_int64"]
     reps, seed = 12, 3
-    _, (rows, k, y), loops = _sample_block(spec, replicate_keys(seed, np.arange(reps)))
-    iu, ju = np.triu_indices(spec.n, k=1)
-    totals = counting._count_block(
-        counting._search_plan(pattern), loops, rows, iu[k], ju[k], y
-    )
+    _, (rows, a, b, y), loops = _sample_block(spec, replicate_keys(seed, np.arange(reps)))
+    totals = counting._count_block(counting._search_plan(pattern), loops, rows, a, b, y)
     got = [t // automorphism_count(pattern) for t in totals.tolist()]
     want = [
         count_copies_bruteforce(sample_graph(spec, substream_key(seed, r)), pattern)
@@ -343,19 +340,20 @@ def test_block_counts_stay_exact_past_int64():
     "case", ["categorical", "degree_weighted", "geometric", "self_loops"]
 )
 def test_block_sampler_returns_sorted_nonzero_triples(case):
-    # the counter reads a block's pair counts as (row, k, y) triples: sorted
-    # by (row, k), one per nonzero pair, rebuilding each replicate's graph
+    # the counter reads a block's pair counts as (row, a, b, y): sorted
+    # by (row, a, b), one per nonzero pair a < b, rebuilding each
+    # replicate's graph
     spec, _ = MC_ORACLE_CASES[case]
-    reps, seed = 12, 4
-    classes, (rows, k, y), loops = _sample_block(spec, replicate_keys(seed, np.arange(reps)))
-    iu, ju = np.triu_indices(spec.n, k=1)
+    reps, seed, n = 12, 4, spec.n
+    keys = replicate_keys(seed, np.arange(reps))
+    classes, (rows, a, b, y), loops = _sample_block(spec, keys)
     assert (y > 0).all()
-    assert ((0 <= k) & (k < len(iu))).all()
-    assert (np.diff(rows * len(iu) + k) > 0).all()
+    assert ((0 <= a) & (a < b) & (b < n)).all()
+    assert (np.diff((rows * n + a) * n + b) > 0).all()
     for r in range(reps):
         graph = sample_graph(spec, substream_key(seed, r))
         at = rows == r
-        edges = dict(zip(zip(iu[k[at]].tolist(), ju[k[at]].tolist()), y[at].tolist()))
+        edges = dict(zip(zip(a[at].tolist(), b[at].tolist()), y[at].tolist()))
         assert edges == graph.edge_counts
         assert tuple(classes[r].tolist()) == graph.classes
         assert {w: s for w, s in enumerate(loops[r].tolist()) if s} == graph.self_loop_counts
