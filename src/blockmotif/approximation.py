@@ -554,10 +554,10 @@ def tv_bound(
     n, v, e = spec.n, pattern.vertex_count, pattern.edge_total
     s, t = pattern.loop_total, pattern.max_multiplicity
     rho_val = rho(pattern)
-    ext = model_extrema(spec, pattern)
 
     # hypotheses: the shared ones, then the variant's own
     prof = _check_common(spec, pattern, variant, simple=not multi)
+    ext = model_extrema(spec, pattern)
     negative_exponent = s > 0 and any(2 * s - i < 0 for i in range(1, v))
     phi = 1.0  # phi^0 for a pattern without self-loops
     if s > 0:

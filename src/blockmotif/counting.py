@@ -8,14 +8,17 @@ the same edge sets, so a placement on a fixed vertex set contributes the
 product of binomial coefficients ``C(observed, required)``, and placements
 are enumerated once per automorphism orbit.
 
-``_count_block`` sums the product over the injective maps of the pattern
-into each host of a block, for all hosts at once: the block's hosts are one
-graph in compressed adjacency arrays, and the partial maps grow one pattern
-vertex at a time along host edges, as numpy arrays expanded in bounded
-chunks.  ``monte_carlo_pmf`` hands it each sampled block; ``count_copies``
-hands it one ``ObservedMultigraph`` as a block of one and divides by the
-automorphism count.  ``count_copies_bruteforce`` independently sums the
-product over every injective vertex map.  All return exact integers.
+``_count_block`` sums the product over one injective map of the pattern
+per automorphism orbit into each host of a block, for all hosts at once:
+the block's hosts are one graph in compressed adjacency arrays, and the
+partial maps grow one pattern vertex at a time along host edges, as numpy
+arrays expanded in bounded chunks.  Symmetry-breaking order bounds on the
+images (``_search_plan``) pick the one map per orbit, so its sums are copy
+counts.  ``monte_carlo_pmf`` hands it each sampled block; ``count_copies``
+hands it one ``ObservedMultigraph`` as a block of one.
+``count_copies_bruteforce`` independently sums the product over every
+injective vertex map and divides by the automorphism count.  All return
+exact integers.
 
 The same binomial-product sums give the law of a copy count under a random
 configuration: ``_count_law`` walks the grid of per-slot values of one
@@ -33,7 +36,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 import numpy as np
 
 from .model import ObservedMultigraph
-from .patterns import PatternGraph, automorphism_count, placements
+from .patterns import PatternGraph, automorphism_count, automorphisms, placements
 
 __all__ = ["count_copies", "count_copies_bruteforce", "clump_size"]
 
@@ -60,15 +63,23 @@ def _required_pairs(pattern: PatternGraph):
     return out
 
 
-def _search_plan(pattern: PatternGraph) -> list[tuple[list[tuple[int, int]], int]]:
+def _search_plan(pattern: PatternGraph):
     """Search order of the pattern vertices, with what placing each needs.
 
     The order is breadth first over each component, so every vertex after a
     component root has an earlier neighbour; roots prefer vertices with
-    self-loops, then high degree.  Returns one ``(checks, loops)`` pair per
-    step: ``checks`` lists the ``(earlier step, multiplicity)`` pairs of the
-    vertex's earlier neighbours (empty for a root) and ``loops`` is its
-    self-loop count.
+    self-loops, then high degree.  Returns one ``(checks, loops, above)``
+    triple per step: ``checks`` lists the ``(earlier step, multiplicity)``
+    pairs of the vertex's earlier neighbours (empty for a root), ``loops`` is
+    its self-loop count, and ``above`` lists the earlier steps whose images
+    its image must exceed.
+
+    The ``above`` bounds keep one map per automorphism orbit (the
+    symmetry-breaking conditions of Grochow & Kellis 2007): while the group
+    is nontrivial, the earliest step with a nontrivial orbit must take the
+    smallest image in its orbit, and the group shrinks to that step's
+    stabilizer.  The rest of the orbit comes later in the order, so every
+    bound is a lower one.
     """
     v = pattern.vertex_count
     nbrs: list[dict[int, int]] = [{} for _ in range(v)]
@@ -86,10 +97,18 @@ def _search_plan(pattern: PatternGraph) -> list[tuple[list[tuple[int, int]], int
             order += [w for w in nbrs[order[i]] if w not in order]
             i += 1
     step_of = {u: i for i, u in enumerate(order)}
+    above: list[list[int]] = [[] for _ in range(v)]
+    group = automorphisms(pattern)
+    while len(group) > 1:
+        u = next(u for u in order if any(g[u] != u for g in group))
+        for w in {g[u] for g in group} - {u}:
+            above[step_of[w]].append(step_of[u])
+        group = [g for g in group if g[u] == u]
     return [
         (
             sorted((step_of[w], m) for w, m in nbrs[u].items() if step_of[w] < i),
             loops.get(u, 0),
+            above[i],
         )
         for i, u in enumerate(order)
     ]
@@ -98,9 +117,9 @@ def _search_plan(pattern: PatternGraph) -> list[tuple[list[tuple[int, int]], int
 def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
     """Number of copies of the pattern in the graph (exact integer).
 
-    Sums, over injective maps of the pattern's vertices into the host, the
-    product of ``C(observed, required)`` over pattern pairs and loops, and
-    divides by the automorphism count.  The host is a block of one for
+    Sums, over one injective map of the pattern's vertices into the host per
+    automorphism orbit, the product of ``C(observed, required)`` over
+    pattern pairs and loops.  The host is a block of one for
     ``_count_block``, so its work follows the host's edges rather than its
     C(n, v) vertex subsets.
     """
@@ -114,12 +133,11 @@ def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
     loops = np.array([0, *(graph.self_loop_counts.get(w, 0) for w in range(n))])
     plan = _search_plan(pattern)
     (total,) = _count_block(plan, loops[None, 1:], np.zeros_like(a), a, b, y)
-    return int(total) // automorphism_count(pattern)
+    return int(total)
 
 
 def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
-    """Binomial-product sums over the injective maps of a planned pattern,
-    for every host of a block at once.
+    """Copy counts of a planned pattern in every host of a block at once.
 
     ``plan`` is the pattern's ``_search_plan``.  Host ``r`` has
     ``n = loops.shape[1]`` vertices with ``loops[r]`` self-loops, and
@@ -129,11 +147,14 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     all hosts grow together, one plan step at a time, as arrays: a vertex
     with placed neighbours tries the neighbours of the first one's image
     and looks up the pair counts to the others; a component root tries
-    every vertex of its own host.  Partial maps are expanded in chunks of
-    at most ``_FRONTIER_CHUNK`` candidates (or one map's), depth first, so
-    working memory stays bounded.  Returns one sum per host: int64 when a
+    every vertex of its own host.  A step's orbit bounds narrow that range
+    to the images past the largest image of its ``above`` steps, so only
+    one map per automorphism orbit is ever built.  Partial maps are
+    expanded in chunks of at most ``_FRONTIER_CHUNK`` candidates (or one
+    map's), depth first, so working memory stays bounded.  Returns one sum
+    of binomial products per host, which is its copy count: int64 when a
     certified bound on it fits, Python integers in an object array
-    otherwise.  Dividing by the automorphism count gives the copy counts.
+    otherwise.
     """
     hosts, n = loops.shape
     size = hosts * n
@@ -156,7 +177,9 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     indptr = np.searchsorted(keys, np.arange(size + 1) * size)
 
     top = int(values[-1])
-    max_req = max([m for checks, c in plan for _, m in checks] + [c for _, c in plan])
+    max_req = max(
+        [m for checks, _, _ in plan for _, m in checks] + [c for _, c, _ in plan]
+    )
     table = [[math.comb(int(t), m) for t in values] for m in range(max_req + 1)]
     # largest sum a host can reach: every step's candidates times the top
     # binomial of each requirement.  int64 needs it and every table entry to
@@ -164,7 +187,7 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     # arithmetic is exact modulo 2**64
     max_deg = int(np.diff(indptr).max(initial=0))
     worst = 1
-    for checks, c in plan:
+    for checks, c, _ in plan:
         worst *= (max_deg if checks else n) * math.comb(top, c)
         for _, m in checks:
             worst *= math.comb(top, m)
@@ -173,12 +196,22 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     totals = np.zeros(hosts, dtype=dtype)
 
     def grow(step, host, images, weight):
-        checks, loop_req = plan[step]
+        checks, loop_req, above = plan[step]
         if checks:
             u = images[:, checks[0][0]]
-            first, deg = indptr[u], indptr[u + 1] - indptr[u]
+            first, end = indptr[u], indptr[u + 1]
         else:
-            first, deg = host * n, np.full(len(host), n)
+            first, end = host * n, host * n + n
+        if above:
+            # the orbit bounds: only images past the largest one above
+            floor = images[:, above].max(axis=1) + 1
+            first = np.searchsorted(keys, u * size + floor) if checks else floor
+        deg = end - first
+        # images of the anchor and the other checked neighbours differ from
+        # x by construction (no host pair is a loop), those above by the bounds
+        unchecked = [
+            j for j in range(step) if j not in above and j not in dict(checks)
+        ]
         ends = np.cumsum(deg)
         lo = 0
         while lo < len(host):
@@ -193,7 +226,7 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
             cand = np.arange(len(owner)) + np.repeat(shift, d)
             x = nbrs[cand] if checks else cand
             keep = np.ones(len(x), dtype=bool)
-            for j in range(step):
+            for j in unchecked:
                 keep &= x != images[owner, j]
             factors = []
             for k, (j, m) in enumerate(checks):

@@ -55,7 +55,6 @@ from .distributions import Categorical
 from .model import ModelExtrema, SbmmSpec, _sample_block, spec_from_json, spec_to_json
 from .patterns import (
     PatternGraph,
-    automorphism_count,
     balancedness_profile,
     pattern_from_json,
     pattern_from_name,
@@ -138,14 +137,13 @@ def monte_carlo_pmf(
             f"pattern has {pattern.vertex_count} vertices but the model only {n}"
         )
     plan = _search_plan(pattern)
-    aut = automorphism_count(pattern)
     block = max(1, _BLOCK_CELLS // (n * (n - 1) // 2 + n))
     hist: dict[int, int] = {}
     for start in range(0, reps, block):
         keys = replicate_keys(seed, np.arange(start, min(start + block, reps)))
         _, pairs, loops = _sample_block(spec, keys)
         totals = _count_block(plan, loops, *pairs)
-        for w in (totals // aut).tolist():
+        for w in totals.tolist():
             hist[w] = hist.get(w, 0) + 1
     hist = dict(sorted(hist.items()))
     pmf = {w: c / reps for w, c in hist.items()}

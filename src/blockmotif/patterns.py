@@ -2,11 +2,12 @@
 
 A pattern is a small undirected graph that may carry parallel edges (a
 multiplicity per vertex pair) and self-loops (a count per vertex).  This
-module computes everything about a pattern that the error bounds consume:
-automorphism count, number of distinct placements on a labelled vertex set,
-edge densities, the subgraph-minimum exponents ``alpha``/``gamma`` and their
-multiplicity-insensitive variants ``alpha_m``/``gamma_m``, the
-intersection-size exponent ``kappa``, and the balancedness classification.
+module computes everything about a pattern that the error bounds and the
+copy counter consume: automorphism group and count, number of distinct
+placements on a labelled vertex set, edge densities, the subgraph-minimum
+exponents ``alpha``/``gamma`` and their multiplicity-insensitive variants
+``alpha_m``/``gamma_m``, the intersection-size exponent ``kappa``, and the
+balancedness classification.
 
 All densities and exponents are exact :class:`fractions.Fraction` values so
 that downstream comparisons are equality checks, never tolerance checks.
@@ -43,6 +44,7 @@ __all__ = [
     "PatternGraph",
     "BalancednessProfile",
     "automorphism_count",
+    "automorphisms",
     "rho",
     "placements",
     "balancedness_profile",
@@ -181,11 +183,13 @@ class BalancednessProfile:
 
 def automorphism_count(pattern: PatternGraph) -> int:
     """Number of vertex permutations preserving multiplicities and loops."""
-    return _automorphism_count_cached(pattern)
+    return len(automorphisms(pattern))
 
 
 @lru_cache(maxsize=None)
-def _automorphism_count_cached(pattern: PatternGraph) -> int:
+def automorphisms(pattern: PatternGraph) -> tuple[tuple[int, ...], ...]:
+    """The automorphism group: each permutation ``g`` as the tuple of images
+    ``g[u]``, in lexicographic order (the identity first)."""
     v = pattern.vertex_count
     mult = [[0] * v for _ in range(v)]
     for (a, b), m in pattern.edge_mult.items():
@@ -194,14 +198,13 @@ def _automorphism_count_cached(pattern: PatternGraph) -> int:
     # invariant used for pruning: (loop count, sorted incident multiplicities)
     signature = [(loops[u], tuple(sorted(mult[u]))) for u in range(v)]
 
-    count = 0
+    group = []
     image = [0] * v
     used = [False] * v
 
     def extend(pos: int) -> None:
-        nonlocal count
         if pos == v:
-            count += 1
+            group.append(tuple(image))
             return
         for img in range(v):
             if used[img] or signature[pos] != signature[img]:
@@ -215,7 +218,7 @@ def _automorphism_count_cached(pattern: PatternGraph) -> int:
                 used[img] = False
 
     extend(0)
-    return count
+    return tuple(group)
 
 
 def rho(pattern: PatternGraph) -> int:

@@ -365,6 +365,16 @@ def test_pattern_larger_than_model_is_rejected():
         lambda_params(one_class_spec(2, bernoulli(0.1)), TRIANGLE)
 
 
+def test_bound_names_the_vertex_hypothesis_before_reading_degree_weights():
+    # one weighted vertex has no pair mean to take a maximum over; the
+    # failed hypothesis is the pattern's size, not the model's extrema
+    spec = SbmmSpec(1, 1, (1.0,), ((Poisson(0.5),),), degree_weights=(2.0,))
+    with pytest.raises(
+        PreconditionError, match="pattern has 3 vertices but the model only 1"
+    ):
+        tv_bound(spec, TRIANGLE, "cor35_inhom")
+
+
 # -- compound Poisson pmf ------------------------------------------------------
 
 

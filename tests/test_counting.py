@@ -4,7 +4,8 @@ oracles, clump sizes, and counts past 64-bit arithmetic."""
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -268,6 +269,76 @@ def test_count_does_not_depend_on_frontier_chunk(monkeypatch):
     for chunk in (1, 7):
         monkeypatch.setattr(counting, "_FRONTIER_CHUNK", chunk)
         assert [count_copies(g, p) for p in (TRIANGLE, PATH3)] == want, chunk
+
+
+def test_orbit_bounds_cross_components_on_sparse_host(monkeypatch):
+    # closed forms on a simple host: two disjoint edges are the edge pairs
+    # that share no vertex, a 3-leaf star is three edges at one centre
+    host, g = _sparse_host()
+    degrees = [d for _, d in host.degree()]
+    edges = host.number_of_edges()
+    two_edges = PatternGraph(4, {(0, 1): 1, (2, 3): 1})
+    star = PatternGraph(4, {(0, 1): 1, (0, 2): 1, (0, 3): 1})
+    want = [
+        math.comb(edges, 2) - sum(math.comb(d, 2) for d in degrees),
+        sum(math.comb(d, 3) for d in degrees),
+    ]
+    for chunk in (1, 7, counting._FRONTIER_CHUNK):
+        monkeypatch.setattr(counting, "_FRONTIER_CHUNK", chunk)
+        assert [count_copies(g, p) for p in (two_edges, star)] == want, chunk
+
+
+def _labelled_copy(edges, loops, image):
+    # the edge multiset the map ``image`` puts on the host's vertices
+    pairs = Counter()
+    for (a, b), m in edges.items():
+        pairs[frozenset((image[a], image[b]))] += m
+    return frozenset(pairs.items()), frozenset((image[w], c) for w, c in loops.items())
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        TRIANGLE,
+        pattern_from_name("cycle:4"),
+        pattern_from_name("complete:4"),
+        pattern_from_name("complete_multi:3:2"),
+        PatternGraph(4, {(0, 1): 1, (2, 3): 1}),
+        PatternGraph(6, {(0, 1): 1, (2, 3): 1, (4, 5): 1}),
+        PatternGraph(6, {**TRIANGLE.edge_mult, (3, 4): 1, (3, 5): 1, (4, 5): 1}),
+        LOOP_TRIANGLE,
+    ],
+    ids=[
+        "triangle",
+        "cycle4",
+        "complete4",
+        "complete_multi3x2",
+        "two_edges",
+        "three_edges",
+        "two_triangles",
+        "loop_triangle",
+    ],
+)
+def test_orbit_bounds_accept_one_map_per_copy(pattern):
+    # every injective map into v + 2 host vertices, grouped by the labelled
+    # copy it makes; the plan's order bounds must pass exactly one map per
+    # copy.  The plan numbers the pattern's vertices by step, so its checks
+    # and loops rebuild the pattern relabelled, which must make the same
+    # copies as the pattern itself.
+    v = pattern.vertex_count
+    plan = counting._search_plan(pattern)
+    edges = {(j, i): m for i, (checks, _, _) in enumerate(plan) for j, m in checks}
+    loops = {i: c for i, (_, c, _) in enumerate(plan) if c}
+    maps = list(permutations(range(v + 2), v))
+    copies = {_labelled_copy(pattern.edge_mult, pattern.self_loops, f) for f in maps}
+    accepted = Counter(
+        _labelled_copy(edges, loops, f)
+        for f in maps
+        if all(f[i] > f[j] for i, (_, _, above) in enumerate(plan) for j in above)
+    )
+    assert {_labelled_copy(edges, loops, f) for f in maps} == copies
+    assert set(accepted) == copies
+    assert set(accepted.values()) == {1}
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,7 +23,6 @@ from blockmotif import (
     Poisson,
     PreconditionError,
     SbmmSpec,
-    automorphism_count,
     count_copies_bruteforce,
     dumps_stable,
     exact_count_pmf,
@@ -326,7 +325,7 @@ def test_block_counts_stay_exact_past_int64():
     reps, seed = 12, 3
     _, (rows, a, b, y), loops = _sample_block(spec, replicate_keys(seed, np.arange(reps)))
     totals = counting._count_block(counting._search_plan(pattern), loops, rows, a, b, y)
-    got = [t // automorphism_count(pattern) for t in totals.tolist()]
+    got = totals.tolist()
     want = [
         count_copies_bruteforce(sample_graph(spec, substream_key(seed, r)), pattern)
         for r in range(reps)
