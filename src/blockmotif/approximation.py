@@ -23,9 +23,13 @@ slots), truncating each infinite-support law at a certified tail threshold
 and reporting the neglected mass.  Z is unchanged when the vertices of S
 are relabelled, so the float path enumerates class multisets, each weighted
 by its number of orderings, and walks each multiset's configuration grid in
-fixed-size numpy chunks (``counting._count_law``): probabilities are
-products of table lookups, clump sizes sums over placements of binomial
-lookups, and masses are accumulated per clump size.  This walk
+fixed-size numpy chunks (``counting._count_law``).  Each chunk is scored
+as a product grid: a trailing sub-grid of slots carries its probability
+columns and per-placement binomial products, built once per multiset, and
+the chunk's few leading-slot rows are broadcast against it, so
+probabilities are slot-by-slot broadcast products and clump sizes sums of
+outer products; masses go per clump size into a dense ``np.bincount``
+histogram while sizes are small.  This walk
 (``_host_law``) gives the law of the copy count on any number m of random
 vertices: m = v here, and m = n for ``experiments.exact_count_pmf``, under
 one size guard.  The ``exact=True`` path keeps a plain loop over every
@@ -96,7 +100,9 @@ class PreconditionError(ValueError):
 
 
 class InfeasibleError(ValueError):
-    """An exact enumeration would exceed the configured size limit."""
+    """An exact enumeration would exceed the configured size limit, or a
+    reference law's total rate is too large for float64 (its P(0) underflows
+    to 0.0)."""
 
 
 @dataclass(frozen=True)

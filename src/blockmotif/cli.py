@@ -47,7 +47,7 @@ from .patterns import (
     pattern_to_json,
     rho,
 )
-from .serialize import dumps_stable, pmf_to_csv
+from .serialize import dumps_stable, format_float, pmf_to_csv
 
 __all__ = ["main"]
 
@@ -102,8 +102,8 @@ def _cmd_lambda(args) -> int:
     spec = _load_spec(args.spec)
     pattern = load_pattern(args.pattern)
     params = lambda_params(spec, pattern, args.eps)
-    print(dumps_stable(_rates_json(params)))
     pmf, _ = _reference_pmf(params, 0)
+    print(dumps_stable(_rates_json(params)))
     print()
     print(pmf_to_csv(pmf), end="")
     return 0
@@ -139,9 +139,7 @@ def _cmd_experiment(args) -> int:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         for name in ("reference", "observed"):
             rows = report[name]["pmf"]
-            csv = "k,prob\n" + "".join(
-                f"{k},{format(p, '.17g')}\n" for k, p in rows
-            )
+            csv = "k,prob\n" + "".join(f"{k},{format_float(p)}\n" for k, p in rows)
             with open(f"{stem}_{name}.csv", "w", encoding="utf-8") as fh:
                 fh.write(csv)
     else:

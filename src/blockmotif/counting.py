@@ -22,9 +22,13 @@ exact integers.
 
 The same binomial-product sums give the law of a copy count under a random
 configuration: ``_count_law`` walks the grid of per-slot values of one
-class assignment in fixed-size numpy chunks, and ``_class_multisets`` lists
-the class assignments up to vertex relabelling, which leaves counts and
-their laws unchanged.  The clump rates and the exact count law share them.
+class assignment in fixed-size numpy chunks, each scored as a product of a
+few leading-slot rows and a trailing sub-grid built once (broadcast
+probability products, counts as outer products per term) and grouped by
+count in a dense ``np.bincount`` histogram while the counts stay small.
+``_class_multisets`` lists the class assignments up to vertex relabelling,
+which leaves counts and their laws unchanged.  The clump rates and the
+exact count law share them.
 """
 
 from __future__ import annotations
@@ -372,6 +376,15 @@ def _class_multisets(f, size: int):
         yield assign, weight
 
 
+def _digits(index, radices) -> list:
+    """Mixed-radix digits of the indices ``index``, the first radix most
+    significant."""
+    digits = [None] * len(radices)
+    for s in reversed(range(len(radices))):
+        index, digits[s] = np.divmod(index, radices[s])
+    return digits
+
+
 def _count_law(tables, terms, weight: float) -> dict[int, float]:
     """Probability mass per copy count over the full configuration grid.
 
@@ -380,11 +393,22 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
     the products of ``C(value of slot, required)`` over each term's
     ``(slot, required)`` pairs (see ``_copy_terms``).  The grid is walked in
     chunks of ``_CHUNK_ROWS`` mixed-radix indices (slot 0 most significant),
-    so working memory stays bounded; configurations of probability 0.0 are
-    skipped (so every returned mass is positive).  Counts are exact: int64
-    when the largest count the grid can reach and every binomial factor
-    fit, Python integers in object arrays otherwise.  Returns
-    ``{count: weight * P(count)}``.
+    so working memory stays bounded.
+
+    The grid is a product, so a chunk is scored as one: the trailing slots
+    whose joint sub-grid has at most ``isqrt(_CHUNK_ROWS)`` rows get their
+    probability columns and each term's binomial product over that sub-grid
+    once, and a chunk takes digits only for its few rows of the leading
+    slots.  Its probabilities are then broadcast products, slot by slot in
+    slot order (the rounding of a row-by-row product, bit for bit), and its
+    counts a sum over terms of outer products.  Masses are summed per count
+    in row order within a chunk, and the chunk sums in chunk order: by one
+    ``np.bincount`` into a dense histogram when the counts are int64 and the
+    largest reachable count is below ``_CHUNK_ROWS``, through ``np.unique``
+    otherwise.  Configurations of probability 0.0 add nothing, so every
+    returned mass is positive.  Counts are exact: int64 when the largest
+    count the grid can reach and every binomial factor fit, Python integers
+    in object arrays otherwise.  Returns ``{count: weight * P(count)}``.
     """
     tables = [np.asarray(t, dtype=np.float64) for t in tables]
     radices = [len(t) for t in tables]
@@ -399,29 +423,53 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
     )
     dtype = np.int64 if max(worst, *map(max, comb)) < 2**63 else object
     comb = np.array(comb, dtype=dtype)
+    # slots lead..end form the trailing sub-grid of ``span`` rows
+    lead, span = len(radices), 1
+    while lead and span * radices[lead - 1] <= math.isqrt(_CHUNK_ROWS):
+        lead -= 1
+        span *= radices[lead]
+    digits = _digits(np.arange(span), radices[lead:])
+    columns = [t[d] for t, d in zip(tables[lead:], digits)]
+    tails = np.ones((len(terms), span), dtype=dtype)
+    for k, term in enumerate(terms):
+        for s, r in term:
+            if s >= lead:
+                tails[k] *= comb[r][digits[s - lead]]
+    dense = dtype is np.int64 and worst < _CHUNK_ROWS
+    hist = np.zeros(worst + 1 if dense else 0)
     law: dict[int, float] = {}
     size = math.prod(radices)
     for start in range(0, size, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, size)
-        rest = np.arange(start, stop, dtype=np.int64)
-        digits = [None] * len(radices)
-        for s in reversed(range(len(radices))):
-            rest, digits[s] = np.divmod(rest, radices[s])
-        prob = np.full(stop - start, float(weight))
-        for t, d in zip(tables, digits):
+        # leading-grid rows [first, last) cover the chunk; their product with
+        # the sub-grid is trimmed to grid rows [start, stop) once flattened
+        first, last = start // span, -(-stop // span)
+        digits = _digits(np.arange(first, last), radices[:lead])
+        prob = np.full(last - first, float(weight))
+        for t, d in zip(tables[:lead], digits):
             prob *= t[d]
-        keep = prob != 0.0
-        if not keep.all():
-            prob = prob[keep]
-            digits = [d[keep] for d in digits]
-        counts = np.zeros(len(prob), dtype=dtype)
-        for term in terms:
-            copies = 1
+        prob = np.repeat(prob, span).reshape(-1, span)
+        for column in columns:
+            prob *= column
+        # the sum over terms of the outer products of the leading rows' and
+        # the sub-grid's factors
+        heads = np.ones((last - first, len(terms)), dtype=dtype)
+        for k, term in enumerate(terms):
             for s, r in term:
-                copies = copies * comb[r][digits[s]]
-            counts += copies
+                if s < lead:
+                    heads[:, k] *= comb[r][digits[s]]
+        counts = heads @ tails
+        rows = slice(start - first * span, stop - first * span)
+        prob, counts = prob.ravel()[rows], counts.ravel()[rows]
+        if dense:
+            hist += np.bincount(counts, weights=prob, minlength=len(hist))
+            continue
         values, inverse = np.unique(counts, return_inverse=True)
         masses = np.bincount(inverse, weights=prob)
         for c, m in zip(values.tolist(), masses.tolist()):
-            law[c] = law.get(c, 0.0) + m
+            if m:
+                law[c] = law.get(c, 0.0) + m
+    if dense:
+        (nonzero,) = np.nonzero(hist)
+        law = dict(zip(nonzero.tolist(), hist[nonzero].tolist()))
     return law

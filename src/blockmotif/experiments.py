@@ -222,7 +222,9 @@ def _reference_pmf(params_or_nu, min_support: int) -> tuple[list[float], str]:
     """Reference law as P(0..kmax): CP(clump rates) or Poisson(nu).
 
     ``kmax`` grows until the cumulative mass reaches 1 - 1e-12 (capped) and
-    covers ``min_support``.
+    covers ``min_support``.  Raises :class:`InfeasibleError` when the total
+    rate is so large that ``P(0) = exp(-total)`` underflows to 0.0: the
+    recursion then yields only zeros.
     """
     if isinstance(params_or_nu, CompoundPoissonParams):
         params, kind = params_or_nu, "compound_poisson"
@@ -233,7 +235,12 @@ def _reference_pmf(params_or_nu, min_support: int) -> tuple[list[float], str]:
         )
         kind = "poisson"
     terms = _cp_terms(params)
-    pmf: list[float] = []
+    pmf = [next(terms)]
+    if pmf[0] == 0.0:
+        raise InfeasibleError(
+            f"the {kind.replace('_', ' ')} reference law has total rate "
+            f"{float(params.total):.6g}: its P(0) underflows to 0.0"
+        )
     kmax = max(min_support, 64)
     while True:
         pmf += islice(terms, kmax + 1 - len(pmf))

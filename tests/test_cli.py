@@ -2,12 +2,14 @@
 
 import json
 import math
+import time
 
 import pytest
 
 from blockmotif import (
     Categorical,
     PatternGraph,
+    Poisson,
     SbmmSpec,
     cp_pmf,
     graph_from_text,
@@ -117,6 +119,18 @@ def test_lambda_emits_params_then_pmf_csv(capsys):
     expect = cp_pmf(params, len(probs) - 1)
     assert probs == pytest.approx(expect, rel=1e-15)
     assert 1.0 - math.fsum(probs) <= 1e-12
+
+
+def test_lambda_refuses_a_reference_law_that_underflows(capsys):
+    # total clump rate 2084.55: exp(-total) is 0.0, so the command fails
+    # before it prints any rate
+    spec = SbmmSpec(60, 1, (1.0,), ((Poisson(0.5),),))
+    spec_json = json.dumps(spec_to_json(spec))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "lambda", "--spec", spec_json, "--pattern", "triangle")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert "total rate 2084.55: its P(0) underflows to 0.0" in err
 
 
 def test_sample_writes_deterministic_graph_files(tmp_path, capsys):

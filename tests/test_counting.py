@@ -5,7 +5,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations, product
 
 import networkx as nx
 import pytest
@@ -135,6 +135,67 @@ def test_count_law_keeps_large_counts_exact(required):
     law = _count_law([[0.01] * 100, [1.0]], [[(0, required), (1, 1)]], 2.0)
     assert law.keys() == {0}
     assert law[0] == pytest.approx(2.0, rel=1e-12)
+
+
+def _count_law_oracle(tables, terms, weight, chunk):
+    # the grid in itertools.product order (slot 0 most significant), masses
+    # summed row by row within each chunk of ``chunk`` rows and the chunk
+    # sums added in chunk order: the sums the scorer must reproduce bit for bit
+    law = {}
+    configs = product(*(range(len(t)) for t in tables))
+    while rows := list(islice(configs, chunk)):
+        sums = {}
+        for config in rows:
+            p = float(weight)
+            for t, k in zip(tables, config):
+                p *= t[k]
+            if p == 0.0:
+                continue
+            c = sum(
+                math.prod(math.comb(config[s], r) for s, r in term) for term in terms
+            )
+            sums[c] = sums.get(c, 0.0) + p
+        for c, m in sums.items():
+            law[c] = law.get(c, 0.0) + m
+    return law
+
+
+def _random_grid(rng):
+    # 0 to 5 slots of 1 to 6 values, a quarter of the entries 0.0, and 0 to 4
+    # terms, each taking a random subset of the slots
+    tables = [
+        [0.0 if rng.random() < 0.25 else rng.random() for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 5))
+    ]
+    terms = [
+        [(s, rng.randint(1, 3)) for s in range(len(tables)) if rng.random() < 0.5]
+        for _ in range(rng.randint(0, 4))
+    ]
+    return tables, terms, rng.choice([1.0, 0.375, 6.0, 1e-300])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 37, counting._CHUNK_ROWS])
+def test_count_law_matches_row_by_row_oracle_bit_for_bit(chunk, monkeypatch):
+    monkeypatch.setattr(counting, "_CHUNK_ROWS", chunk)
+    rng = random.Random(chunk)
+    cases = [_random_grid(rng) for _ in range(40)]
+    # largest reachable counts C(29, 2)**2 = 164836 and C(39, 20)**2, past
+    # int64: counts grouped through np.unique, the second as Python integers
+    big = [[rng.random() for _ in range(30)], [rng.random() for _ in range(30)]]
+    huge = [[rng.random() for _ in range(40)], [0.0] + [1.0] * 39]
+    cases += [
+        (big, [[(0, 2), (1, 2)], [(1, 1)]], 1.0),
+        (huge, [[(0, 20), (1, 20)]], 0.5),
+    ]
+    worst = [
+        sum(math.prod(math.comb(len(t[s]) - 1, r) for s, r in term) for term in terms)
+        for t, terms, _ in cases
+    ]
+    assert min(worst) < chunk <= max(worst) and max(worst) >= 2**63
+    for tables, terms, weight in cases:
+        law = _count_law(tables, terms, weight)
+        assert law == _count_law_oracle(tables, terms, weight, chunk)
+        assert all(type(c) is int and m > 0.0 for c, m in law.items())
 
 
 def test_clump_size_frozen_values():

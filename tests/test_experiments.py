@@ -3,6 +3,8 @@ the total-variation metric, and the experiment runner's report."""
 
 import math
 import random
+import re
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -558,6 +560,33 @@ def test_poisson_reference_survives_infeasible_clump_rates():
     assert report["nu"] == pytest.approx(expected_count(spec, cycle4), rel=1e-12)
     with pytest.raises(InfeasibleError):
         run_experiment(dict(config, variant="thm31_simple"))
+
+
+@pytest.mark.parametrize(
+    "variant, kind, total",
+    [
+        ("thm31_simple", "compound poisson", "2084.55"),
+        ("thm52_poisson_approx", "poisson", "4277.5"),
+    ],
+)
+def test_reference_law_refuses_a_total_rate_past_float64(variant, kind, total):
+    # exp(-total) is 0.0, so the recursion gives only zeros: the reference
+    # must refuse at once rather than grow kmax to its cap over zeros and let
+    # the Monte Carlo allowance absorb a truncation deficit of 1
+    spec = SbmmSpec(60, 1, (1.0,), ((Poisson(0.5),),))
+    config = {
+        "spec": spec,
+        "pattern": TRIANGLE,
+        "variant": variant,
+        "mode": "monte_carlo",
+        "reps": 20,
+        "seed": 1,
+    }
+    start = time.perf_counter()
+    message = f"{kind} reference law has total rate {total}: its P(0) underflows"
+    with pytest.raises(InfeasibleError, match=re.escape(message)):
+        run_experiment(config)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
