@@ -94,6 +94,8 @@ BOUND_VARIANTS = (
     "regime_corpn",
 )
 
+CLUMP_ENUMERATION_LIMIT = 5_000_000
+
 
 class PreconditionError(ValueError):
     """A bound variant's hypothesis fails for this (model, pattern) input."""
@@ -264,7 +266,6 @@ def lambda_params(
     pattern: PatternGraph,
     eps: float = 1e-10,
     exact: bool = False,
-    max_configs: int = 5_000_000,
 ) -> CompoundPoissonParams:
     """Exact clump rates lambda_i = C(n, v) * P(Z = i).
 
@@ -276,8 +277,8 @@ def lambda_params(
     assignment one configuration at a time, and returns Fractions.
 
     Raises :class:`InfeasibleError` when the walk would visit more than
-    ``max_configs`` configurations: the sum, over the class assignments it
-    walks, of the product of the per-slot truncated support sizes.
+    ``CLUMP_ENUMERATION_LIMIT`` configurations: the sum, over the class
+    assignments it walks, of the product of per-slot truncated supports.
     """
     _require_plain(spec, "the clump-rate computation")
     v = pattern.vertex_count
@@ -324,7 +325,7 @@ def lambda_params(
             math.prod(len(law.probabilities) for law in slot_laws(assign))
             for assign in product(range(Q), repeat=v)
         )
-        _check_walk(sizes, max_configs, "clump enumeration")
+        _check_walk(sizes, CLUMP_ENUMERATION_LIMIT, "clump enumeration")
         size_prob = {}
         neglected = zero
         for assign in product(range(Q), repeat=v):
@@ -346,7 +347,7 @@ def lambda_params(
                     size_prob[z] = size_prob.get(z, zero) + p
     else:
         law, neglected = _host_law(
-            spec, pattern, v, cap, max_configs, "clump enumeration"
+            spec, pattern, v, cap, CLUMP_ENUMERATION_LIMIT, "clump enumeration"
         )
         size_prob = {z: p for z, p in law.items() if z > 0}
 
@@ -368,25 +369,38 @@ def cp_pmf(params: CompoundPoissonParams, kmax: int) -> list[float]:
     """P(0..kmax) of the compound Poisson law with the given clump rates.
 
     Uses the standard recursion ``P(0) = exp(-sum(lam))`` and
-    ``k P(k) = sum_i i lam_i P(k - i)``.
+    ``k P(k) = sum_i i lam_i P(k - i)``, and refuses a P(0) that underflows.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     return list(islice(_cp_terms(params), kmax + 1))
 
 
-def _cp_terms(params: CompoundPoissonParams):
-    """P(0), P(1), ... of ``cp_pmf``'s recursion, one term at a time."""
+def _cp_terms(params: CompoundPoissonParams, kind: str = "compound_poisson"):
+    """P(0), P(1), ... of ``cp_pmf``'s recursion, one term at a time.
+
+    Raises :class:`InfeasibleError` at the call, naming the ``kind`` of law,
+    when ``P(0) = exp(-total)`` underflows to 0.0: every term would be 0.0.
+    """
     lam = [float(x) for x in params.lam]
     out = [math.exp(-math.fsum(lam))]
-    yield out[0]
-    for k in count(1):
-        acc = 0.0
-        for i in range(1, min(k, len(lam)) + 1):
-            if lam[i - 1]:
-                acc += i * lam[i - 1] * out[k - i]
-        out.append(acc / k)
-        yield out[k]
+    if out[0] == 0.0:
+        raise InfeasibleError(
+            f"the {kind.replace('_', ' ')} reference law has total rate "
+            f"{float(params.total):.6g}: its P(0) underflows to 0.0"
+        )
+
+    def terms():
+        yield out[0]
+        for k in count(1):
+            acc = 0.0
+            for i in range(1, min(k, len(lam)) + 1):
+                if lam[i - 1]:
+                    acc += i * lam[i - 1] * out[k - i]
+            out.append(acc / k)
+            yield out[k]
+
+    return terms()
 
 
 def c_lambda_upper(params: CompoundPoissonParams) -> float:

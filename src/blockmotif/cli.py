@@ -25,6 +25,7 @@ from itertools import combinations
 from .approximation import (
     InfeasibleError,
     PreconditionError,
+    _cp_terms,
     lambda_params,
     tv_bound,
 )
@@ -102,7 +103,7 @@ def _cmd_lambda(args) -> int:
     spec = _load_spec(args.spec)
     pattern = load_pattern(args.pattern)
     params = lambda_params(spec, pattern, args.eps)
-    pmf, _ = _reference_pmf(params, 0)
+    pmf = _reference_pmf(_cp_terms(params), 0)
     print(dumps_stable(_rates_json(params)))
     print()
     print(pmf_to_csv(pmf), end="")

@@ -218,34 +218,18 @@ def _extrema_json(ext: ModelExtrema) -> dict:
     return out
 
 
-def _reference_pmf(params_or_nu, min_support: int) -> tuple[list[float], str]:
-    """Reference law as P(0..kmax): CP(clump rates) or Poisson(nu).
+def _reference_pmf(terms, min_support: int) -> list[float]:
+    """P(0..kmax) of a reference law from its terms (``_cp_terms``).
 
     ``kmax`` grows until the cumulative mass reaches 1 - 1e-12 (capped) and
-    covers ``min_support``.  Raises :class:`InfeasibleError` when the total
-    rate is so large that ``P(0) = exp(-total)`` underflows to 0.0: the
-    recursion then yields only zeros.
+    covers ``min_support``.
     """
-    if isinstance(params_or_nu, CompoundPoissonParams):
-        params, kind = params_or_nu, "compound_poisson"
-    else:
-        params = CompoundPoissonParams(
-            lam=(float(params_or_nu),), imax=1, truncation_mass=0.0,
-            total=float(params_or_nu),
-        )
-        kind = "poisson"
-    terms = _cp_terms(params)
-    pmf = [next(terms)]
-    if pmf[0] == 0.0:
-        raise InfeasibleError(
-            f"the {kind.replace('_', ' ')} reference law has total rate "
-            f"{float(params.total):.6g}: its P(0) underflows to 0.0"
-        )
+    pmf: list[float] = []
     kmax = max(min_support, 64)
     while True:
         pmf += islice(terms, kmax + 1 - len(pmf))
         if 1.0 - math.fsum(pmf) <= 1e-12 or kmax >= 100_000:
-            return pmf, kind
+            return pmf
         kmax = min(kmax * 4, 100_000)
 
 
@@ -316,6 +300,13 @@ def run_experiment(config: dict) -> dict:
             if not poisson_reference:
                 raise
     nu = expected_count(spec, pattern)
+    # a reference whose P(0) underflows is refused before the observed law
+    if poisson_reference:
+        ref_kind = "poisson"
+        ref_params = CompoundPoissonParams((float(nu),), 1, 0.0, float(nu))
+    else:
+        ref_kind, ref_params = "compound_poisson", params
+    ref_terms = _cp_terms(ref_params, ref_kind)
 
     if mode == "exact":
         observed = exact_count_pmf(spec, pattern)
@@ -325,7 +316,7 @@ def run_experiment(config: dict) -> dict:
         reps_used = cfg["reps"]
 
     max_support = max(observed, default=0)
-    ref_pmf, ref_kind = _reference_pmf(nu if poisson_reference else params, max_support)
+    ref_pmf = _reference_pmf(ref_terms, max_support)
     reference = {k: p for k, p in enumerate(ref_pmf) if p > 0.0}
     ref_deficit = max(0.0, 1.0 - math.fsum(ref_pmf))
 

@@ -26,6 +26,10 @@ instead, so for them the edge count of ``H`` equals its supported-pair
 count, and properness is the same thing as dropping at least one supported
 pair.  Self-loops never enter any of these quantities; a pattern consisting
 only of self-loops has no densities at all.
+
+Both statistic sets come from one chunked numpy pass over the grid of
+lowered multiplicity vectors, with one limit: grids of more than 2^23
+candidates (e.g. 24 pairs at multiplicity 1) are refused before any work.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -266,61 +270,68 @@ def placements(pattern: PatternGraph):
     return tuple(out)
 
 
-def _simple_subgraph_stats(pairs, v):
-    """Distinct (v(H), e(H)) over proper nonempty edge subsets, all mult 1.
+# candidate sub-multigraphs one enumeration may score, checked first
+_SUBGRAPH_LIMIT = 1 << 23
 
-    Vectorized over all 2^f subsets: edge count by bit, vertex set by OR of
-    endpoint masks, then unique (vertex count, edge count) pairs.
+# candidate rows per numpy slice: bounds the enumerator's working memory
+_SLICE_ROWS = 1 << 15
+
+# set bits per byte value; times _BYTE_SUM, an int64's top byte sums its bytes
+_BYTE_BITS = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_BYTE_SUM = 0x0101010101010101
+
+
+def _subgraph_stats(pattern: PatternGraph):
+    """Distinct (v(H), e(H)) over the proper nonempty sub-multigraphs and
+    distinct (v(H), f(H)) over those of the reduction, in one pass.
+
+    A row of the grid of lowered multiplicity vectors (pair ``k`` at
+    ``0..m_k``, the last pair least significant) keeps ``e(H)`` edges on
+    ``f(H)`` pairs, over ``v(H)`` vertices: the set bits of an endpoint mask
+    over compact labels (at most 46).  The all-maximum row is the only one
+    with ``e(H) = e``.  The trailing sub-grid of at most ``_SLICE_ROWS`` rows
+    is built once, and each slice of leading rows is broadcast against it.
     """
-    f = len(pairs)
-    n_sub = 1 << f
-    idx = np.arange(n_sub, dtype=np.uint64)
-    e_h = np.zeros(n_sub, dtype=np.uint16)
-    cover = np.zeros(n_sub, dtype=np.uint32)
-    for k, (a, b) in enumerate(pairs):
-        chosen = ((idx >> np.uint64(k)) & np.uint64(1)).astype(bool)
-        e_h[chosen] += 1
-        cover[chosen] |= np.uint32((1 << a) | (1 << b))
-    vertex_bits = np.array([bin(i).count("1") for i in range(1 << v)], dtype=np.uint8)
-    v_h = vertex_bits[cover]
-    keep = (e_h > 0) & (idx != n_sub - 1)
-    codes = np.unique(v_h[keep].astype(np.uint32) * np.uint32(f + 1) + e_h[keep])
-    return {(int(c) // (f + 1), int(c) % (f + 1)) for c in codes}
+    pairs = pattern.edge_mult
+    mults = list(pairs.values())
+    radices = [m + 1 for m in mults]
+    size = math.prod(radices)
+    if size > _SUBGRAPH_LIMIT:
+        raise ValueError(f"subgraph enumeration too large ({size} candidates)")
+    ends = sorted({u for pair in pairs for u in pair})
+    masks = [1 << ends.index(a) | 1 << ends.index(b) for a, b in pairs]
+    e, f = sum(mults), len(mults)
 
-
-def _subgraph_stats(pairs, mults, v):
-    """Distinct (v(H), e(H)) over proper nonempty sub-multigraphs.
-
-    H ranges over componentwise-lowered multiplicity vectors (not all at
-    maximum, at least one edge), with vertex set equal to the endpoints of
-    the pairs kept at positive multiplicity.
-    """
-    if all(m == 1 for m in mults):
-        if len(pairs) > 23:
-            raise ValueError(
-                f"subgraph enumeration too large (2^{len(pairs)} candidates)"
-            )
-        return _simple_subgraph_stats(pairs, v)
-    total = 1
-    for m in mults:
-        total *= m + 1
-    if total > 4_000_000:
-        raise ValueError(f"subgraph enumeration too large ({total} candidates)")
-    stats = set()
-    full = tuple(mults)
-    for choice in product(*(range(m + 1) for m in mults)):
-        if choice == full:
-            continue
-        e_sub = sum(choice)
-        if e_sub == 0:
-            continue
-        verts = set()
-        for (a, b), c in zip(pairs, choice):
-            if c:
-                verts.add(a)
-                verts.add(b)
-        stats.add((len(verts), e_sub))
-    return stats
+    # pairs lead..f-1 form the trailing sub-grid of ``span`` rows
+    lead, span = f, 1
+    e_tail, f_tail, cover_tail = np.zeros((3, 1), dtype=np.int64)
+    while lead and span * radices[lead - 1] <= _SLICE_ROWS:
+        lead -= 1
+        span *= radices[lead]
+        digit = np.arange(radices[lead])[:, None]
+        e_tail = (digit + e_tail).ravel()
+        f_tail = ((digit > 0) + f_tail).ravel()
+        cover_tail = ((digit > 0) * masks[lead] | cover_tail).ravel()
+    heads, step = size // span, max(1, _SLICE_ROWS // span)
+    codes = set()
+    for first in range(0, heads, step):
+        rows = np.arange(first, min(first + step, heads))
+        e_h, f_h, cover = np.zeros((3, len(rows)), dtype=np.int64)
+        for k in reversed(range(lead)):
+            rows, digit = np.divmod(rows, radices[k])
+            e_h += digit
+            f_h += digit > 0
+            cover |= (digit > 0) * masks[k]
+        e_h, f_h = e_h[:, None] + e_tail, f_h[:, None] + f_tail
+        cover = cover[:, None] | cover_tail
+        v_h = (_BYTE_BITS[cover.view(np.uint8)].view(np.int64) * _BYTE_SUM) >> 56
+        code = (v_h * (f + 1) + f_h) * (e + 1) + e_h
+        codes.update(np.unique(code[f_h > 0]).tolist())
+    found = [(*divmod(c // (e + 1), f + 1), c % (e + 1)) for c in codes]
+    return (
+        {(v_h, e_h) for v_h, _, e_h in found if e_h < e},
+        {(v_h, f_h) for v_h, f_h, _ in found if f_h < f},
+    )
 
 
 def _minima(stats, v, total, density):
@@ -331,22 +342,15 @@ def _minima(stats, v, total, density):
     ``gamma`` minimizes ``density * v_H - e_H``, and ``balanced`` records
     whether every subgraph is strictly less dense than ``density``.
     """
-    alpha = None
-    gamma = None
-    balanced = True
-    for v_h, e_h in stats:
-        if Fraction(e_h, v_h) >= density:
-            balanced = False
-        deficit = density * v_h - e_h
-        if gamma is None or deficit < gamma:
-            gamma = deficit
-        if v_h < v:
-            rate = Fraction(total - e_h, v - v_h)
-            if alpha is None or rate < alpha:
-                alpha = rate
-    return alpha, gamma, balanced
+    rates = [Fraction(total - e_h, v - v_h) for v_h, e_h in stats if v_h < v]
+    return (
+        min(rates, default=None),
+        min((density * v_h - e_h for v_h, e_h in stats), default=None),
+        all(Fraction(e_h, v_h) < density for v_h, e_h in stats),
+    )
 
 
+@lru_cache(maxsize=None)
 def balancedness_profile(pattern: PatternGraph) -> BalancednessProfile:
     """Exact densities, subgraph-minimum exponents and balancedness flags.
 
@@ -354,11 +358,6 @@ def balancedness_profile(pattern: PatternGraph) -> BalancednessProfile:
     density.  Self-loops are ignored throughout (the loop-free part of the
     pattern is what gets classified).
     """
-    return _balancedness_profile_cached(pattern)
-
-
-@lru_cache(maxsize=None)
-def _balancedness_profile_cached(pattern: PatternGraph) -> BalancednessProfile:
     e = pattern.edge_total
     if e == 0:
         raise ValueError("pattern has no edges: densities are undefined")
@@ -366,16 +365,8 @@ def _balancedness_profile_cached(pattern: PatternGraph) -> BalancednessProfile:
     f = pattern.supported_pairs
     density = Fraction(e, v)
     pseudo_density = Fraction(f, v)
-
-    pairs = list(pattern.edge_mult.keys())
-    mults = list(pattern.edge_mult.values())
-    stats = _subgraph_stats(pairs, mults, v)
+    stats, reduced_stats = _subgraph_stats(pattern)
     alpha, gamma, strictly_balanced = _minima(stats, v, e, density)
-
-    if pattern.max_multiplicity == 1:
-        reduced_stats = stats
-    else:
-        reduced_stats = _subgraph_stats(pairs, [1] * len(pairs), v)
     alpha_m, gamma_m, strictly_pseudo = _minima(reduced_stats, v, f, pseudo_density)
 
     return BalancednessProfile(

@@ -4,6 +4,7 @@ numeric oracles."""
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -316,10 +317,16 @@ def test_loop_pattern_rates_with_loop_laws():
     assert params.imax == 3
 
 
-def test_lambda_enumeration_size_guard():
+def test_lambda_enumeration_size_guard(monkeypatch):
+    def limited(limit, *args, **kwargs):
+        # lambda_params under a lowered module-level walk limit
+        with monkeypatch.context() as m:
+            m.setattr(approximation, "CLUMP_ENUMERATION_LIMIT", limit)
+            return lambda_params(*args, **kwargs)
+
     spec = random_spec(random.Random(0), 12, 2)
     with pytest.raises(InfeasibleError):
-        lambda_params(spec, TRIANGLE, max_configs=10)
+        limited(10, spec, TRIANGLE)
     # the guard counts the configurations the walk visits: for cycle:4 on
     # two Poisson classes at eps 1e-8 (truncation caps 8 and 6) the
     # class-multiset walk visits 1,757,457, under the default limit,
@@ -329,7 +336,7 @@ def test_lambda_enumeration_size_guard():
     spec = SbmmSpec(12, 2, (0.5, 0.5), ((same, cross), (cross, same)))
     cycle4 = pattern_from_name("cycle:4")
     with pytest.raises(InfeasibleError, match="walks 1757457 configurations"):
-        lambda_params(spec, cycle4, 1e-8, max_configs=1_757_456)
+        limited(1_757_456, spec, cycle4, 1e-8)
     params = lambda_params(spec, cycle4, 1e-8)
     mean = math.fsum(i * lam for i, lam in enumerate(params.lam, start=1))
     assert mean == pytest.approx(expected_count(spec, cycle4), rel=1e-6)
@@ -340,9 +347,9 @@ def test_lambda_enumeration_size_guard():
         ((bernoulli(0.3), bernoulli(0.1)), (bernoulli(0.1), bernoulli(0.5))),
     )
     with pytest.raises(InfeasibleError, match="walks 64 configurations"):
-        lambda_params(two_point, TRIANGLE, exact=True, max_configs=63)
+        limited(63, two_point, TRIANGLE, exact=True)
     with pytest.raises(InfeasibleError, match="walks 32 configurations"):
-        lambda_params(two_point, TRIANGLE, max_configs=31)
+        limited(31, two_point, TRIANGLE)
     # the guard stops counting once the walk passes the limit: cycle:6 on
     # 30 Bernoulli classes walks C(35, 6) class multisets of 2^15
     # configurations each, about 5.3e10 in all, and the refusal must not
@@ -432,6 +439,16 @@ def test_cp_pmf_rejects_negative_kmax():
     params = CompoundPoissonParams(lam=(1.0,), imax=1, truncation_mass=0.0, total=1.0)
     with pytest.raises(ValueError):
         cp_pmf(params, -1)
+
+
+def test_cp_pmf_refuses_a_total_rate_whose_p0_underflows():
+    # total clump rate 2084.55: exp(-total) is 0.0, so the recursion would
+    # return only zeros instead of a law
+    spec = SbmmSpec(60, 1, (1.0,), ((Poisson(0.5),),))
+    params = lambda_params(spec, TRIANGLE)
+    message = "compound poisson reference law has total rate 2084.55: its P(0) underflows"
+    with pytest.raises(InfeasibleError, match=re.escape(message)):
+        cp_pmf(params, 3)
 
 
 def test_c_lambda_upper_examples():

@@ -569,10 +569,18 @@ def test_poisson_reference_survives_infeasible_clump_rates():
         ("thm52_poisson_approx", "poisson", "4277.5"),
     ],
 )
-def test_reference_law_refuses_a_total_rate_past_float64(variant, kind, total):
+def test_reference_law_refuses_a_total_rate_past_float64(
+    variant, kind, total, monkeypatch
+):
     # exp(-total) is 0.0, so the recursion gives only zeros: the reference
     # must refuse at once rather than grow kmax to its cap over zeros and let
-    # the Monte Carlo allowance absorb a truncation deficit of 1
+    # the Monte Carlo allowance absorb a truncation deficit of 1, and before
+    # any work goes into the observed law
+    def unwanted(*args, **kwargs):
+        raise AssertionError("observed law computed for a refused reference")
+
+    monkeypatch.setattr(experiments, "exact_count_pmf", unwanted)
+    monkeypatch.setattr(experiments, "monte_carlo_pmf", unwanted)
     spec = SbmmSpec(60, 1, (1.0,), ((Poisson(0.5),),))
     config = {
         "spec": spec,

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import networkx as nx
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmotif import (
+    BalancednessProfile,
     PatternGraph,
     automorphism_count,
     balancedness_profile,
@@ -244,30 +246,76 @@ def test_profile_invariant_under_relabeling():
         assert automorphism_count(relabeled) == automorphism_count(pat)
 
 
-def test_alpha_gamma_against_direct_subgraph_scan():
-    # independent oracle: enumerate every vertex subset and every edge subset
+@pytest.mark.parametrize("max_mult", [1, 3])
+def test_alpha_gamma_against_direct_subgraph_scan(max_mult):
+    # independent oracle: scan every lowered multiplicity vector; a row with
+    # e(H) edges on f(H) pairs feeds alpha/gamma unless it is the pattern
+    # itself, and alpha_m/gamma_m unless it keeps every pair
     rng = random.Random(19)
-    for _ in range(20):
-        v = rng.randint(3, 5)
-        pat = random_connected_pattern(rng, v, max_mult=1)
-        e = pat.edge_total
-        dens = F(e, v)
-        pairs = list(pat.edge_mult)
-        alphas, gammas, ratios = [], [], []
-        for r in range(1, len(pairs) + 1):
-            for chosen in itertools.combinations(pairs, r):
-                verts = {x for p in chosen for x in p}
-                e_h, v_h = len(chosen), len(verts)
-                if e_h == e and v_h == v:
-                    continue  # the pattern itself is not a proper subgraph
-                if v_h < v:
-                    alphas.append(F(e - e_h, v - v_h))
-                gammas.append(dens * v_h - e_h)
-                ratios.append(F(e_h, v_h))
+    top = 5 if max_mult == 1 else 4
+    pats = [
+        random_connected_pattern(rng, rng.randint(3, top), max_mult=max_mult)
+        for _ in range(20)
+    ]
+    # a path of 2^16 candidates, past one numpy slice of the enumerator
+    length = 16 if max_mult == 1 else 8
+    pats.append(PatternGraph(length + 1, {(i, i + 1): max_mult for i in range(length)}))
+    for pat in pats:
+        v = pat.vertex_count
+        pairs, mults = list(pat.edge_mult), list(pat.edge_mult.values())
+        sub, red = set(), set()
+        for choice in itertools.product(*(range(m + 1) for m in mults)):
+            kept = [p for p, c in zip(pairs, choice) if c]
+            if not kept:
+                continue
+            v_h = len({x for p in kept for x in p})
+            if list(choice) != mults:
+                sub.add((v_h, sum(choice)))
+            if len(kept) < len(pairs):
+                red.add((v_h, len(kept)))
         prof = balancedness_profile(pat)
-        assert prof.alpha == (min(alphas) if alphas else None)
-        assert prof.gamma == (min(gammas) if gammas else None)
-        assert prof.strictly_balanced == all(r < dens for r in ratios)
+        for stats, total, alpha, gamma, strict in (
+            (sub, sum(mults), prof.alpha, prof.gamma, prof.strictly_balanced),
+            (red, len(pairs), prof.alpha_m, prof.gamma_m, prof.strictly_pseudo_balanced),
+        ):
+            dens = F(total, v)
+            alphas = [F(total - e_h, v - v_h) for v_h, e_h in stats if v_h < v]
+            gammas = [dens * v_h - e_h for v_h, e_h in stats]
+            assert alpha == (min(alphas) if alphas else None)
+            assert gamma == (min(gammas) if gammas else None)
+            assert strict == all(F(e_h, v_h) < dens for v_h, e_h in stats)
+
+
+def test_wide_perfect_matching_profile():
+    # 17 disjoint edges on 34 vertices: j of them span 2j vertices, so every
+    # proper subgraph is exactly as dense as the pattern
+    k = 17
+    pat = PatternGraph(2 * k, {(2 * i, 2 * i + 1): 1 for i in range(k)})
+    start = time.perf_counter()
+    prof = balancedness_profile(pat)
+    assert time.perf_counter() - start < 1.0
+    dens = F(k, 2 * k)
+    alpha = min(F(k - j, 2 * k - 2 * j) for j in range(1, k))
+    gamma = min(dens * 2 * j - j for j in range(1, k))
+    assert prof == BalancednessProfile(
+        density=dens,
+        pseudo_density=dens,
+        alpha=alpha,
+        gamma=gamma,
+        alpha_m=alpha,
+        gamma_m=gamma,
+        strictly_balanced=False,
+        strictly_pseudo_balanced=False,
+    )
+
+
+def test_subgraph_enumeration_refuses_past_its_limit_at_once():
+    # complete:8 has 28 pairs, 2^28 candidates: refused before any work
+    k8 = pattern_from_name("complete:8")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="subgraph enumeration too large"):
+        balancedness_profile(k8)
+    assert time.perf_counter() - start < 0.1
 
 
 # -- kappa ----------------------------------------------------------------------
