@@ -94,6 +94,9 @@ BOUND_VARIANTS = (
     "regime_corpn",
 )
 
+# bound variants whose reference law is Poisson(nu) rather than CP(lambda)
+POISSON_REFERENCE_VARIANTS = ("thm52_poisson_approx", "cor55_poisson_sbm")
+
 CLUMP_ENUMERATION_LIMIT = 5_000_000
 
 
@@ -155,6 +158,14 @@ def _require_plain(spec: SbmmSpec, what: str) -> None:
         )
 
 
+def _require_fit(spec: SbmmSpec, pattern: PatternGraph, prefix: str = "") -> None:
+    v, n = pattern.vertex_count, spec.n
+    if v > n:
+        raise PreconditionError(
+            f"{prefix}pattern has {v} vertices but the model only {n}"
+        )
+
+
 def occurrence_mean(spec: SbmmSpec, pattern: PatternGraph) -> float:
     """Expected copy count contributed by one placement on one vertex set.
 
@@ -188,11 +199,8 @@ def occurrence_mean(spec: SbmmSpec, pattern: PatternGraph) -> float:
 
 def expected_count(spec: SbmmSpec, pattern: PatternGraph) -> float:
     """Expected total number of copies: C(n, v) * rho * occurrence mean."""
+    _require_fit(spec, pattern)
     v = pattern.vertex_count
-    if v > spec.n:
-        raise PreconditionError(
-            f"pattern has {v} vertices but the model only {spec.n}"
-        )
     return math.comb(spec.n, v) * rho(pattern) * occurrence_mean(spec, pattern)
 
 
@@ -281,10 +289,9 @@ def lambda_params(
     assignments it walks, of the product of per-slot truncated supports.
     """
     _require_plain(spec, "the clump-rate computation")
+    _require_fit(spec, pattern)
     v = pattern.vertex_count
     n, Q = spec.n, spec.Q
-    if v > n:
-        raise PreconditionError(f"pattern has {v} vertices but the model only {n}")
 
     with_loops = bool(pattern.self_loops)
     if with_loops and spec.self_loop_laws is None:
@@ -455,11 +462,7 @@ def _pow(base: float, exponent) -> float:
 
 def _check_common(spec, pattern, variant, *, simple: bool):
     """Shared hypothesis checks; returns the balancedness profile."""
-    if pattern.vertex_count > spec.n:
-        raise PreconditionError(
-            f"{variant}: pattern has {pattern.vertex_count} vertices "
-            f"but the model only {spec.n}"
-        )
+    _require_fit(spec, pattern, f"{variant}: ")
     if pattern.edge_total == 0:
         raise PreconditionError(f"{variant}: pattern has no edges")
     prof = balancedness_profile(pattern)
@@ -562,6 +565,8 @@ def tv_bound(
     """
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")
+    if c_override is not None and not 0 < float(c_override) < math.inf:
+        raise ValueError(f"c_override must be finite and positive, got {c_override!r}")
     if variant == "thm51_selfloop" and pattern.loop_total == 0:
         variant = "thm41_multi"
     if spec.degree_weights is not None and variant != "cor35_inhom":
@@ -570,10 +575,9 @@ def tv_bound(
             "cor35_inhom"
         )
     multi = variant in ("thm41_multi", "thm51_selfloop")
-    poisson = variant in ("thm52_poisson_approx", "cor55_poisson_sbm")
+    poisson = variant in POISSON_REFERENCE_VARIANTS
     n, v, e = spec.n, pattern.vertex_count, pattern.edge_total
     s, t = pattern.loop_total, pattern.max_multiplicity
-    rho_val = rho(pattern)
 
     # hypotheses: the shared ones, then the variant's own
     prof = _check_common(spec, pattern, variant, simple=not multi)
@@ -609,6 +613,7 @@ def tv_bound(
                 )
 
     # then c: the Poisson factor, or c(lambda) with the clump rates it needs
+    rho_val = rho(pattern)
     ingredients = {"n": n, "v": v, "e": e}
     if multi:
         ingredients.update(s=s, t=t)
@@ -623,6 +628,7 @@ def tv_bound(
         ingredients.update(c_lambda=c, c_source=c_source)
 
     # then the value
+    kappas = {i: kappa(pattern, i) for i in range(1, v)}
     vfact = math.factorial(v)
     scale = c * rho_val * rho_val / vfact
     tail = {}
@@ -652,7 +658,6 @@ def tv_bound(
             first *= _pow(ext.mu_dstar[i - 1], 2 * hist.get(i, 0))
             tail[f"mu_dstar_{i}"] = ext.mu_dstar[i - 1]
             tail[f"e_hist_{i}"] = hist.get(i, 0)
-        kappas = {i: kappa(pattern, i, "multi") for i in range(1, v)}
         overlap = {
             i: (_pow(phi, 2 * s - i) if s else 1.0, _pow(ext.psi, e + kappas[i]))
             for i in range(1, v)
@@ -672,7 +677,6 @@ def tv_bound(
             extra = ingredients["q2_star"] = ext.q2_star
         elif poisson:
             extra = ingredients["q2_bound"] = 0.5 * ext.omega_star**2
-        kappas = {i: kappa(pattern, i, "simple") for i in range(1, v)}
         overlap = {i: (_pow(mu, kappas[i] + shift),) for i in range(1, v)}
         value = _shell(
             n, v, scale, (_pow(mu, e - shift),), (_pow(mu, e + shift),), overlap, extra

@@ -53,18 +53,17 @@ _CHUNK_ROWS = 1 << 15
 _FRONTIER_CHUNK = 1 << 14
 
 
-def _required_pairs(pattern: PatternGraph):
-    """Per placement, the (slot pair index, required count) lists.
+def _binomials(values, max_req: int, worst: int) -> np.ndarray:
+    """Table of ``C(values[k], r)`` at row ``r``, for ``r = 0..max_req``.
 
-    Slot pairs are indexed in lexicographic order of
-    ``combinations(range(v), 2)``; loop requirements as (slot, count).
+    ``worst`` bounds every count the caller sums from products of the
+    entries.  The table is int64 when it and every entry fit: a product that
+    wraps on the way still ends exact, as int64 arithmetic is exact modulo
+    2**64.  Otherwise it holds Python integers in an object array.
     """
-    out = []
-    for pair_req, loop_req in placements(pattern):
-        pairs = [(k, r) for k, r in enumerate(pair_req) if r > 0]
-        loops = [(w, c) for w, c in enumerate(loop_req) if c > 0]
-        out.append((pairs, loops))
-    return out
+    table = [[math.comb(int(t), r) for t in values] for r in range(max_req + 1)]
+    fits = max(worst, *map(max, table)) < 2**63
+    return np.array(table, dtype=np.int64 if fits else object)
 
 
 def _search_plan(pattern: PatternGraph):
@@ -184,20 +183,16 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     max_req = max(
         [m for checks, _, _ in plan for _, m in checks] + [c for _, c, _ in plan]
     )
-    table = [[math.comb(int(t), m) for t in values] for m in range(max_req + 1)]
     # largest sum a host can reach: every step's candidates times the top
-    # binomial of each requirement.  int64 needs it and every table entry to
-    # fit; a product that wraps on the way still ends exact, as int64
-    # arithmetic is exact modulo 2**64
+    # binomial of each requirement
     max_deg = int(np.diff(indptr).max(initial=0))
     worst = 1
     for checks, c, _ in plan:
         worst *= (max_deg if checks else n) * math.comb(top, c)
         for _, m in checks:
             worst *= math.comb(top, m)
-    dtype = np.int64 if max(worst, *map(max, table)) < 2**63 else object
-    table = np.array(table, dtype=dtype)
-    totals = np.zeros(hosts, dtype=dtype)
+    table = _binomials(values, max_req, worst)
+    totals = np.zeros(hosts, dtype=table.dtype)
 
     def grow(step, host, images, weight):
         checks, loop_req, above = plan[step]
@@ -256,7 +251,7 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
             lo = hi
 
     no_images = np.zeros((hosts, 0), dtype=np.int64)
-    grow(0, np.arange(hosts), no_images, np.ones(hosts, dtype=dtype))
+    grow(0, np.arange(hosts), no_images, np.ones(hosts, dtype=table.dtype))
     # grow refers to itself: dropping it frees the block's arrays now rather
     # than at the next garbage collection, which comes rarely as numpy
     # arrays do not count towards its threshold
@@ -345,15 +340,17 @@ def _copy_terms(pattern: PatternGraph, n: int) -> list[list[tuple[int, int]]]:
     v = pattern.vertex_count
     pair_slot = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
     slot_pairs = list(combinations(range(v), 2))
-    reqs = _required_pairs(pattern)
     terms = []
     for subset in combinations(range(n), v):
-        for pairs, loops in reqs:
-            term = []
-            for k, r in pairs:
-                a, b = slot_pairs[k]
-                term.append((pair_slot[subset[a], subset[b]], r))
-            term += [(len(pair_slot) + subset[w], c) for w, c in loops]
+        for pair_req, loop_req in placements(pattern):
+            term = [
+                (pair_slot[subset[a], subset[b]], r)
+                for (a, b), r in zip(slot_pairs, pair_req)
+                if r
+            ]
+            term += [
+                (len(pair_slot) + subset[w], c) for w, c in enumerate(loop_req) if c
+            ]
             terms.append(term)
     return terms
 
@@ -413,16 +410,12 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
     tables = [np.asarray(t, dtype=np.float64) for t in tables]
     radices = [len(t) for t in tables]
     max_req = max((r for term in terms for _, r in term), default=0)
-    top = max(radices, default=1)
-    comb = [[math.comb(k, r) for k in range(top)] for r in range(max_req + 1)]
-    # largest count the grid can reach: every slot at its top value.  int64
-    # needs it and every table entry to fit; a product that wraps on the way
-    # still ends exact, as int64 arithmetic is exact modulo 2**64
+    # largest count the grid can reach: every slot at its top value
     worst = sum(
         math.prod(math.comb(radices[s] - 1, r) for s, r in term) for term in terms
     )
-    dtype = np.int64 if max(worst, *map(max, comb)) < 2**63 else object
-    comb = np.array(comb, dtype=dtype)
+    comb = _binomials(range(max(radices, default=1)), max_req, worst)
+    dtype = comb.dtype
     # slots lead..end form the trailing sub-grid of ``span`` rows
     lead, span = len(radices), 1
     while lead and span * radices[lead - 1] <= math.isqrt(_CHUNK_ROWS):
@@ -435,7 +428,7 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
         for s, r in term:
             if s >= lead:
                 tails[k] *= comb[r][digits[s - lead]]
-    dense = dtype is np.int64 and worst < _CHUNK_ROWS
+    dense = dtype == np.int64 and worst < _CHUNK_ROWS
     hist = np.zeros(worst + 1 if dense else 0)
     law: dict[int, float] = {}
     size = math.prod(radices)

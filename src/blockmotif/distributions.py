@@ -57,7 +57,7 @@ class Categorical:
         if any(p < 0 for p in probs):
             raise ValueError("probabilities must be nonnegative")
         total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probabilities", probs)
 

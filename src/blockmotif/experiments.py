@@ -35,12 +35,14 @@ import numpy as np
 
 from ._rng import replicate_keys
 from .approximation import (
+    POISSON_REFERENCE_VARIANTS,
     BoundReport,
     CompoundPoissonParams,
     InfeasibleError,
     PreconditionError,
     _cp_terms,
     _host_law,
+    _require_fit,
     _require_plain,
     expected_count,
     lambda_params,
@@ -75,9 +77,6 @@ EXACT_ENUMERATION_LIMIT = 10**8
 # memory whatever reps and n are (a block holds at least one replicate)
 _BLOCK_CELLS = 1 << 15
 
-# bound variants whose reference law is Poisson(nu) rather than CP(lambda)
-POISSON_REFERENCE_VARIANTS = ("thm52_poisson_approx", "cor55_poisson_sbm")
-
 
 def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
     """Exact law of the copy count W by full enumeration.
@@ -92,11 +91,7 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
     for law in spec.distinct_laws():
         if not isinstance(law, Categorical):
             raise PreconditionError("exact enumeration requires categorical edge laws")
-    n = spec.n
-    v = pattern.vertex_count
-    if v > n:
-        raise PreconditionError(f"pattern has {v} vertices but the model only {n}")
-
+    _require_fit(spec, pattern)
     if pattern.self_loops:
         if spec.self_loop_laws is None:
             return {0: 1.0}
@@ -108,7 +103,7 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
 
     # every slot keeps its whole finite support, so nothing is neglected
     pmf, _ = _host_law(
-        spec, pattern, n, lambda law: len(law.probabilities) - 1,
+        spec, pattern, spec.n, lambda law: len(law.probabilities) - 1,
         EXACT_ENUMERATION_LIMIT, "exact enumeration",
     )
     total = math.fsum(pmf.values())
@@ -131,11 +126,8 @@ def monte_carlo_pmf(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    _require_fit(spec, pattern)
     n = spec.n
-    if pattern.vertex_count > n:
-        raise PreconditionError(
-            f"pattern has {pattern.vertex_count} vertices but the model only {n}"
-        )
     plan = _search_plan(pattern)
     block = max(1, _BLOCK_CELLS // (n * (n - 1) // 2 + n))
     hist: dict[int, int] = {}

@@ -87,7 +87,7 @@ class SbmmSpec:
             raise ValueError(f"f has {len(f)} entries, expected Q={Q}")
         if any(x <= 0 for x in f):
             raise ValueError("class probabilities must be strictly positive")
-        if abs(math.fsum(f) - 1.0) > 1e-12:
+        if not abs(math.fsum(f) - 1.0) <= 1e-12:
             raise ValueError(f"class probabilities sum to {math.fsum(f)!r}, not 1")
         laws = tuple(tuple(row) for row in edge_laws)
         if len(laws) != Q or any(len(row) != Q for row in laws):

@@ -381,34 +381,25 @@ def balancedness_profile(pattern: PatternGraph) -> BalancednessProfile:
     )
 
 
-def kappa(pattern: PatternGraph, i: int, variant: str = "simple"):
-    """Overlap exponent ``max(e - i*density + gamma, (v - i)*alpha)``.
+def kappa(pattern: PatternGraph, i: int):
+    """Overlap exponent ``max(e - i*pseudo_density + gamma_m, (v - i)*alpha_m)``.
 
     ``i`` is the number of vertices an overlapping placement shares with the
-    pattern, ``1 <= i <= v-1``.  ``variant="simple"`` uses the edge density
-    with ``alpha``/``gamma`` and requires a loop-free pattern without
-    parallel edges; ``variant="multi"`` uses the supported-pair density with
-    ``alpha_m``/``gamma_m``.  Returns an exact Fraction, or ``math.inf``
-    when the pattern has no admissible proper subgraph.
+    pattern, ``1 <= i <= v-1``.  On a simple pattern the supported-pair
+    density and ``alpha_m``/``gamma_m`` are the edge density and
+    ``alpha``/``gamma``, so this is also Thm 3.1's exponent.  Returns an
+    exact Fraction, or ``math.inf`` when the pattern has no admissible
+    proper subgraph.
     """
     v = pattern.vertex_count
     if not 1 <= i <= v - 1:
         raise ValueError(f"i must be in 1..{v - 1}, got {i}")
     prof = balancedness_profile(pattern)
-    if variant == "simple":
-        if pattern.max_multiplicity > 1:
-            raise ValueError("simple variant requires a pattern without parallel edges")
-        if pattern.loop_total > 0:
-            raise ValueError("simple variant requires a pattern without self-loops")
-        dens, alpha, gamma = prof.density, prof.alpha, prof.gamma
-    elif variant == "multi":
-        dens, alpha, gamma = prof.pseudo_density, prof.alpha_m, prof.gamma_m
-    else:
-        raise ValueError(f"unknown kappa variant {variant!r}")
+    alpha, gamma = prof.alpha_m, prof.gamma_m
     if alpha is None or gamma is None:
         return math.inf
     e = pattern.edge_total
-    return max(e - i * dens + gamma, (v - i) * alpha)
+    return max(e - i * prof.pseudo_density + gamma, (v - i) * alpha)
 
 
 # -- construction helpers ---------------------------------------------------
@@ -472,15 +463,19 @@ def pattern_to_json(pattern: PatternGraph) -> dict:
 
 
 def load_pattern(text: str) -> PatternGraph:
-    """Resolve a pattern argument: named shortcut, inline JSON, or file path."""
+    """Resolve a pattern argument: named shortcut, inline JSON, or file path.
+
+    An argument that is none of these is refused with the shortcut parser's
+    reason appended.
+    """
     try:
         return pattern_from_name(text)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        shortcut_error = exc
     stripped = text.strip()
     if stripped.startswith("{"):
         return pattern_from_json(json.loads(stripped))
     if os.path.exists(text):
         with open(text, "r", encoding="utf-8") as fh:
             return pattern_from_json(json.load(fh))
-    raise ValueError(f"cannot interpret pattern argument {text!r}")
+    raise ValueError(f"cannot interpret pattern argument {text!r} ({shortcut_error})")

@@ -382,6 +382,18 @@ def test_bound_names_the_vertex_hypothesis_before_reading_degree_weights():
         tv_bound(spec, TRIANGLE, "cor35_inhom")
 
 
+def test_bound_refuses_an_oversized_pattern_before_its_automorphisms():
+    # complete:9 has 9! = 362,880 automorphisms; listing them for rho took
+    # about 2 s before the size hypothesis was checked
+    spec = one_class_spec(5, bernoulli(0.1))
+    start = time.perf_counter()
+    with pytest.raises(
+        PreconditionError, match="pattern has 9 vertices but the model only 5"
+    ):
+        tv_bound(spec, pattern_from_name("complete:9"), "thm31_simple")
+    assert time.perf_counter() - start < 0.5
+
+
 # -- compound Poisson pmf ------------------------------------------------------
 
 
@@ -516,6 +528,14 @@ def test_c_override_scales_the_bound_linearly():
     twice = tv_bound(spec, TRIANGLE, "thm31_simple", c_override=2.0)
     assert base.ingredients["c_source"] == "override"
     assert twice.value == pytest.approx(2 * base.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["thm31_simple", "thm52_poisson_approx"])
+@pytest.mark.parametrize("c", [-3.0, math.nan, math.inf])
+def test_c_override_must_be_finite_and_positive(variant, c):
+    spec = one_class_spec(50, bernoulli(0.02))
+    with pytest.raises(ValueError, match="c_override must be finite and positive"):
+        tv_bound(spec, TRIANGLE, variant, c_override=c)
 
 
 def test_thm31_rejects_multigraph_loop_and_unbalanced_patterns():

@@ -238,6 +238,24 @@ def test_exit_codes(capsys, tmp_path):
         "thm99",
     )
     assert rc == 2 and "unknown bound variant" in err
+    # 2: a c override that is not finite and positive
+    rc, out, err = run(
+        capsys, "bound", "--spec", spec_json, "--pattern", "triangle",
+        "--variant", "thm31_simple", "--c-override", "-3",
+    )
+    assert rc == 2 and out == "" and "c_override must be finite and positive" in err
+    # 2: JSON NaN in a class probability or a categorical entry
+    good = json.loads(spec_json)
+    nan_law = {"type": "categorical", "p": [math.nan, 1.0]}
+    for spec_obj, msg in (
+        (dict(good, f=[math.nan]), "class probabilities"),
+        (dict(good, edge_laws=[[nan_law]]), "probabilities"),
+    ):
+        for extra in ((), ("--variant", "thm31_simple")):
+            cmd = "bound" if extra else "lambda"
+            args = ("--spec", json.dumps(spec_obj), "--pattern", "triangle", *extra)
+            rc, out, err = run(capsys, cmd, *args)
+            assert rc == 2 and out == "" and f"{msg} sum to nan, not 1" in err
     # 1: missing file
     rc, _, err = run(
         capsys, "count", "--graph", str(tmp_path / "nope.txt"), "--pattern", "triangle"

@@ -174,6 +174,21 @@ def _random_grid(rng):
     return tables, terms, rng.choice([1.0, 0.375, 6.0, 1e-300])
 
 
+def test_count_law_scores_a_small_int64_grid_without_np_unique(monkeypatch):
+    # largest count 3 * 1 * 2 = 6: the dense np.bincount histogram takes the
+    # whole grid, so np.unique, the fallback for large or object counts, must
+    # never run
+    tables = [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]]
+    terms = [[(0, 1), (1, 2), (2, 1)]]
+    want = _count_law_oracle(tables, terms, 1.5, counting._CHUNK_ROWS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called on a dense int64 grid")
+
+    monkeypatch.setattr(counting.np, "unique", refuse)
+    assert _count_law(tables, terms, 1.5) == want
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 37, counting._CHUNK_ROWS])
 def test_count_law_matches_row_by_row_oracle_bit_for_bit(chunk, monkeypatch):
     monkeypatch.setattr(counting, "_CHUNK_ROWS", chunk)

@@ -39,6 +39,8 @@ def test_law_validation():
         Categorical((0.5, -0.1, 0.6))
     with pytest.raises(ValueError):
         Categorical((0.5, 0.4))  # mass 0.9
+    with pytest.raises(ValueError, match="probabilities sum to nan, not 1"):
+        Categorical((float("nan"), 1.0))  # NaN fails every comparison
     with pytest.raises(ValueError):
         Poisson(-1.0)
     with pytest.raises(ValueError):

@@ -47,6 +47,8 @@ def test_spec_validation():
         SbmmSpec(3, 2, (1.0,), ((Poisson(1.0),),))  # f length != Q
     with pytest.raises(ValueError):
         SbmmSpec(3, 1, (0.9,), ((Poisson(1.0),),))  # mass 0.9
+    with pytest.raises(ValueError, match="class probabilities sum to nan, not 1"):
+        SbmmSpec(5, 1, (float("nan"),), ((Poisson(0.5),),))
     with pytest.raises(ValueError):
         SbmmSpec(3, 2, (1.0, 0.0), ((Poisson(1.0), Poisson(1.0)),) * 2)  # f not positive
     with pytest.raises(ValueError):
@@ -114,12 +116,20 @@ ONE_CLASS_ORACLE_SPEC = SbmmSpec(
     7, 1, (1.0,), ((Poisson(0.3),),),
     self_loop_laws=(Categorical((0.0, 0.4, 0.6)),),
 )
+# distinct degree weights: pair (i, j) is Poisson((theta_i * theta_j) * omega)
+WEIGHTED_ORACLE_SPEC = SbmmSpec(
+    7, 2, (0.35, 0.65),
+    ((Poisson(0.9), Poisson(0.4)), (Poisson(0.4), Poisson(1.3))),
+    degree_weights=(0.5, 1.7, 1.0, 2.3, 0.8, 1.2, 3.1),
+    self_loop_laws=(Poisson(0.3), Categorical((0.9, 0.1))),
+)
 
 
 @pytest.mark.parametrize(
     "spec, seed",
     [pytest.param(TWO_CLASS_ORACLE_SPEC, s, id=str(s)) for s in ORACLE_SEEDS]
-    + [pytest.param(ONE_CLASS_ORACLE_SPEC, s, id=f"one_class-{s}") for s in ORACLE_SEEDS],
+    + [pytest.param(ONE_CLASS_ORACLE_SPEC, s, id=f"one_class-{s}") for s in ORACLE_SEEDS]
+    + [pytest.param(WEIGHTED_ORACLE_SPEC, s, id=f"weighted-{s}") for s in ORACLE_SEEDS],
 )
 def test_sample_matches_per_key_scalar_oracle(spec, seed):
     # independent scalar re-derivation of the keyed inversion sampler; the
@@ -161,7 +171,11 @@ def test_sample_matches_per_key_scalar_oracle(spec, seed):
         for j in range(i + 1, n):
             u = uniform_from_key(substream_key(seed, i + 1, j + 1))
             a, b = sorted((classes[i], classes[j]))
-            y = invert(spec.edge_laws[a][b], u)
+            law = spec.edge_laws[a][b]
+            if spec.degree_weights is not None:
+                theta = spec.degree_weights
+                law = Poisson((theta[i] * theta[j]) * law.rate)
+            y = invert(law, u)
             if y:
                 edges[(i, j)] = y
     assert got.edge_counts == edges

@@ -105,6 +105,19 @@ def test_load_pattern_accepts_names_inline_json_and_files(tmp_path):
     assert load_pattern(str(f)) == DOUBLED_TRIANGLE
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("cycle:2", "cycle needs at least 3 vertices"),
+        ("complete:x", "invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_load_pattern_names_the_shortcut_reason(text, reason):
+    with pytest.raises(ValueError) as info:
+        load_pattern(text)
+    assert str(info.value) == f"cannot interpret pattern argument {text!r} ({reason})"
+
+
 # -- automorphisms, rho, placements --------------------------------------------
 
 
@@ -328,7 +341,7 @@ def test_kappa_frozen_values():
     assert kappa(c4, 1) == F(9, 2)
     assert kappa(c4, 2) == F(3)
     assert kappa(c4, 3) == F(2)
-    assert kappa(DOUBLED_TRIANGLE, 2, "multi") == F(3)
+    assert kappa(DOUBLED_TRIANGLE, 2) == F(3)
 
 
 def test_kappa_definition_matches_profile():
@@ -341,7 +354,7 @@ def test_kappa_definition_matches_profile():
             alpha_m = prof.alpha_m if prof.alpha_m is not None else math.inf
             gamma_m = prof.gamma_m if prof.gamma_m is not None else math.inf
             expect = max(e - i * F(fsup, v) + gamma_m, (v - i) * alpha_m)
-            assert kappa(pat, i, "multi") == expect
+            assert kappa(pat, i) == expect
         if pat.max_multiplicity == 1:
             for i in range(1, v):
                 alpha = prof.alpha if prof.alpha is not None else math.inf
@@ -354,12 +367,6 @@ def test_kappa_rejects_bad_arguments():
         kappa(TRIANGLE, 0)
     with pytest.raises(ValueError):
         kappa(TRIANGLE, 3)
-    with pytest.raises(ValueError):
-        kappa(DOUBLED_TRIANGLE, 1, "simple")  # multigraph needs the multi variant
-    with pytest.raises(ValueError):
-        kappa(LOOP_TRIANGLE, 1, "simple")  # self-loops excluded from simple
-    with pytest.raises(ValueError):
-        kappa(TRIANGLE, 1, "other")
 
 
 # -- hypothesis sweep over the simple-graph atlas -------------------------------
