@@ -13,9 +13,10 @@ per automorphism orbit into each host of a block, for all hosts at once:
 the block's hosts are one graph in compressed adjacency arrays, and the
 partial maps grow one pattern vertex at a time along host edges, as numpy
 arrays expanded in bounded chunks.  Symmetry-breaking order bounds on the
-images (``_search_plan``) pick the one map per orbit, so its sums are copy
-counts.  ``monte_carlo_pmf`` hands it each sampled block; ``count_copies``
-hands it one ``ObservedMultigraph`` as a block of one.
+images (``_search_plan``, from the pattern's stabilizer chain) pick the
+one map per orbit, so its sums are copy counts.  ``monte_carlo_pmf``
+hands it each sampled block; ``count_copies`` hands it one
+``ObservedMultigraph`` as a block of one.
 ``count_copies_bruteforce`` independently sums the product over every
 injective vertex map and divides by the automorphism count.  All return
 exact integers.
@@ -35,12 +36,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from .model import ObservedMultigraph
-from .patterns import PatternGraph, automorphism_count, automorphisms, placements
+from .patterns import (
+    PatternGraph,
+    automorphism_count,
+    orbit_bounds,
+    orbit_slots,
+    placements,
+)
 
 __all__ = ["count_copies", "count_copies_bruteforce", "clump_size"]
 
@@ -78,11 +85,10 @@ def _search_plan(pattern: PatternGraph):
     its image must exceed.
 
     The ``above`` bounds keep one map per automorphism orbit (the
-    symmetry-breaking conditions of Grochow & Kellis 2007): while the group
-    is nontrivial, the earliest step with a nontrivial orbit must take the
-    smallest image in its orbit, and the group shrinks to that step's
-    stabilizer.  The rest of the orbit comes later in the order, so every
-    bound is a lower one.
+    symmetry-breaking conditions of Grochow & Kellis 2007): each step must
+    take the smallest image in its orbit of the pattern's stabilizer chain
+    along the search order (``orbit_bounds``).  The rest of the orbit comes
+    later in the order, so every bound is a lower one.
     """
     v = pattern.vertex_count
     nbrs: list[dict[int, int]] = [{} for _ in range(v)]
@@ -100,13 +106,7 @@ def _search_plan(pattern: PatternGraph):
             order += [w for w in nbrs[order[i]] if w not in order]
             i += 1
     step_of = {u: i for i, u in enumerate(order)}
-    above: list[list[int]] = [[] for _ in range(v)]
-    group = automorphisms(pattern)
-    while len(group) > 1:
-        u = next(u for u in order if any(g[u] != u for g in group))
-        for w in {g[u] for g in group} - {u}:
-            above[step_of[w]].append(step_of[u])
-        group = [g for g in group if g[u] == u]
+    above = orbit_bounds(pattern, tuple(order))
     return [
         (
             sorted((step_of[w], m) for w, m in nbrs[u].items() if step_of[w] < i),
@@ -333,26 +333,14 @@ def _copy_terms(pattern: PatternGraph, n: int) -> list[list[tuple[int, int]]]:
     """Copy-count terms of the pattern on the slots of an n-vertex host.
 
     The slots are the C(n, 2) vertex pairs in lexicographic order, then the
-    n self-loop slots.  Each (v-subset, orbit placement) gives one term: the
-    ``(slot, required multiplicity)`` pairs of that placement.  A host's copy
-    count is the sum over terms of the products of ``C(slot value, required)``.
+    n self-loop slots.  Each injective map of the pattern into the host, one
+    per automorphism orbit (``orbit_slots``), gives one term: the
+    ``(slot, required multiplicity)`` pairs of the pattern's edges and loops
+    under it.  A host's copy count is the sum over terms of the products of
+    ``C(slot value, required)``.
     """
-    v = pattern.vertex_count
-    pair_slot = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
-    slot_pairs = list(combinations(range(v), 2))
-    terms = []
-    for subset in combinations(range(n), v):
-        for pair_req, loop_req in placements(pattern):
-            term = [
-                (pair_slot[subset[a], subset[b]], r)
-                for (a, b), r in zip(slot_pairs, pair_req)
-                if r
-            ]
-            term += [
-                (len(pair_slot) + subset[w], c) for w, c in enumerate(loop_req) if c
-            ]
-            terms.append(term)
-    return terms
+    reqs = [*pattern.edge_mult.values(), *pattern.self_loops.values()]
+    return [list(zip(row, reqs)) for row in orbit_slots(pattern, n).tolist()]
 
 
 def _class_multisets(f, size: int):

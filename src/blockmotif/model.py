@@ -121,28 +121,13 @@ class SbmmSpec:
         self.edge_laws = laws
         self.degree_weights = weights
         self.self_loop_laws = loop_laws
+        self._key = (n, Q, f, laws, weights, loop_laws)
 
     def __eq__(self, other):
-        return isinstance(other, SbmmSpec) and (
-            self.n,
-            self.Q,
-            self.f,
-            self.edge_laws,
-            self.degree_weights,
-            self.self_loop_laws,
-        ) == (
-            other.n,
-            other.Q,
-            other.f,
-            other.edge_laws,
-            other.degree_weights,
-            other.self_loop_laws,
-        )
+        return isinstance(other, SbmmSpec) and self._key == other._key
 
     def __hash__(self):
-        return hash(
-            (self.n, self.Q, self.f, self.edge_laws, self.degree_weights, self.self_loop_laws)
-        )
+        return hash(self._key)
 
     def __repr__(self):
         return (

@@ -3,11 +3,12 @@
 A pattern is a small undirected graph that may carry parallel edges (a
 multiplicity per vertex pair) and self-loops (a count per vertex).  This
 module computes everything about a pattern that the error bounds and the
-copy counter consume: automorphism group and count, number of distinct
-placements on a labelled vertex set, edge densities, the subgraph-minimum
-exponents ``alpha``/``gamma`` and their multiplicity-insensitive variants
-``alpha_m``/``gamma_m``, the intersection-size exponent ``kappa``, and the
-balancedness classification.
+copy counter consume: the automorphism group as a stabilizer chain, and
+from it the automorphism count, one injective map per automorphism orbit
+and the distinct placements on a labelled vertex set; edge densities, the
+subgraph-minimum exponents ``alpha``/``gamma`` and their multiplicity-
+insensitive variants ``alpha_m``/``gamma_m``, the intersection-size
+exponent ``kappa``, and the balancedness classification.
 
 All densities and exponents are exact :class:`fractions.Fraction` values so
 that downstream comparisons are equality checks, never tolerance checks.
@@ -40,7 +41,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -48,7 +49,9 @@ __all__ = [
     "PatternGraph",
     "BalancednessProfile",
     "automorphism_count",
-    "automorphisms",
+    "stabilizer_chain",
+    "orbit_bounds",
+    "orbit_slots",
     "rho",
     "placements",
     "balancedness_profile",
@@ -185,44 +188,55 @@ class BalancednessProfile:
     strictly_pseudo_balanced: bool
 
 
-def automorphism_count(pattern: PatternGraph) -> int:
-    """Number of vertex permutations preserving multiplicities and loops."""
-    return len(automorphisms(pattern))
-
-
 @lru_cache(maxsize=None)
-def automorphisms(pattern: PatternGraph) -> tuple[tuple[int, ...], ...]:
-    """The automorphism group: each permutation ``g`` as the tuple of images
-    ``g[u]``, in lexicographic order (the identity first)."""
+def stabilizer_chain(pattern: PatternGraph, order: tuple[int, ...]):
+    """The automorphism group as a stabilizer chain along a vertex order.
+
+    Entry ``i`` is the orbit of ``order[i]`` under the automorphisms fixing
+    ``order[:i]``: the ``w`` for which fixing those and sending ``order[i]``
+    to ``w`` extends to an automorphism, by a backtracking search that stops
+    at the first extension.  The orbit lies in ``order[i:]``, and the group
+    order is the product of the orbit sizes.
+    """
     v = pattern.vertex_count
     mult = [[0] * v for _ in range(v)]
     for (a, b), m in pattern.edge_mult.items():
         mult[a][b] = mult[b][a] = m
-    loops = [pattern.self_loops.get(w, 0) for w in range(v)]
-    # invariant used for pruning: (loop count, sorted incident multiplicities)
-    signature = [(loops[u], tuple(sorted(mult[u]))) for u in range(v)]
+    # candidates at each position: the vertices with the same (loop count,
+    # sorted incident multiplicities), which automorphisms preserve
+    signature = [(pattern.self_loops.get(u, 0), sorted(mult[u])) for u in range(v)]
+    twins = [[y for y in range(v) if signature[y] == signature[u]] for u in order]
 
-    group = []
-    image = [0] * v
-    used = [False] * v
+    def extends(images) -> bool:
+        # whether order[k] -> images[k], consistent before its last entry,
+        # is consistent and extends to an automorphism
+        pos = len(images) - 1
+        row, img_row = mult[order[pos]], mult[images[pos]]
+        if any(row[order[k]] != img_row[images[k]] for k in range(pos)):
+            return False
+        return pos + 1 == v or any(
+            extends((*images, y)) for y in twins[pos + 1] if y not in images
+        )
 
-    def extend(pos: int) -> None:
-        if pos == v:
-            group.append(tuple(image))
-            return
-        for img in range(v):
-            if used[img] or signature[pos] != signature[img]:
-                continue
-            row = mult[pos]
-            img_row = mult[img]
-            if all(row[j] == img_row[image[j]] for j in range(pos)):
-                used[img] = True
-                image[pos] = img
-                extend(pos + 1)
-                used[img] = False
+    return tuple(
+        frozenset(w for w in twins[i] if w in order[i:] and extends((*order[:i], w)))
+        for i in range(v)
+    )
 
-    extend(0)
-    return tuple(group)
+
+def orbit_bounds(pattern: PatternGraph, order: tuple[int, ...]) -> list[list[int]]:
+    """Symmetry-breaking bounds along a vertex order (Grochow & Kellis 2007):
+    entry ``i`` lists the earlier positions whose chain orbit holds
+    ``order[i]``.  The maps sending each ``order[i]`` above the images of
+    its listed positions are one per automorphism orbit."""
+    chain = stabilizer_chain(pattern, order)
+    return [[j for j in range(i) if u in chain[j]] for i, u in enumerate(order)]
+
+
+def automorphism_count(pattern: PatternGraph) -> int:
+    """Number of vertex permutations preserving multiplicities and loops."""
+    order = tuple(range(pattern.vertex_count))
+    return math.prod(map(len, stabilizer_chain(pattern, order)))
 
 
 def rho(pattern: PatternGraph) -> int:
@@ -237,6 +251,30 @@ def rho(pattern: PatternGraph) -> int:
     return out
 
 
+def orbit_slots(pattern: PatternGraph, m: int) -> np.ndarray:
+    """Slots taken by one injective map of the pattern into ``range(m)`` per
+    automorphism orbit.
+
+    Row ``r`` lists, for each pattern pair and then each loop vertex (in
+    ``edge_mult`` and ``self_loops`` order), its image's slot in an
+    ``m``-vertex host: pairs in ``combinations(range(m), 2)`` order, then
+    the ``m`` loop slots.  The maps grow one vertex at a time, each image
+    distinct from the earlier ones and above those of its ``orbit_bounds``.
+    """
+    v = pattern.vertex_count
+    x, maps = np.arange(m), np.zeros((1, 0), dtype=np.int64)
+    for above in orbit_bounds(pattern, tuple(range(v))):
+        keep = x > maps[:, above].max(axis=1, initial=-1)[:, None]
+        keep[np.arange(len(maps))[:, None], maps] = False
+        rows, images = np.nonzero(keep)
+        maps = np.column_stack((maps[rows], images))
+    ends = np.array(list(pattern.edge_mult), dtype=np.int64).reshape(-1, 2)
+    a, b = maps[:, ends].transpose(2, 0, 1)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    loops = m * (m - 1) // 2 + maps[:, list(pattern.self_loops)]
+    return np.hstack((lo * (2 * m - lo - 1) // 2 + hi - lo - 1, loops))
+
+
 @lru_cache(maxsize=None)
 def placements(pattern: PatternGraph):
     """All distinct images of the pattern on slots 0..v-1.
@@ -245,29 +283,17 @@ def placements(pattern: PatternGraph):
     where ``pair_requirements`` lists the required multiplicity for each slot
     pair in lexicographic order of ``combinations(range(v), 2)`` and
     ``loop_requirements`` lists the required self-loop count per slot.  The
-    tuple has exactly ``rho(pattern)`` entries.
+    tuple has exactly ``rho(pattern)`` entries, one per ``orbit_slots`` row.
     """
     v = pattern.vertex_count
-    slot_pairs = list(combinations(range(v), 2))
-    pair_index = {p: k for k, p in enumerate(slot_pairs)}
-    seen = set()
-    out = []
-    for perm in permutations(range(v)):
-        req = [0] * len(slot_pairs)
-        for (a, b), m in pattern.edge_mult.items():
-            pa, pb = perm[a], perm[b]
-            if pa > pb:
-                pa, pb = pb, pa
-            req[pair_index[(pa, pb)]] = m
-        loop_req = [0] * v
-        for w, c in pattern.self_loops.items():
-            loop_req[perm[w]] = c
-        key = (tuple(req), tuple(loop_req))
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
+    slots = orbit_slots(pattern, v)
+    req = np.zeros((len(slots), v * (v + 1) // 2), dtype=np.int64)
+    rows = np.arange(len(slots))[:, None]
+    req[rows, slots] = [*pattern.edge_mult.values(), *pattern.self_loops.values()]
+    pairs, loops = np.split(req, [v * (v - 1) // 2], axis=1)
+    out = tuple(zip(map(tuple, pairs.tolist()), map(tuple, loops.tolist())))
     assert len(out) == rho(pattern)
-    return tuple(out)
+    return out
 
 
 # candidate sub-multigraphs one enumeration may score, checked first
@@ -326,7 +352,8 @@ def _subgraph_stats(pattern: PatternGraph):
         cover = cover[:, None] | cover_tail
         v_h = (_BYTE_BITS[cover.view(np.uint8)].view(np.int64) * _BYTE_SUM) >> 56
         code = (v_h * (f + 1) + f_h) * (e + 1) + e_h
-        codes.update(np.unique(code[f_h > 0]).tolist())
+        code = np.sort(code[f_h > 0])  # np.unique's first call imports numpy.ma
+        codes.update(code[np.diff(code, prepend=-1) != 0].tolist())
     found = [(*divmod(c // (e + 1), f + 1), c % (e + 1)) for c in codes]
     return (
         {(v_h, e_h) for v_h, _, e_h in found if e_h < e},

@@ -212,6 +212,14 @@ def test_table1_lists_sixteen_rows_with_exact_rationals(capsys):
     assert families == {"tree_path", "cycle", "complete_minus_edge", "complete"}
 
 
+def test_analyze_refuses_an_oversized_pattern_quickly(capsys):
+    # complete:9 has 9! = 362,880 automorphisms, which are never listed
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "analyze", "complete:9")
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == "" and "subgraph enumeration too large" in err
+
+
 def test_exit_codes(capsys, tmp_path):
     spec_json, _ = bernoulli_spec_json(10, 0.1)
     # 2: precondition failure names the hypothesis

@@ -3,6 +3,7 @@ oracles, clump sizes, and counts past 64-bit arithmetic."""
 
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations, islice, permutations, product
@@ -115,6 +116,21 @@ def test_host_counts_past_int64_stay_exact():
     got = count_copies(g, loop_path)
     assert got == count_copies_bruteforce(g, loop_path)
     assert got > 2**64
+
+
+def test_ten_leaf_star_count_is_quick_and_matches_closed_form():
+    # the star's automorphism group has 10! = 3,628,800 maps; one map per
+    # orbit takes the leaves in increasing order, so a copy is a centre and
+    # 10 of its neighbours
+    rng = random.Random(5)
+    n = 30
+    edges = {p: 1 for p in combinations(range(n), 2) if rng.random() < 0.4}
+    degree = Counter(x for p in edges for x in p)
+    star = PatternGraph(11, {(0, k): 1 for k in range(1, 11)})
+    start = time.perf_counter()
+    got = count_copies(ObservedMultigraph(n, edges), star)
+    assert time.perf_counter() - start < 1.0
+    assert got == sum(math.comb(d, 10) for d in degree.values()) > 0
 
 
 @pytest.mark.parametrize("required", [3, 50])

@@ -165,6 +165,71 @@ def test_rho_times_automorphisms_is_factorial():
         assert rho(pat) * automorphism_count(pat) == math.factorial(pat.vertex_count)
 
 
+def _random_loop_pattern(rng):
+    """A random connected pattern with multiplicities up to 3 and some
+    self-loops."""
+    v = rng.randint(2, 6)
+    pat = random_connected_pattern(rng, v, max_mult=rng.choice((1, 3)))
+    loops = {w: rng.randint(1, 2) for w in range(v) if rng.random() < 0.3}
+    return PatternGraph(v, pat.edge_mult, loops)
+
+
+def _images(pattern):
+    """Test oracle: the relabelled (edge_mult, self_loops) of every one of
+    the v! vertex permutations, in permutation order."""
+    out = []
+    for perm in itertools.permutations(range(pattern.vertex_count)):
+        edges = {
+            tuple(sorted((perm[a], perm[b]))): m
+            for (a, b), m in pattern.edge_mult.items()
+        }
+        loops = {perm[w]: c for w, c in pattern.self_loops.items()}
+        out.append((edges, loops))
+    return out
+
+
+SYMMETRIC_PATTERNS = [
+    pattern_from_name("complete_multi:4:2"),
+    PatternGraph(5, {(0, k): 1 for k in range(1, 5)}, {1: 1, 2: 1}),
+    PatternGraph(6, {(k, (k + 1) % 6): 1 for k in range(6)}, {0: 2, 2: 2, 4: 2}),
+    PatternGraph(6, {(0, 1): 2, (0, 2): 2, (1, 2): 2, (3, 4): 2, (3, 5): 2, (4, 5): 2}),
+    PatternGraph(2, {}, {0: 1, 1: 1}),
+    LOOP_TRIANGLE,
+]
+
+
+def test_automorphism_count_matches_permutation_oracle():
+    rng = random.Random(11)
+    for pat in SYMMETRIC_PATTERNS + [_random_loop_pattern(rng) for _ in range(40)]:
+        own = (pat.edge_mult, pat.self_loops)
+        assert automorphism_count(pat) == sum(1 for img in _images(pat) if img == own)
+
+
+def test_placements_match_permutation_oracle():
+    rng = random.Random(12)
+    for pat in SYMMETRIC_PATTERNS + [_random_loop_pattern(rng) for _ in range(40)]:
+        v = pat.vertex_count
+        slots = list(itertools.combinations(range(v), 2))
+        expected = {
+            (
+                tuple(edges.get(p, 0) for p in slots),
+                tuple(loops.get(w, 0) for w in range(v)),
+            )
+            for edges, loops in _images(pat)
+        }
+        got = placements(pat)
+        assert len(got) == len(expected)
+        assert set(got) == expected
+
+
+def test_automorphism_count_of_a_large_complete_graph_is_quick():
+    # the whole group of complete:12 has 12! = 479,001,600 maps; the chain
+    # holds 12 orbits
+    start = time.perf_counter()
+    assert automorphism_count(pattern_from_name("complete:12")) == math.factorial(12)
+    assert time.perf_counter() - start < 0.1
+
+
 # -- balancedness --------------------------------------------------------------
 
 
