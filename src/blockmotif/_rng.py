@@ -11,11 +11,17 @@ remix.  The scalar functions work on arbitrary-precision ints and are the
 reference; the numpy (uint64) ones produce identical values for whole arrays
 at once: ``replicate_keys`` gives the keys ``(seed, r)`` of a block of
 replicates, and ``key_chains`` / ``fold_labels`` extend every key of an
-array by one label at a time, so the sampler keys all vertices and pairs of
-all replicates in a block in a few array operations.
+array by one label at a time.  A label enters a key only through its word
+``label * golden`` (``label_words``), so the sampler computes the words of
+its vertex and pair labels once per call; each block's pair keys are then
+gathered into one array, xored with those words and remixed in place
+(``_mix64_np``, with one scratch array), keying all vertices and pairs of all
+replicates in a block in a few array operations.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -50,12 +56,17 @@ def substream_key(seed: int, *labels: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """:func:`mix64` of every word, in place: ``z`` must be a fresh array."""
-    z ^= z >> np.uint64(30)
+    """:func:`mix64` of every word, in place: ``z`` must be a fresh array.
+
+    The shifted words go to one scratch array, so the only memory besides
+    ``z`` is one more array of its size.
+    """
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(_MIX_A)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= np.uint64(_MIX_B)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
@@ -65,13 +76,17 @@ def key_chains(seeds: np.ndarray) -> np.ndarray:
         return _mix64_np(seeds + np.uint64(_GOLDEN))
 
 
+def label_words(labels) -> np.ndarray:
+    """The words ``label * golden`` (mod 2**64) that fold integer labels."""
+    with np.errstate(over="ignore"):
+        return np.asarray(labels).astype(np.uint64) * np.uint64(_GOLDEN)
+
+
 def fold_labels(keys: np.ndarray, labels) -> np.ndarray:
     """Fold one label into each key: ``substream_key(s, *prefix, label)``
     from keys ``substream_key(s, *prefix)``, broadcasting keys against
     the integer ``labels``."""
-    golden = np.uint64(_GOLDEN)
-    with np.errstate(over="ignore"):
-        return _mix64_np(keys ^ (np.asarray(labels).astype(np.uint64) * golden))
+    return _mix64_np(keys ^ label_words(labels))
 
 
 def replicate_keys(seed: int, indices: np.ndarray) -> np.ndarray:
@@ -82,6 +97,17 @@ def replicate_keys(seed: int, indices: np.ndarray) -> np.ndarray:
 def uniform_from_key(key: int) -> float:
     """The single double in [0, 1) carried by a stream key."""
     return (key >> 11) * _INV53
+
+
+def key_floor(cut: float) -> int:
+    """The least 64-bit key whose uniform exceeds ``cut``.
+
+    A key's uniform is ``m / 2**53`` with ``m = key >> 11``, and ``m / 2**53
+    > cut`` exactly when ``m > floor(cut * 2**53)``, the scaling being exact.
+    So ``key >= key_floor(cut)`` exactly when ``uniform_from_key(key) >
+    cut``; from 2**64 on, no key does.
+    """
+    return max(math.floor(cut * 2.0**53) + 1, 0) << 11
 
 
 def uniforms_from_keys(keys: np.ndarray) -> np.ndarray:

@@ -73,7 +73,29 @@ def _binomials(values, max_req: int, worst: int) -> np.ndarray:
     return np.array(table, dtype=np.int64 if fits else object)
 
 
-def _search_plan(pattern: PatternGraph):
+class _Plan(tuple):
+    """The steps of a ``_search_plan``, with what the counter reads from
+    the steps alone.
+
+    ``max_req`` is the largest multiplicity or loop count any step
+    requires; ``unchecked[i]`` lists the earlier steps whose images step
+    ``i``'s image must differ from but is neither checked against nor
+    bounded by.
+    """
+
+    def __new__(cls, steps):
+        plan = super().__new__(cls, steps)
+        plan.max_req = max(
+            [m for checks, _, _ in plan for _, m in checks] + [c for _, c, _ in plan]
+        )
+        plan.unchecked = [
+            [j for j in range(i) if j not in above and j not in dict(checks)]
+            for i, (checks, _, above) in enumerate(plan)
+        ]
+        return plan
+
+
+def _search_plan(pattern: PatternGraph) -> _Plan:
     """Search order of the pattern vertices, with what placing each needs.
 
     The order is breadth first over each component, so every vertex after a
@@ -107,14 +129,14 @@ def _search_plan(pattern: PatternGraph):
             i += 1
     step_of = {u: i for i, u in enumerate(order)}
     above = orbit_bounds(pattern, tuple(order))
-    return [
+    return _Plan(
         (
             sorted((step_of[w], m) for w, m in nbrs[u].items() if step_of[w] < i),
             loops.get(u, 0),
             above[i],
         )
         for i, u in enumerate(order)
-    ]
+    )
 
 
 def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
@@ -177,12 +199,11 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     keys = np.append(keys[order], size * size)
     nbrs = dst[order]
     pair_index = np.append(np.concatenate((y_index, y_index))[order], 0)
-    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
+    # vertex u's neighbours start past the entries of every source below u
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
 
     top = int(values[-1])
-    max_req = max(
-        [m for checks, _, _ in plan for _, m in checks] + [c for _, c, _ in plan]
-    )
     # largest sum a host can reach: every step's candidates times the top
     # binomial of each requirement
     max_deg = int(np.diff(indptr).max(initial=0))
@@ -191,7 +212,7 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
         worst *= (max_deg if checks else n) * math.comb(top, c)
         for _, m in checks:
             worst *= math.comb(top, m)
-    table = _binomials(values, max_req, worst)
+    table = _binomials(values, plan.max_req, worst)
     totals = np.zeros(hosts, dtype=table.dtype)
 
     def grow(step, host, images, weight):
@@ -208,9 +229,7 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
         deg = end - first
         # images of the anchor and the other checked neighbours differ from
         # x by construction (no host pair is a loop), those above by the bounds
-        unchecked = [
-            j for j in range(step) if j not in above and j not in dict(checks)
-        ]
+        unchecked = plan.unchecked[step]
         ends = np.cumsum(deg)
         lo = 0
         while lo < len(host):

@@ -54,7 +54,7 @@ from .counting import (  # noqa: F401 -- count_copies is re-exported for callers
     count_copies,
 )
 from .distributions import Categorical
-from .model import ModelExtrema, SbmmSpec, _sample_block, spec_from_json, spec_to_json
+from .model import ModelExtrema, SbmmSpec, _sampler, spec_from_json, spec_to_json
 from .patterns import (
     PatternGraph,
     balancedness_profile,
@@ -118,22 +118,24 @@ def monte_carlo_pmf(
 
     Replicate r is the graph ``sample_graph(spec, substream_key(seed, r))``.
     Replicates are sampled in blocks of at most ``_BLOCK_CELLS`` pair and
-    loop cells.  The sampler inverts only the cells above their law's cut
-    and hands over the block's nonzero pair counts as ``(row, a, b, count)``
-    arrays, which ``_count_block`` counts at once with the block's loop
-    counts; the result does not depend on the block size.  Returns the
-    empirical pmf and the exact integer histogram.
+    loop cells by one sampler prepared for the call (``_sampler``).  It
+    inverts only the cells above the lowest of their laws' cuts and hands
+    over the block's nonzero pair counts as ``(row, a, b, count)`` arrays,
+    which ``_count_block`` counts at once with the block's loop counts; the
+    result does not depend on the block size.  Returns the empirical pmf
+    and the exact integer histogram.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     _require_fit(spec, pattern)
     n = spec.n
     plan = _search_plan(pattern)
+    draw = _sampler(spec)
     block = max(1, _BLOCK_CELLS // (n * (n - 1) // 2 + n))
     hist: dict[int, int] = {}
     for start in range(0, reps, block):
         keys = replicate_keys(seed, np.arange(start, min(start + block, reps)))
-        _, pairs, loops = _sample_block(spec, keys)
+        _, pairs, loops = draw(keys)
         totals = _count_block(plan, loops, *pairs)
         for w in totals.tolist():
             hist[w] = hist.get(w, 0) + 1

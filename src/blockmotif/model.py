@@ -12,16 +12,19 @@ exactly one uniform from a keyed substream — classes from ``(seed, 0, i)``,
 the count of pair ``i < j`` from ``(seed, i, j)``, the self-loop count of
 vertex ``i`` from ``(seed, i, i)``, all with 1-based vertex labels — and is
 produced from that uniform by inverting the law's CDF.  One sampler,
-``_sample_block``, draws a block of graphs, one per key, as arrays in one
-numpy pass; ``sample_graph`` is a block of one.  Every cell hashes its
-uniform, but a law's CDF at 0 gives a float cut at or below which the
-uniform provably inverts to 0, so only the candidates above it are
+``_sampler(spec)``, is prepared once per call from the spec alone: it
+builds the pair index arrays, the words that fold the vertex and pair
+labels, the law tables and the class CDF, and decides whether a Poisson
+mean is too large to invert, before anything is drawn.  Its ``draw(keys)``
+samples a block of graphs, one per key, as arrays in one numpy pass;
+``sample_graph`` is a block of one.  Every cell hashes its uniform, a
+block's pair keys in place in one array, but a law's CDF at 0 gives a
+float cut at or below which the uniform provably inverts to 0, so only the
+candidates above the lowest cut, picked on the raw 64-bit keys, are
 inverted: in the sparse regime most pairs are never inverted, and the
 block comes back as the endpoints and counts of its nonzero pairs.  Each
 value depends only on its own key and labels, so results never depend on
-iteration order or on how replicates are grouped into blocks.  Whether a
-Poisson mean is too large to invert is decided by the spec alone, before
-anything is drawn.
+iteration order or on how replicates are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +35,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._rng import _MASK, fold_labels, key_chains, uniforms_from_keys
+from ._rng import (
+    _MASK,
+    _mix64_np,
+    key_chains,
+    key_floor,
+    label_words,
+    uniforms_from_keys,
+)
 from .distributions import (
     Categorical,
     EdgeCountDistribution,
@@ -355,90 +365,126 @@ def _zero_cut(law: EdgeCountDistribution) -> float:
     return -1.0
 
 
-def _sample_cells(keys: np.ndarray, law_of, laws) -> tuple:
-    """Nonzero counts of the cells whose stream keys are ``keys``.
+def _cell_sampler(laws):
+    """Prepare ``sample(keys, law_of)``, the nonzero counts of the cells
+    whose stream keys are ``keys``.
 
     ``law_of`` maps flat cell indices to indices into ``laws``.  Only the
-    candidates, whose uniform exceeds their law's cut, are inverted, one
-    law at a time; the rest are 0.  No uniform at or below the lowest cut
-    is a candidate, so that test comes first, on the uniforms' 53-bit
-    integers ``m``: ``m / 2**53 > cut`` exactly when ``m > floor(cut *
-    2**53)``, the scaling being exact.  Returns the flat cell indices,
-    increasing, and their positive counts.
+    candidates are inverted, the raw keys at or past the ``key_floor`` of
+    the lowest cut (none when that floor passes every key); every other
+    cell is provably 0.  The Poisson candidates are inverted in one call,
+    each with its own law's rate, the others one law at a time.  ``sample``
+    returns the flat cell indices, increasing, and their positive counts.
     """
-    cuts = np.array([_zero_cut(law) for law in laws])
-    lowest = max(math.floor(cuts.min() * 2.0**53) + 1, 0)
-    cells = np.flatnonzero(keys >> np.uint64(11) >= np.uint64(lowest))
-    u = uniforms_from_keys(keys.reshape(-1)[cells])
-    law_index = law_of(cells)
-    at = np.flatnonzero(u > cuts[law_index])
-    cells, u, law_index = cells[at], u[at], law_index[at]
-    counts = np.zeros(cells.shape, dtype=np.int64)
-    for c, law in enumerate(laws):
-        at = np.flatnonzero(law_index == c)
-        if at.size:
+    lowest = key_floor(min(_zero_cut(law) for law in laws))
+    poisson = np.array([isinstance(law, Poisson) for law in laws])
+    rates = np.array([law.rate if isinstance(law, Poisson) else 0.0 for law in laws])
+    others = [(c, law) for c, law in enumerate(laws) if not poisson[c]]
+
+    def sample(keys, law_of):
+        if lowest > _MASK:
+            cells = np.zeros(0, dtype=np.int64)
+        else:
+            cells = np.flatnonzero(keys >= np.uint64(lowest))
+        u = uniforms_from_keys(keys.reshape(-1)[cells])
+        law_index = law_of(cells)
+        counts = np.zeros(cells.shape, dtype=np.int64)
+        at = np.flatnonzero(poisson[law_index])
+        counts[at] = _poisson_icdf(u[at], rates[law_index[at]])
+        for c, law in others:
+            at = np.flatnonzero(law_index == c)
             counts[at] = _sample_counts(u[at], law)
-    keep = np.flatnonzero(counts)
-    return cells[keep], counts[keep]
+        keep = np.flatnonzero(counts)
+        return cells[keep], counts[keep]
+
+    return sample
 
 
-def _sample_block(spec: SbmmSpec, keys: np.ndarray):
-    """Sample one graph per uint64 key, all in one pass.
+def _sampler(spec: SbmmSpec):
+    """Prepare sampling from ``spec``: returns ``draw(keys)``, which samples
+    one graph per uint64 key, all in one pass.
 
-    Row r is the graph ``sample_graph(spec, keys[r])``.  Returns the classes
-    ``(R, n)``; the nonzero pair counts as ``(rows, a, b, y)``, pair ``a <
-    b`` of row ``rows`` carrying ``y`` edges, sorted by ``(row, a, b)``; and
-    the self-loop counts ``(R, n)`` (zero without self-loop laws).
-    Every cell hashes its own keyed uniform, but only the cells above their
-    law's cut (``_zero_cut``), the ones that can carry an edge, are
-    inverted.  Every inversion works elementwise, so a row does not depend
-    on the other keys in the block.
+    Whether a Poisson mean is too large to invert is decided here, from the
+    spec alone.  What depends only on the spec is built here once: the pair
+    index arrays, the words that fold the labels, the pair and loop laws'
+    tables and lowest candidate keys, the class CDF and, with degree
+    weights, the pairs' weight products.
+
+    Row r of ``draw(keys)`` is the graph ``sample_graph(spec, keys[r])``.
+    ``draw`` returns the classes ``(R, n)``; the nonzero pair counts as
+    ``(rows, a, b, y)``, pair ``a < b`` of row ``rows`` carrying ``y`` edges,
+    sorted by ``(row, a, b)``; and the self-loop counts ``(R, n)`` (zero
+    without self-loop laws).  Every cell hashes its own keyed uniform, the
+    pairs in place in one array of the block's keys, but only the
+    candidates (``_cell_sampler``) are inverted.  Every inversion works
+    elementwise, so a row does not depend on the other keys in the block.
     """
     _check_poisson_rates(spec)
     n, Q = spec.n, spec.Q
-    labels = np.arange(1, n + 1)
     iu, ju = np.triu_indices(n, k=1)
-    # substream_key(key, i) for i = 0..n: the prefix of every stream
-    prefix = fold_labels(key_chains(keys)[:, None], np.arange(n + 1))
-
-    # vertex classes from substreams (key, 0, i); one class needs no draw
-    classes = np.zeros((len(keys), n), dtype=np.int64)
-    if Q > 1:
-        class_u = uniforms_from_keys(fold_labels(prefix[:, :1], labels))
-        cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
-        classes = np.minimum(np.searchsorted(cum_f, class_u, side="right"), Q - 1)
-
-    # pair counts from substreams (key, i, j), i < j
-    pair_keys = fold_labels(prefix[:, iu + 1], ju + 1)
-    if spec.degree_weights is not None:
+    # words[i] folds label i: the prefixes (key, i) take i = 0..n, classes
+    # (key, 0, i) and loops (key, i, i) a vertex label i = 1..n after their
+    # prefix, pairs (key, i, j) the label j = ju + 1 after prefix i = iu + 1,
+    # which the n - i pairs of vertex label i share
+    words = label_words(np.arange(n + 1))
+    vertex_words, pair_words = words[1:], words[ju + 1]
+    pairs_per_prefix = np.arange(n - 1, -1, -1)
+    cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
+    weighted = spec.degree_weights is not None
+    if weighted:
         omega = np.array([[law.rate for law in row] for row in spec.edge_laws])
         theta = np.asarray(spec.degree_weights, dtype=np.float64)
-        rates = theta[iu] * theta[ju] * omega[classes[:, iu], classes[:, ju]]
-        pair_u = uniforms_from_keys(pair_keys)
-        cells = np.flatnonzero(pair_u > np.exp(-rates))
-        y = _poisson_icdf(pair_u.reshape(-1)[cells], rates.reshape(-1)[cells])
+        pair_weights = theta[iu] * theta[ju]
     else:
         # one law per unordered class pair (the law matrix is symmetric)
         laws = list(dict.fromkeys(spec.distinct_laws()))
         law_at = np.array([[laws.index(law) for law in row] for row in spec.edge_laws])
-
-        def pair_laws(cells):
-            r, k = np.divmod(cells, len(iu))
-            return law_at[classes[r, iu[k]], classes[r, ju[k]]]
-
-        cells, y = _sample_cells(pair_keys, pair_laws, laws)
-    rows, k = np.divmod(cells, len(iu))
-    a, b = iu[k], ju[k]
-
-    # self-loop counts from substreams (key, i, i)
-    loops = np.zeros(classes.size, dtype=np.int64)
+        sample_pairs = _cell_sampler(laws)
     if spec.self_loop_laws is not None:
-        loop_keys = fold_labels(prefix[:, 1:], labels)
-        cells, counts = _sample_cells(
-            loop_keys, classes.reshape(-1).__getitem__, spec.self_loop_laws
-        )
-        loops[cells] = counts
-    return classes, (rows, a, b, y), loops.reshape(classes.shape)
+        sample_loops = _cell_sampler(spec.self_loop_laws)
+
+    def draw(keys: np.ndarray):
+        # substream_key(key, i) for i = 0..n: the prefix of every stream
+        prefix = _mix64_np(key_chains(keys)[:, None] ^ words)
+
+        # vertex classes from substreams (key, 0, i); one class needs no draw
+        classes = np.zeros((len(keys), n), dtype=np.int64)
+        if Q > 1:
+            class_u = uniforms_from_keys(_mix64_np(prefix[:, :1] ^ vertex_words))
+            classes = np.minimum(np.searchsorted(cum_f, class_u, side="right"), Q - 1)
+
+        # pair counts from substreams (key, i, j), i < j
+        pair_keys = np.repeat(prefix[:, 1:], pairs_per_prefix, axis=1)
+        pair_keys ^= pair_words
+        _mix64_np(pair_keys)
+        if weighted:
+            rates = pair_weights * omega[classes[:, iu], classes[:, ju]]
+            counts = _poisson_icdf(uniforms_from_keys(pair_keys), rates)
+            cells = np.flatnonzero(counts)
+            y = counts.reshape(-1)[cells]
+        else:
+
+            def pair_laws(cells):
+                r, k = np.divmod(cells, len(iu))
+                return law_at[classes[r, iu[k]], classes[r, ju[k]]]
+
+            cells, y = sample_pairs(pair_keys, pair_laws)
+        rows, k = np.divmod(cells, len(iu))
+
+        # self-loop counts from substreams (key, i, i)
+        loops = np.zeros(classes.size, dtype=np.int64)
+        if spec.self_loop_laws is not None:
+            loop_keys = _mix64_np(prefix[:, 1:] ^ vertex_words)
+            cells, counts = sample_loops(loop_keys, classes.reshape(-1).__getitem__)
+            loops[cells] = counts
+        return classes, (rows, iu[k], ju[k], y), loops.reshape(classes.shape)
+
+    return draw
+
+
+def _sample_block(spec: SbmmSpec, keys: np.ndarray):
+    """One graph per uint64 key, from a sampler prepared for this block alone."""
+    return _sampler(spec)(keys)
 
 
 def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
@@ -447,7 +493,7 @@ def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
     ``seed`` is taken modulo 2**64, like every stream key.
     """
     key = np.array([seed & _MASK], dtype=np.uint64)
-    (classes,), (_, a, b, y), (loops,) = _sample_block(spec, key)
+    (classes,), (_, a, b, y), (loops,) = _sampler(spec)(key)
     edges = dict(zip(zip(a.tolist(), b.tolist()), y.tolist()))
     nz = np.flatnonzero(loops)
     self_loops = dict(zip(nz.tolist(), loops[nz].tolist()))

@@ -42,7 +42,7 @@ from blockmotif import (
     tv_distance,
 )
 from blockmotif._rng import replicate_keys, substream_key
-from blockmotif.model import _sample_block
+from blockmotif.model import _sample_block, _sampler
 
 TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
 LOOP_TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1}, {0: 1})
@@ -695,11 +695,14 @@ def _exact_enum():
     return exact_count_pmf(spec, TRIANGLE)
 
 
-def _mc_triangle():
+def _mc_triangle_spec():
     n = 60
     same, cross = Poisson(3 / n), Poisson(1 / n)
-    spec = SbmmSpec(n, 2, (0.5, 0.5), ((same, cross), (cross, same)))
-    return monte_carlo_pmf(spec, TRIANGLE, 5000, 1)
+    return SbmmSpec(n, 2, (0.5, 0.5), ((same, cross), (cross, same)))
+
+
+def _mc_triangle():
+    return monte_carlo_pmf(_mc_triangle_spec(), TRIANGLE, 5000, 1)
 
 
 def _mc_dense_cycle4():
@@ -724,3 +727,27 @@ def test_enumeration_memory_stays_bounded(enumeration):
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_one_monte_carlo_block_works_in_little_memory():
+    # one block of the sparse n = 60 triangle experiment, 17 replicates and
+    # 30,090 pair cells: the sampler, prepared beforehand, hashes the pair
+    # keys in place with one scratch array, and the counter works on the
+    # block's edges, so the block peaks near two arrays of its pair keys
+    # (about 0.51 MB; hashing with temporaries took 0.79 MB, and blocks of
+    # 25 replicates take 0.75 MB)
+    spec = _mc_triangle_spec()
+    n = spec.n
+    block = experiments._BLOCK_CELLS // (n * (n - 1) // 2 + n)
+    assert block == 17
+    draw, plan = _sampler(spec), counting._search_plan(TRIANGLE)
+    keys = replicate_keys(1, np.arange(block))
+    tracemalloc.start()
+    try:
+        _, pairs, loops = draw(keys)
+        counting._count_block(plan, loops, *pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs[0]) > 0
+    assert peak < 700_000, peak

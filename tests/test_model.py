@@ -13,6 +13,7 @@ from blockmotif import (
     Geometric,
     ModelExtrema,
     ObservedMultigraph,
+    PatternGraph,
     Poisson,
     SbmmSpec,
     binomial_moment,
@@ -27,8 +28,8 @@ from blockmotif import (
     spec_from_json,
     spec_to_json,
 )
-from blockmotif._rng import substream_key, uniform_from_key
-from blockmotif.model import _sample_counts, _zero_cut
+from blockmotif._rng import key_floor, substream_key, uniform_from_key
+from blockmotif.model import _poisson_icdf, _sample_counts, _zero_cut
 
 PLAIN_LAWS = ((Poisson(0.8), Poisson(0.3)), (Poisson(0.3), Poisson(1.2)))
 
@@ -209,6 +210,65 @@ def test_zero_cut_bounds_the_positive_counts(law):
     assert not (positive & (u <= cut)).any()
     if not isinstance(law, Geometric):
         assert (positive == (u > cut)).all()
+
+
+@pytest.mark.parametrize("law", CUT_LAWS, ids=repr)
+def test_raw_key_floor_selects_the_uniforms_above_the_cut(law):
+    # the sampler picks its candidates on the raw 64-bit keys, key >=
+    # key_floor(cut), before any uniform is formed: exactly the keys whose
+    # uniform exceeds the cut, also where the floor passes every key
+    cut = _zero_cut(law)
+    floor = key_floor(cut)
+    assert (floor >= 2**64) == (law in (Poisson(0.0), Categorical((1.0,))))
+    # the last key of the boundary's 53-bit integer, the floor, and around
+    m = max(math.floor(cut * 2.0**53), 0) << 11
+    near = [m + d for d in (-1, 0, 2047, 2048)] + [floor + d for d in (-1, 0, 1)]
+    near += [0, 1, 2**64 - 2048, 2**64 - 1]
+    drawn = np.random.default_rng(3).integers(0, 2**64, 2000, dtype=np.uint64)
+    keys = [k for k in near if 0 <= k < 2**64] + drawn.tolist()
+    want = [uniform_from_key(k) > cut for k in keys]
+    assert [k >= floor for k in keys] == want
+    if floor < 2**64:
+        picked = np.array(keys, dtype=np.uint64) >= np.uint64(floor)
+        assert picked.tolist() == want
+    else:
+        assert not any(want)
+
+
+def test_laws_that_never_draw_an_edge_give_empty_hosts():
+    # every key lies below the floor of Poisson(0) and Categorical((1.0,)):
+    # no pair or loop is a candidate, and nothing is drawn
+    zero, one = Poisson(0.0), Categorical((1.0,))
+    spec = SbmmSpec(
+        8, 2, (0.5, 0.5), ((zero, one), (one, zero)), self_loop_laws=(one, zero)
+    )
+    for seed in range(10):
+        graph = sample_graph(spec, seed)
+        assert graph.edge_counts == {} and graph.self_loop_counts == {}
+    # single edges and single loops count the hosts' edges and loops
+    for pattern in (PatternGraph(2, {(0, 1): 1}), PatternGraph(1, {}, {0: 1})):
+        assert monte_carlo_pmf(spec, pattern, 40, 3) == ({0: 1.0}, {0: 40})
+
+
+def test_one_poisson_inversion_over_mixed_rates_equals_the_per_law_calls():
+    # the sampler inverts a block's Poisson candidates in one call, each
+    # with its own law's rate; element for element that must equal one
+    # call per law, also for uniforms next to a cut or to 1
+    rates = [0.0, 1 / 60, 0.05, 2.0, 35.0, 600.0]
+    rng = np.random.default_rng(11)
+    offsets = (-1e-15, -1e-16, 0.0, 1e-16, 1e-15)
+    near = [_zero_cut(Poisson(r)) + d for r in rates for d in offsets]
+    near += [1.0 - d for d in (1e-15, 5e-16, 2e-16, 1e-16)]
+    u = np.concatenate((rng.random(2000), near))
+    u = u[(u >= 0.0) & (u < 1.0)]  # the range of a keyed uniform
+    order = rng.permutation(len(u) * len(rates))
+    u_cells = np.tile(u, len(rates))[order]
+    rate_cells = np.repeat(rates, len(u))[order]
+    got = _poisson_icdf(u_cells, rate_cells)
+    for r in rates:
+        at = rate_cells == r
+        assert (got[at] == _sample_counts(u_cells[at], Poisson(r))).all(), r
+    assert got.max() > 600 and (got == 0).any()
 
 
 RATE_TOO_LARGE_SPECS = {
