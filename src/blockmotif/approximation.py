@@ -359,10 +359,12 @@ def lambda_params(
         size_prob = {z: p for z, p in law.items() if z > 0}
 
     n_sets = math.comb(n, v)
-    lam = tuple(n_sets * size_prob.get(i, zero) for i in range(1, imax + 1))
+    lam = [zero] * imax
+    for i, p in size_prob.items():
+        lam[i - 1] = n_sets * p
     total = sum(lam, zero)
     return CompoundPoissonParams(
-        lam=lam,
+        lam=tuple(lam),
         imax=imax,
         truncation_mass=float(n_sets * neglected),
         total=total if exact else float(total),
@@ -397,13 +399,17 @@ def _cp_terms(params: CompoundPoissonParams, kind: str = "compound_poisson"):
             f"{float(params.total):.6g}: its P(0) underflows to 0.0"
         )
 
+    # the sizes i with a nonzero rate, increasing, and their weights i * lam_i
+    weights = [(i, i * x) for i, x in enumerate(lam, 1) if x]
+
     def terms():
         yield out[0]
         for k in count(1):
             acc = 0.0
-            for i in range(1, min(k, len(lam)) + 1):
-                if lam[i - 1]:
-                    acc += i * lam[i - 1] * out[k - i]
+            for i, w in weights:
+                if i > k:
+                    break
+                acc += w * out[k - i]
             out.append(acc / k)
             yield out[k]
 

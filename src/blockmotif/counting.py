@@ -15,7 +15,7 @@ partial maps grow one pattern vertex at a time along host edges, as numpy
 arrays expanded in bounded chunks.  Symmetry-breaking order bounds on the
 images (``_search_plan``, from the pattern's stabilizer chain) pick the
 one map per orbit, so its sums are copy counts.  ``monte_carlo_pmf``
-hands it each sampled block; ``count_copies`` hands it one
+hands it batches of sampled blocks; ``count_copies`` hands it one
 ``ObservedMultigraph`` as a block of one.
 ``count_copies_bruteforce`` independently sums the product over every
 injective vertex map and divides by the automorphism count.  All return
@@ -78,9 +78,9 @@ class _Plan(tuple):
     the steps alone.
 
     ``max_req`` is the largest multiplicity or loop count any step
-    requires; ``unchecked[i]`` lists the earlier steps whose images step
-    ``i``'s image must differ from but is neither checked against nor
-    bounded by.
+    requires; ``loops`` tells whether any step requires self-loops;
+    ``unchecked[i]`` lists the earlier steps whose images step ``i``'s image
+    must differ from but is neither checked against nor bounded by.
     """
 
     def __new__(cls, steps):
@@ -88,6 +88,7 @@ class _Plan(tuple):
         plan.max_req = max(
             [m for checks, _, _ in plan for _, m in checks] + [c for _, c, _ in plan]
         )
+        plan.loops = any(c for _, c, _ in plan)
         plan.unchecked = [
             [j for j in range(i) if j not in above and j not in dict(checks)]
             for i, (checks, _, above) in enumerate(plan)
@@ -185,9 +186,11 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     size = hosts * n
     v = len(plan)
     # binomials come from a table over the distinct counts (0 included, so
-    # an absent pair reads index 0)
+    # an absent pair reads index 0); loop counts join only when a step
+    # reads them
+    loop_counts = loops.ravel()[: loops.size if plan.loops else 0]
     values, index = np.unique(
-        np.concatenate(([0], y, loops.ravel())), return_inverse=True
+        np.concatenate(([0], y, loop_counts)), return_inverse=True
     )
     y_index, loop_index = index[1 : len(y) + 1], index[len(y) + 1 :]
     src = np.concatenate((rows * n + a, rows * n + b))

@@ -10,7 +10,8 @@ Two routes to the distribution of the copy count W:
   the same binomial-product sums ``count_copies`` uses;
 * ``monte_carlo_pmf`` samples whole graphs (one keyed substream per
   replicate), a block of replicates per numpy pass, and counts the copies
-  in all of a block's replicates in one pass of the block counter.
+  of several blocks' replicates in one pass of the block counter, in
+  batches sized by the edges and vertices the counter holds.
 
 ``run_experiment`` glues these to the approximation module: it computes the
 structural profile, model extrema (once: reused from the bound's report),
@@ -77,6 +78,13 @@ EXACT_ENUMERATION_LIMIT = 10**8
 # memory whatever reps and n are (a block holds at least one replicate)
 _BLOCK_CELLS = 1 << 15
 
+# counter entries (2 per edge, 1 per vertex) a Monte Carlo batch gathers
+# before it is counted: each counter pass pays a fixed set-up and a sparse
+# block holds few edges for its cells, so a batch spans several blocks.  A
+# batch holds fewer than this plus one block's entries, which bounds the
+# counter's working memory whatever reps and n are
+_COUNT_ENTRIES = 1 << 13
+
 
 def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
     """Exact law of the copy count W by full enumeration.
@@ -120,9 +128,12 @@ def monte_carlo_pmf(
     Replicates are sampled in blocks of at most ``_BLOCK_CELLS`` pair and
     loop cells by one sampler prepared for the call (``_sampler``).  It
     inverts only the cells above the lowest of their laws' cuts and hands
-    over the block's nonzero pair counts as ``(row, a, b, count)`` arrays,
-    which ``_count_block`` counts at once with the block's loop counts; the
-    result does not depend on the block size.  Returns the empirical pmf
+    over the block's nonzero pair counts as ``(row, a, b, count)`` arrays.
+    Blocks gather into a batch, their rows renumbered after the hosts
+    before them, until the batch holds ``_COUNT_ENTRIES`` counter entries
+    (2 per edge, n per host); ``_count_block`` then counts all of its
+    hosts at once with their loop counts, and once more the last, partial
+    batch.  The result depends on neither size.  Returns the empirical pmf
     and the exact integer histogram.
     """
     if reps < 1:
@@ -133,12 +144,18 @@ def monte_carlo_pmf(
     draw = _sampler(spec)
     block = max(1, _BLOCK_CELLS // (n * (n - 1) // 2 + n))
     hist: dict[int, int] = {}
+    batch, hosts, entries = [], 0, 0
     for start in range(0, reps, block):
-        keys = replicate_keys(seed, np.arange(start, min(start + block, reps)))
-        _, pairs, loops = draw(keys)
-        totals = _count_block(plan, loops, *pairs)
-        for w in totals.tolist():
-            hist[w] = hist.get(w, 0) + 1
+        stop = min(start + block, reps)
+        _, (rows, a, b, y), loops = draw(replicate_keys(seed, np.arange(start, stop)))
+        batch.append((loops, rows + hosts, a, b, y))
+        hosts += stop - start
+        entries += 2 * len(y) + loops.size
+        if entries >= _COUNT_ENTRIES or stop == reps:
+            totals = _count_block(plan, *map(np.concatenate, zip(*batch)))
+            for w in totals.tolist():
+                hist[w] = hist.get(w, 0) + 1
+            batch, hosts, entries = [], 0, 0
     hist = dict(sorted(hist.items()))
     pmf = {w: c / reps for w, c in hist.items()}
     return pmf, hist

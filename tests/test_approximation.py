@@ -424,6 +424,39 @@ def test_cp_pmf_matches_convolution_oracle():
         assert float(np.max(np.abs(got - expect))) <= 1e-12
 
 
+def _dense_cp_recursion(lam, kmax):
+    """k P(k) = sum_i i lam_i P(k - i), over every size i <= k in order."""
+    out = [math.exp(-math.fsum(lam))]
+    for k in range(1, kmax + 1):
+        acc = 0.0
+        for i in range(1, min(k, len(lam)) + 1):
+            if lam[i - 1]:
+                acc += i * lam[i - 1] * out[k - i]
+        out.append(acc / k)
+    return out
+
+
+def test_cp_pmf_sums_the_nonzero_sizes_as_the_dense_recursion_does():
+    # the reference law adds only the sizes with a nonzero rate, in
+    # increasing order: the same floats in the same order as a walk over
+    # every size, bit for bit
+    spec = SbmmSpec(
+        20, 2, (0.5, 0.5),
+        ((Poisson(0.15), Poisson(0.05)), (Poisson(0.05), Poisson(0.15))),
+    )
+    sparse = lambda_params(spec, pattern_from_name("cycle:4"), 1e-8)
+    assert 0.0 in sparse.lam
+    rng = np.random.default_rng(3)
+    cases = [sparse]
+    for _ in range(10):
+        lam = rng.uniform(0.0, 1.5, int(rng.integers(1, 40)))
+        lam[rng.uniform(size=len(lam)) < 0.6] = 0.0
+        lam = tuple(float(x) for x in lam)
+        cases.append(CompoundPoissonParams(lam, len(lam), 0.0, math.fsum(lam)))
+    for params in cases:
+        assert cp_pmf(params, 300) == _dense_cp_recursion(params.lam, 300)
+
+
 def test_cp_pmf_with_single_rate_is_poisson():
     params = CompoundPoissonParams(lam=(2.3,), imax=1, truncation_mass=0.0, total=2.3)
     got = np.array(cp_pmf(params, 40))

@@ -289,6 +289,12 @@ MC_ORACLE_CASES = {
         one_class_spec(8, Categorical([0.7, 0.2, 0.1])),
         PatternGraph(4, {(0, 1): 1, (2, 3): 1}),
     ),
+    # the hosts carry self-loops the pattern never reads: the counter
+    # leaves their counts out of its value table
+    "unread_self_loops": (
+        one_class_spec(7, bernoulli(0.5), Categorical([0.3] + [0.0] * 98 + [0.7])),
+        TRIANGLE,
+    ),
     "edge_and_loop_vertex": (
         one_class_spec(7, bernoulli(0.3), Categorical([0.6, 0.3, 0.1])),
         PatternGraph(3, {(0, 1): 1}, {2: 1}),
@@ -301,23 +307,48 @@ MC_ORACLE_CASES = {
 }
 
 
+def _record_passes(monkeypatch) -> list[int]:
+    """The hosts of each ``_count_block`` pass the Monte Carlo makes from
+    now on, in order."""
+    passes = []
+    count_block = experiments._count_block
+
+    def counted(plan, loops, *pairs):
+        passes.append(len(loops))
+        return count_block(plan, loops, *pairs)
+
+    monkeypatch.setattr(experiments, "_count_block", counted)
+    return passes
+
+
 @pytest.mark.parametrize("case", sorted(MC_ORACLE_CASES))
 def test_monte_carlo_matches_per_replicate_bruteforce_oracle(monkeypatch, case):
     # replicate r is the graph sample_graph(spec, substream_key(seed, r)),
-    # recounted here by brute force; blocks of 1, 3 (the last one partial)
-    # and all replicates must give the same histogram
+    # recounted here by brute force.  Blocks of 1, 3 (the last one partial)
+    # and all replicates, each counted block by block, in batches of about
+    # a third of the call's counter entries (several blocks, the last batch
+    # partial) and all at once, must give the same histogram
     spec, pattern = MC_ORACLE_CASES[case]
     reps, seed = 40, 5
-    want = Counter(
-        count_copies_bruteforce(sample_graph(spec, substream_key(seed, r)), pattern)
-        for r in range(reps)
-    )
+    graphs = [sample_graph(spec, substream_key(seed, r)) for r in range(reps)]
+    want = Counter(count_copies_bruteforce(g, pattern) for g in graphs)
     assert len(want) > 1
     cells = spec.n * (spec.n - 1) // 2 + spec.n
-    for block in (1, 3, reps):
+    entries = sum(2 * len(g.edge_counts) + spec.n for g in graphs)
+    hosts = _record_passes(monkeypatch)
+    for block, budget in product((1, 3, reps), (1, entries // 3, entries)):
         monkeypatch.setattr(experiments, "_BLOCK_CELLS", block * cells)
+        monkeypatch.setattr(experiments, "_COUNT_ENTRIES", budget)
+        hosts.clear()
         _, hist = monte_carlo_pmf(spec, pattern, reps, seed)
-        assert hist == dict(sorted(want.items())), block
+        assert hist == dict(sorted(want.items())), (block, budget)
+        assert sum(hosts) == reps
+        if budget == 1:
+            assert len(hosts) == -(-reps // block)
+        elif budget == entries:
+            assert hosts == [reps]
+        elif block < reps:
+            assert 1 < len(hosts) <= 3 and max(hosts) > block
 
 
 def test_block_counts_stay_exact_past_int64():
@@ -751,3 +782,29 @@ def test_one_monte_carlo_block_works_in_little_memory():
         tracemalloc.stop()
     assert len(pairs[0]) > 0
     assert peak < 700_000, peak
+
+
+def test_monte_carlo_counts_sparse_hosts_in_few_batches(monkeypatch):
+    # the sparse n = 60 triangle experiment samples 59 blocks of 17
+    # replicates, about 1,000 edges each; the counter takes them about
+    # three blocks at a time (20 passes), not one pass per block
+    passes = _record_passes(monkeypatch)
+    _, hist = monte_carlo_pmf(_mc_triangle_spec(), TRIANGLE, 1000, 1)
+    assert sum(passes) == sum(hist.values()) == 1000
+    assert len(passes) <= 21, passes
+
+
+def test_monte_carlo_call_works_in_little_memory():
+    # a whole 1,000-replicate call holds one sampled block and one counter
+    # batch of about 8,192 entries at a time: about 1.44 MB traced, against
+    # 0.61 MB when every block is counted alone and 2.76 MB in batches of
+    # 16,384 entries.  A short call first fills the pattern's caches
+    spec = _mc_triangle_spec()
+    monte_carlo_pmf(spec, TRIANGLE, 20, 1)
+    tracemalloc.start()
+    try:
+        monte_carlo_pmf(spec, TRIANGLE, 1000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
