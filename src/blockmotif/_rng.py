@@ -14,9 +14,10 @@ replicates, and ``key_chains`` / ``fold_labels`` extend every key of an
 array by one label at a time.  A label enters a key only through its word
 ``label * golden`` (``label_words``), so the sampler computes the words of
 its vertex and pair labels once per call; each block's pair keys are then
-gathered into one array, xored with those words and remixed in place
-(``_mix64_np``, with one scratch array), keying all vertices and pairs of all
-replicates in a block in a few array operations.
+gathered into one buffer kept for the call (grown when a block brings more
+keys), xored with those words and remixed in place (``_mix64_np``, with one
+scratch array per block), keying all vertices and pairs of all replicates
+in a block in a few array operations.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def substream_key(seed: int, *labels: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """:func:`mix64` of every word, in place: ``z`` must be a fresh array.
+    """:func:`mix64` of every word, in place: ``z`` must be an array the
+    caller lets it overwrite.
 
     The shifted words go to one scratch array, so the only memory besides
     ``z`` is one more array of its size.

@@ -12,9 +12,12 @@ are enumerated once per automorphism orbit.
 per automorphism orbit into each host of a block, for all hosts at once:
 the block's hosts are one graph in compressed adjacency arrays, and the
 partial maps grow one pattern vertex at a time along host edges, as numpy
-arrays expanded in bounded chunks.  Symmetry-breaking order bounds on the
-images (``_search_plan``, from the pattern's stabilizer chain) pick the
-one map per orbit, so its sums are copy counts.  ``monte_carlo_pmf``
+arrays expanded in bounded chunks.  Each component starts from its host's
+edges: its root and the root's first neighbour are placed together, one
+directed adjacency entry at a time, so only a pattern vertex without
+neighbours is tried at every host vertex.  Symmetry-breaking order bounds
+on the images (``_search_plan``, from the pattern's stabilizer chain) pick
+the one map per orbit, so its sums are copy counts.  ``monte_carlo_pmf``
 hands it batches of sampled blocks; ``count_copies`` hands it one
 ``ObservedMultigraph`` as a block of one.
 ``count_copies_bruteforce`` independently sums the product over every
@@ -156,9 +159,11 @@ def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
     # counts past int64 make object arrays; the leading 0 keeps an empty
     # list integer
     y = np.array([0, *graph.edge_counts.values()])[1:]
-    loops = np.array([0, *(graph.self_loop_counts.get(w, 0) for w in range(n))])
+    looped = np.array([0, *graph.self_loop_counts.values()])[1:]
+    loops = np.zeros((1, n), dtype=looped.dtype)
+    loops[0, list(graph.self_loop_counts)] = looped
     plan = _search_plan(pattern)
-    (total,) = _count_block(plan, loops[None, 1:], np.zeros_like(a), a, b, y)
+    (total,) = _count_block(plan, loops, np.zeros_like(a), a, b, y)
     return int(total)
 
 
@@ -172,12 +177,18 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     compressed adjacency with its neighbours sorted.  The partial maps of
     all hosts grow together, one plan step at a time, as arrays: a vertex
     with placed neighbours tries the neighbours of the first one's image
-    and looks up the pair counts to the others; a component root tries
-    every vertex of its own host.  A step's orbit bounds narrow that range
-    to the images past the largest image of its ``above`` steps, so only
-    one map per automorphism orbit is ever built.  Partial maps are
-    expanded in chunks of at most ``_FRONTIER_CHUNK`` candidates (or one
-    map's), depth first, so working memory stays bounded.  Returns one sum
+    and looks up the pair counts to the others.  A component root is
+    seeded: it is placed together with its first neighbour, the next step,
+    as one directed edge of its host, so the pair tries the host's sorted
+    adjacency entries, each giving both images and the pair's count with
+    no search; only a root without neighbours tries every vertex of its
+    host.  A step's orbit bounds narrow its range to the images past the
+    largest image of its ``above`` steps (for a seeded pair, the root's to
+    the entries leaving the vertices past it; the neighbour's are
+    filters), so only one map per automorphism orbit is ever kept.
+    Partial maps are expanded in chunks of at most ``_FRONTIER_CHUNK``
+    candidates, depth first, a map's range split across chunks when it
+    is longer, so working memory stays bounded.  Returns one sum
     of binomial products per host, which is its copy count: int64 when a
     certified bound on it fits, Python integers in an object array
     otherwise.
@@ -187,24 +198,25 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     v = len(plan)
     # binomials come from a table over the distinct counts (0 included, so
     # an absent pair reads index 0); loop counts join only when a step
-    # reads them
+    # reads them.  A sort and a mask find them: np.unique would import
+    # numpy.ma on its first call
     loop_counts = loops.ravel()[: loops.size if plan.loops else 0]
-    values, index = np.unique(
-        np.concatenate(([0], y, loop_counts)), return_inverse=True
-    )
-    y_index, loop_index = index[1 : len(y) + 1], index[len(y) + 1 :]
+    values = np.sort(np.concatenate(([0], y, loop_counts)))
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    y_index = np.searchsorted(values, y)
+    loop_index = np.searchsorted(values, loop_counts)
     src = np.concatenate((rows * n + a, rows * n + b))
     dst = np.concatenate((rows * n + b, rows * n + a))
-    keys = src * size + dst
-    order = np.argsort(keys)
+    order = np.argsort(src * size + dst)
+    heads, nbrs = src[order], dst[order]
+    pair_index = np.append(np.concatenate((y_index, y_index))[order], 0)
+    del src, dst, order  # only the sorted entries live through the pass
     # the sentinel key size**2 exceeds every lookup, so searchsorted stays
     # in range and a miss reads count index 0
-    keys = np.append(keys[order], size * size)
-    nbrs = dst[order]
-    pair_index = np.append(np.concatenate((y_index, y_index))[order], 0)
+    keys = np.append(heads * size + nbrs, size * size)
     # vertex u's neighbours start past the entries of every source below u
     indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
+    np.cumsum(np.bincount(heads, minlength=size), out=indptr[1:])
 
     top = int(values[-1])
     # largest sum a host can reach: every step's candidates times the top
@@ -219,7 +231,10 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     totals = np.zeros(hosts, dtype=table.dtype)
 
     def grow(step, host, images, weight):
-        checks, loop_req, above = plan[step]
+        checks, _, above = plan[step]
+        # a component root with a neighbour is placed together with it (the
+        # next step, anchored at the root alone) as one directed host edge
+        seeded = not checks and step + 1 < v and bool(plan[step + 1][0])
         if checks:
             u = images[:, checks[0][0]]
             first, end = indptr[u], indptr[u + 1]
@@ -229,48 +244,64 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
             # the orbit bounds: only images past the largest one above
             floor = images[:, above].max(axis=1) + 1
             first = np.searchsorted(keys, u * size + floor) if checks else floor
-        deg = end - first
-        # images of the anchor and the other checked neighbours differ from
-        # x by construction (no host pair is a loop), those above by the bounds
-        unchecked = plan.unchecked[step]
-        ends = np.cumsum(deg)
-        lo = 0
-        while lo < len(host):
-            done = ends[lo - 1] if lo else 0
-            hi = int(np.searchsorted(ends, done + _FRONTIER_CHUNK, "right"))
-            hi = max(hi, lo + 1)
-            d = deg[lo:hi]
+        if seeded:
+            # the edges leaving the root's vertex range
+            first, end = indptr[first], indptr[end]
+        # the maps' ranges laid end to end: map i's candidates are the
+        # positions [at[i], at[i + 1]), position t being entry
+        # t - at[i] + first[i] of its range
+        at = np.zeros(len(host) + 1, dtype=np.int64)
+        np.cumsum(end - first, out=at[1:])
+        for start in range(0, int(at[-1]), _FRONTIER_CHUNK):
+            stop = min(start + _FRONTIER_CHUNK, int(at[-1]))
+            # the maps whose ranges meet the chunk, clipped to it
+            lo = int(np.searchsorted(at, start, "right")) - 1
+            hi = int(np.searchsorted(at, stop, "left"))
+            d = np.diff(np.clip(at[lo : hi + 1], start, stop))
             owner = np.repeat(np.arange(lo, hi), d)
-            # candidate t of the chunk is entry t - (ends - d - done) of its
-            # map's range, which starts at ``first``
-            shift = first[lo:hi] - ends[lo:hi] + d + done
-            cand = np.arange(len(owner)) + np.repeat(shift, d)
-            x = nbrs[cand] if checks else cand
-            keep = np.ones(len(x), dtype=bool)
-            for j in unchecked:
-                keep &= x != images[owner, j]
+            cand = np.arange(start, stop) + np.repeat(first[lo:hi] - at[lo:hi], d)
+            if seeded:
+                new = [heads[cand], nbrs[cand]]
+            else:
+                new = [nbrs[cand] if checks else cand]
+
+            def image(j):
+                return new[j - step] if j >= step else images[owner, j]
+
+            keep = np.ones(len(cand), dtype=bool)
             factors = []
-            for k, (j, m) in enumerate(checks):
-                if k:
-                    query = images[owner, j] * size + x
-                    pos = np.searchsorted(keys, query)
-                    hit = np.where(keys[pos] == query, pair_index[pos], 0)
-                    factors.append(table[m][hit])
-                else:
-                    factors.append(table[m][pair_index[cand]])
-            if loop_req:
-                factors.append(table[loop_req][loop_index[x]])
+            for s, x in enumerate(new, step):
+                s_checks, s_loops, s_above = plan[s]
+                # images of the anchor and the other checked neighbours
+                # differ from x by construction (no host pair is a loop),
+                # those above by the bounds: on the range, or here for a
+                # seeded neighbour
+                for j in plan.unchecked[s]:
+                    keep &= x != image(j)
+                if s > step:
+                    for j in s_above:
+                        keep &= x > image(j)
+                for k, (j, m) in enumerate(s_checks):
+                    if k:
+                        query = image(j) * size + x
+                        pos = np.searchsorted(keys, query)
+                        hit = np.where(keys[pos] == query, pair_index[pos], 0)
+                        factors.append(table[m][hit])
+                    else:
+                        factors.append(table[m][pair_index[cand]])
+                if s_loops:
+                    factors.append(table[s_loops][loop_index[x]])
             for f in factors:
                 keep &= f != 0
-            owner, x = owner[keep], x[keep]
+            owner, new = owner[keep], [x[keep] for x in new]
             w = weight[owner]
             for f in factors:
                 w = w * f[keep]
-            if step + 1 == v:
+            if step + len(new) == v:
                 np.add.at(totals, host[owner], w)
             elif len(owner):
-                grow(step + 1, host[owner], np.column_stack((images[owner], x)), w)
-            lo = hi
+                placed = np.column_stack((images[owner], *new))
+                grow(step + len(new), host[owner], placed, w)
 
     no_images = np.zeros((hosts, 0), dtype=np.int64)
     grow(0, np.arange(hosts), no_images, np.ones(hosts, dtype=table.dtype))

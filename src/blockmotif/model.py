@@ -18,13 +18,14 @@ labels, the law tables and the class CDF, and decides whether a Poisson
 mean is too large to invert, before anything is drawn.  Its ``draw(keys)``
 samples a block of graphs, one per key, as arrays in one numpy pass;
 ``sample_graph`` is a block of one.  Every cell hashes its uniform, a
-block's pair keys in place in one array, but a law's CDF at 0 gives a
-float cut at or below which the uniform provably inverts to 0, so only the
-candidates above the lowest cut, picked on the raw 64-bit keys, are
-inverted: in the sparse regime most pairs are never inverted, and the
-block comes back as the endpoints and counts of its nonzero pairs.  Each
-value depends only on its own key and labels, so results never depend on
-iteration order or on how replicates are grouped into blocks.
+block's pair keys in place in one buffer the sampler keeps, but a law's
+CDF at 0 gives a float cut at or below which the uniform provably inverts
+to 0, so only the candidates above the lowest cut, picked on the raw
+64-bit keys, are inverted: in the sparse regime most pairs are never
+inverted, and the block comes back as the endpoints and counts of its
+nonzero pairs.  Each value depends only on its own key and labels, so
+results never depend on iteration order or on how replicates are grouped
+into blocks.
 """
 
 from __future__ import annotations
@@ -415,8 +416,9 @@ def _sampler(spec: SbmmSpec):
     ``(rows, a, b, y)``, pair ``a < b`` of row ``rows`` carrying ``y`` edges,
     sorted by ``(row, a, b)``; and the self-loop counts ``(R, n)`` (zero
     without self-loop laws).  Every cell hashes its own keyed uniform, the
-    pairs in place in one array of the block's keys, but only the
-    candidates (``_cell_sampler``) are inverted.  Every inversion works
+    pairs in place in one buffer of keys that ``draw`` keeps and grows to
+    the largest block, but only the candidates (``_cell_sampler``) are
+    inverted.  No output shares the buffer, and every inversion works
     elementwise, so a row does not depend on the other keys in the block.
     """
     _check_poisson_rates(spec)
@@ -424,11 +426,12 @@ def _sampler(spec: SbmmSpec):
     iu, ju = np.triu_indices(n, k=1)
     # words[i] folds label i: the prefixes (key, i) take i = 0..n, classes
     # (key, 0, i) and loops (key, i, i) a vertex label i = 1..n after their
-    # prefix, pairs (key, i, j) the label j = ju + 1 after prefix i = iu + 1,
-    # which the n - i pairs of vertex label i share
+    # prefix, pairs (key, i, j) the label j = ju + 1 after prefix i = iu + 1
     words = label_words(np.arange(n + 1))
-    vertex_words, pair_words = words[1:], words[ju + 1]
-    pairs_per_prefix = np.arange(n - 1, -1, -1)
+    vertex_words, pair_words, pair_prefix = words[1:], words[ju + 1], iu + 1
+    # the pair keys of a block, kept for the call and grown with the block
+    # size, so that every block hashes into the same pages
+    buffer = np.empty((0, len(iu)), dtype=np.uint64)
     cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
     weighted = spec.degree_weights is not None
     if weighted:
@@ -444,6 +447,7 @@ def _sampler(spec: SbmmSpec):
         sample_loops = _cell_sampler(spec.self_loop_laws)
 
     def draw(keys: np.ndarray):
+        nonlocal buffer
         # substream_key(key, i) for i = 0..n: the prefix of every stream
         prefix = _mix64_np(key_chains(keys)[:, None] ^ words)
 
@@ -454,7 +458,11 @@ def _sampler(spec: SbmmSpec):
             classes = np.minimum(np.searchsorted(cum_f, class_u, side="right"), Q - 1)
 
         # pair counts from substreams (key, i, j), i < j
-        pair_keys = np.repeat(prefix[:, 1:], pairs_per_prefix, axis=1)
+        if len(keys) > len(buffer):
+            buffer = np.empty((len(keys), len(iu)), dtype=np.uint64)
+        # mode "clip" writes straight into the buffer (every index is valid)
+        pair_keys = buffer[: len(keys)]
+        np.take(prefix, pair_prefix, axis=1, out=pair_keys, mode="clip")
         pair_keys ^= pair_words
         _mix64_np(pair_keys)
         if weighted:

@@ -305,6 +305,27 @@ def test_fast_count_matches_bruteforce_on_random_instances():
                 g.self_loop_counts,
                 pattern,
             )
+    # seeded steps, each root placed with its first neighbour as one host
+    # edge: a root and neighbour that both carry loops, a star whose looped
+    # centre is the root, and two triangles whose second root is seeded too
+    seeded = [
+        PatternGraph(3, {(0, 1): 2, (1, 2): 1}, {0: 1, 1: 2}),
+        PatternGraph(4, {(0, 1): 1, (0, 2): 1, (0, 3): 1}, {0: 1}),
+        PatternGraph(6, {**TRIANGLE.edge_mult, (3, 4): 1, (3, 5): 1, (4, 5): 1}),
+    ]
+    looped_pair, looped_star, two_triangles = map(counting._search_plan, seeded)
+    assert looped_pair[0][1] and looped_pair[1][1] and looped_pair[1][0] == [(0, 2)]
+    assert looped_star[0][1] and looped_star[1][0] == [(0, 1)]
+    assert two_triangles[3][0] == [] and two_triangles[4][0] == [(3, 1)]
+    for _ in range(8):
+        n = rng.randint(6, 7)
+        g = random_multigraph(rng, n, max_mult=3, density=rng.uniform(0.3, 0.9))
+        for pattern in seeded:
+            assert count_copies(g, pattern) == count_copies_bruteforce(g, pattern), (
+                g.edge_counts,
+                g.self_loop_counts,
+                pattern,
+            )
 
 
 def _nx_monomorphism_count(graph, pattern):
@@ -355,12 +376,46 @@ def test_sparse_host_triangles_match_networkx_in_little_memory():
     assert peak < 4 * 2**20, peak
 
 
+def test_million_vertex_host_counts_its_edges_in_little_memory():
+    # 200 planted triangles on 10**6 vertices, with loops beside them: the
+    # loop vector is scattered from the looped vertices and the counter's
+    # first step tries the 1,200 adjacency entries, so the few arrays over
+    # all vertices (about 8 MB each) dominate
+    n = 10**6
+    edges, loops = {}, {}
+    for t in range(200):
+        a = 5000 * t
+        edges.update({(a, a + 1): 1, (a, a + 2): 1, (a + 1, a + 2): 1})
+        loops[a + 3] = 1
+    g = ObservedMultigraph(n, edges, loops)
+    tracemalloc.start()
+    try:
+        got = count_copies(g, TRIANGLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 200
+    assert peak < 32 * 2**20, peak
+
+
 def test_count_does_not_depend_on_frontier_chunk(monkeypatch):
+    # chunks of 1 and 7 split the seeded first step's one range of host
+    # edges, and every later range, across many chunks; the host gains
+    # loops so that the seeded root and neighbour read them
     _, g = _sparse_host()
-    want = [count_copies(g, p) for p in (TRIANGLE, PATH3)]
+    g = ObservedMultigraph(g.n, g.edge_counts, {w: 1 + w % 3 for w in range(0, 200, 3)})
+    patterns = (
+        TRIANGLE,
+        PATH3,
+        LOOP_TRIANGLE,
+        PatternGraph(3, {(0, 1): 1, (1, 2): 1}, {0: 1, 1: 1}),
+        PatternGraph(6, {**TRIANGLE.edge_mult, (3, 4): 1, (3, 5): 1, (4, 5): 1}),
+    )
+    want = [count_copies(g, p) for p in patterns]
+    assert all(want)
     for chunk in (1, 7):
         monkeypatch.setattr(counting, "_FRONTIER_CHUNK", chunk)
-        assert [count_copies(g, p) for p in (TRIANGLE, PATH3)] == want, chunk
+        assert [count_copies(g, p) for p in patterns] == want, chunk
 
 
 def test_orbit_bounds_cross_components_on_sparse_host(monkeypatch):

@@ -391,6 +391,25 @@ def test_block_sampler_returns_sorted_nonzero_triples(case):
         assert {w: s for w, s in enumerate(loops[r].tolist()) if s} == graph.self_loop_counts
 
 
+@pytest.mark.parametrize("case", ["categorical", "degree_weighted", "self_loops"])
+def test_sampler_draws_keep_their_outputs_across_later_draws(case):
+    # one sampler hashes every draw's pair keys into one buffer, grown for
+    # a larger draw: no output may share it, and a smaller draw after a
+    # larger one must read only its own rows.  Every draw, checked after
+    # all of them, must equal a draw by a sampler of its own
+    spec, _ = MC_ORACLE_CASES[case]
+    draw = _sampler(spec)
+    spans = ((0, 5), (10, 12), (30, 2), (0, 5))
+    blocks = [replicate_keys(7, np.arange(s, s + k)) for s, k in spans]
+    outputs = [draw(keys) for keys in blocks]
+    for keys, (classes, pairs, loops) in zip(blocks, outputs):
+        want_classes, want_pairs, want_loops = _sample_block(spec, keys)
+        assert np.array_equal(classes, want_classes)
+        assert all(map(np.array_equal, pairs, want_pairs))
+        assert np.array_equal(loops, want_loops)
+    assert len(outputs[1][1][0]) > 0
+
+
 @pytest.mark.parametrize("case", ["poisson", "disjoint_edges"])
 def test_monte_carlo_does_not_depend_on_frontier_chunk(monkeypatch, case):
     spec, pattern = MC_ORACLE_CASES[case]
