@@ -232,7 +232,14 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     values (pairs in ``combinations`` order, then loops when the pattern has
     them), a slot with law ``law`` taking the values ``0..cap(law)``.  The
     neglected mass is the union bound, over slots, on some slot exceeding
-    its cap.  Refuses walks of more than ``limit`` configurations.
+    its cap.  Refuses walks of more than ``limit`` configurations, counting
+    every multiset's grid.
+
+    Multisets with the same slot-law sequence and the same weight share one
+    scored grid: their ``_count_law`` calls are identical, so the law is
+    scored once and added again, in multiset order, bit for bit as if
+    rescored.  Grids equal only up to vertex relabelling are rescored, as
+    slot order sets the rounding.
     """
     pairs = list(combinations(range(m), 2))
     slots = {}
@@ -261,10 +268,14 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     terms = _copy_terms(pattern, m)
     pmf: dict[int, float] = {}
     neglected = 0.0
+    scored = {}
     for assign, weight in _class_multisets(spec.f, m):
-        tables = [slot(law) for law in slot_laws(assign)]
+        laws = tuple(slot_laws(assign))
+        tables = [slot(law) for law in laws]
         neglected += weight * sum((tail for _, tail in tables), 0.0)
-        for w, p in _count_law([t for t, _ in tables], terms, weight).items():
+        if (laws, weight) not in scored:
+            scored[laws, weight] = _count_law([t for t, _ in tables], terms, weight)
+        for w, p in scored[laws, weight].items():
             pmf[w] = pmf.get(w, 0.0) + p
     return pmf, neglected
 

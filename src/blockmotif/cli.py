@@ -18,6 +18,7 @@ output is stable: fixed key order and 17-significant-digit floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import combinations
@@ -48,7 +49,7 @@ from .patterns import (
     pattern_to_json,
     rho,
 )
-from .serialize import dumps_stable, format_float, pmf_to_csv
+from .serialize import dumps_stable, pmf_to_csv, rows_to_csv
 
 __all__ = ["main"]
 
@@ -139,10 +140,8 @@ def _cmd_experiment(args) -> int:
             fh.write(text + "\n")
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         for name in ("reference", "observed"):
-            rows = report[name]["pmf"]
-            csv = "k,prob\n" + "".join(f"{k},{format_float(p)}\n" for k, p in rows)
             with open(f"{stem}_{name}.csv", "w", encoding="utf-8") as fh:
-                fh.write(csv)
+                fh.write(rows_to_csv(report[name]["pmf"]))
     else:
         print(text)
     return 0
@@ -170,7 +169,9 @@ def _cmd_table1(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``blockmotif`` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="blockmotif",
         description=(

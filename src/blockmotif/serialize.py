@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["dumps_stable", "format_float", "pmf_to_csv"]
+__all__ = ["dumps_stable", "format_float", "pmf_to_csv", "rows_to_csv"]
 
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form of a float (round-trip exact)."""
     return format(float(x), ".17g")
+
+
+def _float_json(x: float) -> str:
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format_float(x)
 
 
 def _encode(obj, pieces: list) -> None:
@@ -26,12 +34,7 @@ def _encode(obj, pieces: list) -> None:
     elif isinstance(obj, int):
         pieces.append(str(obj))
     elif isinstance(obj, float):
-        if math.isnan(obj):
-            pieces.append('"nan"')
-        elif math.isinf(obj):
-            pieces.append('"inf"' if obj > 0 else '"-inf"')
-        else:
-            pieces.append(format_float(obj))
+        pieces.append(_float_json(obj))
     elif isinstance(obj, str):
         pieces.append(
             '"'
@@ -50,12 +53,19 @@ def _encode(obj, pieces: list) -> None:
             _encode(obj[key], pieces)
         pieces.append("}")
     elif isinstance(obj, (list, tuple)):
-        pieces.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                pieces.append(", ")
-            _encode(item, pieces)
-        pieces.append("]")
+        if obj and all(type(x) is float for x in obj):
+            # a list of plain floats (a report's rates and pmfs) in one pass
+            texts = [
+                format(x, ".17g") if math.isfinite(x) else _float_json(x) for x in obj
+            ]
+            pieces.append("[" + ", ".join(texts) + "]")
+        else:
+            pieces.append("[")
+            for k, item in enumerate(obj):
+                if k:
+                    pieces.append(", ")
+                _encode(item, pieces)
+            pieces.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
@@ -67,9 +77,11 @@ def dumps_stable(obj) -> str:
     return "".join(pieces)
 
 
+def rows_to_csv(rows) -> str:
+    """CSV text with columns ``k,prob`` for ``(k, p)`` rows."""
+    return "k,prob\n" + "".join(f"{k},{format_float(p)}\n" for k, p in rows)
+
+
 def pmf_to_csv(pmf) -> str:
     """CSV text with columns ``k,prob`` for a pmf given as P(0..kmax)."""
-    lines = ["k,prob"]
-    for k, p in enumerate(pmf):
-        lines.append(f"{k},{format_float(p)}")
-    return "\n".join(lines) + "\n"
+    return rows_to_csv(enumerate(pmf))

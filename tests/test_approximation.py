@@ -7,13 +7,13 @@ import random
 import re
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from blockmotif import approximation
+from blockmotif import approximation, counting
 from blockmotif import (
     BOUND_VARIANTS,
     Categorical,
@@ -26,6 +26,7 @@ from blockmotif import (
     binomial_moment,
     c_lambda_upper,
     cp_pmf,
+    exact_count_pmf,
     expected_count,
     lambda_params,
     occurrence_mean,
@@ -365,6 +366,69 @@ def test_lambda_enumeration_size_guard(monkeypatch):
     with pytest.raises(InfeasibleError, match="walks more than 5000000 configurations"):
         tv_bound(many, cycle6, "thm31_simple")
     assert time.perf_counter() - start < 2.0
+
+
+def _host_law_scoring_every_multiset(spec, pattern, m, cap):
+    """``_host_law`` without reuse: one ``_count_law`` call per class
+    multiset, each grid's tables built afresh."""
+    pairs = list(combinations(range(m), 2))
+    terms = counting._copy_terms(pattern, m)
+    pmf, neglected = {}, 0.0
+    for assign, weight in counting._class_multisets(spec.f, m):
+        laws = [spec.edge_laws[assign[i]][assign[j]] for i, j in pairs]
+        if pattern.self_loops:
+            laws += [spec.self_loop_laws[c] for c in assign]
+        tables = [[pmf_tail(law, k)[0] for k in range(cap(law) + 1)] for law in laws]
+        tails = [pmf_tail(law, cap(law) + 1)[1] for law in laws]
+        neglected += weight * sum(tails, 0.0)
+        for w, p in counting._count_law(tables, terms, weight).items():
+            pmf[w] = pmf.get(w, 0.0) + p
+    return pmf, neglected
+
+
+def test_host_law_scores_each_repeated_grid_once_bit_for_bit(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return counting._count_law(*args)
+
+    monkeypatch.setattr(approximation, "_count_law", counted)
+
+    def check(spec, pattern, m, cap, scored):
+        calls.clear()
+        got = approximation._host_law(spec, pattern, m, cap, 10**8, "walk")
+        want = _host_law_scoring_every_multiset(spec, pattern, m, cap)
+        assert got == want  # the pmf dict and the neglected mass, bit for bit
+        assert len(calls) == scored
+
+    def truncated(law):
+        return truncation_bound(law, 1e-8)
+
+    cycle4 = pattern_from_name("cycle:4")
+    same, cross = Poisson(0.15), Poisson(0.05)
+    # the benchmark's two-class assortative model: (1,1,1,1) repeats
+    # (0,0,0,0), so 4 of its 5 multisets are scored
+    two = SbmmSpec(20, 2, (0.5, 0.5), ((same, cross), (cross, same)))
+    check(two, cycle4, 4, truncated, 4)
+    # equal planted classes: multisets share a grid when their sorted
+    # classes change at the same positions, 7 patterns among 15 multisets
+    laws = [[same if a == b else cross for b in range(3)] for a in range(3)]
+    three = SbmmSpec(20, 3, (1 / 3,) * 3, laws)
+    check(three, cycle4, 4, truncated, 7)
+    # the same slot laws under different weights share nothing
+    lopsided = SbmmSpec(20, 2, (0.3, 0.7), ((same, cross), (cross, same)))
+    check(lopsided, cycle4, 4, truncated, 5)
+    # the exact law on all m = n vertices, as exact_count_pmf walks it:
+    # (1,1,1,1,1) repeats (0,0,0,0,0), while (0,0,0,0,1) and (0,1,1,1,1),
+    # equal only up to relabelling, are both scored
+    a, b = Categorical([0.6, 0.3, 0.1]), Categorical([0.8, 0.2])
+    symmetric = SbmmSpec(5, 2, (0.5, 0.5), ((a, b), (b, a)))
+    whole = lambda law: len(law.probabilities) - 1  # noqa: E731
+    check(symmetric, TRIANGLE, 5, whole, 5)
+    pmf, neglected = _host_law_scoring_every_multiset(symmetric, TRIANGLE, 5, whole)
+    assert neglected == 0.0
+    assert exact_count_pmf(symmetric, TRIANGLE) == dict(sorted(pmf.items()))
 
 
 def test_pattern_larger_than_model_is_rejected():

@@ -20,7 +20,7 @@ from blockmotif import (
     spec_to_json,
     tv_bound,
 )
-from blockmotif.cli import main
+from blockmotif.cli import build_parser, main
 
 TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
 
@@ -182,6 +182,38 @@ def test_experiment_writes_report_and_pmf_sidecars(tmp_path, capsys):
         assert lines[0] == "k,prob"
         rows = [[int(l.split(",")[0]), float(l.split(",")[1])] for l in lines[1:]]
         assert rows == report[name]["pmf"]
+
+
+def test_commands_share_one_parser_and_repeat_byte_for_byte(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    spec_json, spec = bernoulli_spec_json(6, 0.3)
+    config = {
+        "spec": json.loads(spec_json),
+        "pattern": "triangle",
+        "variant": "thm31_simple",
+        "mode": "monte_carlo",
+        "reps": 40,
+        "seed": 3,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    names = ("report.json", "report_reference.csv", "report_observed.csv")
+    runs = []
+    for _ in range(2):
+        rc, stdout, _ = run(
+            capsys, "experiment", "--config", str(cfg_path),
+            "--out", str(tmp_path / "report.json"),
+        )
+        assert rc == 0 and stdout == ""
+        runs.append([(tmp_path / name).read_bytes() for name in names])
+        for name in names:
+            (tmp_path / name).unlink()
+    assert runs[0] == runs[1]
+    rc, out, _ = run(capsys, "lambda", "--spec", spec_json, "--pattern", "triangle")
+    assert rc == 0
+    assert json.loads(out.partition("\n\n")[0])["imax"] == lambda_params(
+        spec, TRIANGLE
+    ).imax
 
 
 def test_experiment_without_out_prints_report(capsys):
