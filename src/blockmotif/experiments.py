@@ -127,8 +127,8 @@ def monte_carlo_pmf(
     Replicate r is the graph ``sample_graph(spec, substream_key(seed, r))``.
     Replicates are sampled in blocks of at most ``_BLOCK_CELLS`` pair and
     loop cells by one sampler prepared for the call (``_sampler``).  It
-    inverts only the cells above the lowest of their laws' cuts and hands
-    over the block's nonzero pair counts as ``(row, a, b, count)`` arrays.
+    inverts only the candidate cells, above a cut, and hands over the
+    block's nonzero pair counts as ``(row, a, b, count)`` arrays.
     Blocks gather into a batch, their rows renumbered after the hosts
     before them, until the batch holds ``_COUNT_ENTRIES`` counter entries
     (2 per edge, n per host); ``_count_block`` then counts all of its

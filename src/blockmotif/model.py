@@ -12,10 +12,10 @@ exactly one uniform from a keyed substream — classes from ``(seed, 0, i)``,
 the count of pair ``i < j`` from ``(seed, i, j)``, the self-loop count of
 vertex ``i`` from ``(seed, i, i)``, all with 1-based vertex labels — and is
 produced from that uniform by inverting the law's CDF.  One sampler,
-``_sampler(spec)``, is prepared once per call from the spec alone: it
-builds the pair index arrays, the words that fold the vertex and pair
-labels, the law tables and the class CDF, and decides whether a Poisson
-mean is too large to invert, before anything is drawn.  Its ``draw(keys)``
+``_sampler(spec)``, is prepared once per call from the spec alone: its
+cell samplers decide whether a Poisson mean is too large to invert, then
+it builds the pair index arrays, the words that fold the vertex and pair
+labels and the class CDF, before anything is drawn.  Its ``draw(keys)``
 samples a block of graphs, one per key, as arrays in one numpy pass;
 ``sample_graph`` is a block of one.  Every cell hashes its uniform, a
 block's pair keys in place in one buffer the sampler keeps, but a law's
@@ -23,9 +23,9 @@ CDF at 0 gives a float cut at or below which the uniform provably inverts
 to 0, so only the candidates above the lowest cut, picked on the raw
 64-bit keys, are inverted: in the sparse regime most pairs are never
 inverted, and the block comes back as the endpoints and counts of its
-nonzero pairs.  Each value depends only on its own key and labels, so
-results never depend on iteration order or on how replicates are grouped
-into blocks.
+nonzero pairs, degree-weighted or not.  Each value depends only on its
+own key and labels, so results never depend on iteration order or on how
+replicates are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -237,13 +237,11 @@ class ModelExtrema:
     inhom_max: float
 
 
-def _max_pair_mean(spec: SbmmSpec) -> float | None:
-    """The largest pair mean under degree weights: the two largest weights
-    times the largest rate; None when fewer than two vertices make no pair."""
-    top = sorted(spec.degree_weights, reverse=True)
-    if len(top) < 2:
-        return None
-    return top[0] * top[1] * max(law.rate for law in spec.distinct_laws())
+def _top_pair_weight(weights) -> float:
+    """The largest pair weight ``weight_i * weight_j``, the product of the
+    two largest weights; 0.0 when fewer than two vertices make no pair."""
+    top = sorted(weights, reverse=True) + [0.0, 0.0]
+    return top[0] * top[1]
 
 
 def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
@@ -263,9 +261,9 @@ def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
         omega_star = max(law.rate for law in laws)
     inhom_max = mu1_star
     if spec.degree_weights is not None:
-        inhom_max = _max_pair_mean(spec)
-        if inhom_max is None:
+        if spec.n < 2:
             raise ValueError("degree weights need at least two vertices")
+        inhom_max = _top_pair_weight(spec.degree_weights) * max(law.rate for law in laws)
     return ModelExtrema(
         mu1_star=mu1_star,
         mu_star=mu_star,
@@ -280,22 +278,6 @@ def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
 
 # direct CDF inversion starts from exp(-rate), which underflows near rate 745
 _MAX_POISSON_RATE = 700.0
-
-
-def _check_poisson_rates(spec: SbmmSpec) -> None:
-    """Refuse a model with a Poisson mean too large to invert directly.
-
-    The spec alone decides: every Poisson edge and self-loop law counts,
-    and with degree weights the largest pair mean, the two largest
-    weights times the largest rate, stands in for the edge laws.
-    """
-    edge = [law.rate for row in spec.edge_laws for law in row if isinstance(law, Poisson)]
-    if spec.degree_weights is not None:
-        largest = _max_pair_mean(spec)
-        edge = [] if largest is None else [largest]
-    loop = [law.rate for law in spec.self_loop_laws or () if isinstance(law, Poisson)]
-    if max(edge + loop, default=0.0) > _MAX_POISSON_RATE:
-        raise ValueError("Poisson rate too large for direct CDF inversion")
 
 
 def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -366,23 +348,36 @@ def _zero_cut(law: EdgeCountDistribution) -> float:
     return -1.0
 
 
-def _cell_sampler(laws):
-    """Prepare ``sample(keys, law_of)``, the nonzero counts of the cells
-    whose stream keys are ``keys``.
+def _cell_sampler(laws, top_weight=None):
+    """Prepare ``sample(keys, law_of, weight_of=None)``, the nonzero counts
+    of the cells whose stream keys are ``keys``.
 
-    ``law_of`` maps flat cell indices to indices into ``laws``.  Only the
-    candidates are inverted, the raw keys at or past the ``key_floor`` of
-    the lowest cut (none when that floor passes every key); every other
-    cell is provably 0.  The Poisson candidates are inverted in one call,
-    each with its own law's rate, the others one law at a time.  ``sample``
-    returns the flat cell indices, increasing, and their positive counts.
+    ``law_of`` maps flat cell indices to indices into ``laws``.
+    Degree-weighted cells, all Poisson, give ``weight_of``, their weights
+    by flat index, and ``top_weight``, the largest; a cell's rate is its
+    weight times its law's.  A largest rate (times ``top_weight``) above
+    ``_MAX_POISSON_RATE`` is refused here.  Only the candidates are
+    inverted, the raw keys at or past the ``key_floor`` of the lowest law's
+    cut, or with weights of the largest mean's cut lowered by a relative
+    2**-40, far more than ``np.exp``'s rounding (none when that floor passes
+    every key); every other cell is provably 0.  The Poisson candidates are
+    inverted in one call, each with its own rate, the others one law at a
+    time.  ``sample`` returns the flat cell indices, increasing, and their
+    positive counts.
     """
-    lowest = key_floor(min(_zero_cut(law) for law in laws))
     poisson = np.array([isinstance(law, Poisson) for law in laws])
     rates = np.array([law.rate if isinstance(law, Poisson) else 0.0 for law in laws])
+    largest = float(rates.max()) * (1.0 if top_weight is None else top_weight)
+    if largest > _MAX_POISSON_RATE:
+        raise ValueError("Poisson rate too large for direct CDF inversion")
+    # zero rates stay 0 under any weight, also an overflowed one (inf * 0)
+    if top_weight is None or not rates.any():
+        lowest = key_floor(min(_zero_cut(law) for law in laws))
+    else:
+        lowest = key_floor(_zero_cut(Poisson(largest)) * (1.0 - 2.0**-40))
     others = [(c, law) for c, law in enumerate(laws) if not poisson[c]]
 
-    def sample(keys, law_of):
+    def sample(keys, law_of, weight_of=None):
         if lowest > _MASK:
             cells = np.zeros(0, dtype=np.int64)
         else:
@@ -391,7 +386,10 @@ def _cell_sampler(laws):
         law_index = law_of(cells)
         counts = np.zeros(cells.shape, dtype=np.int64)
         at = np.flatnonzero(poisson[law_index])
-        counts[at] = _poisson_icdf(u[at], rates[law_index[at]])
+        cell_rates = rates[law_index[at]]
+        if weight_of is not None:
+            cell_rates = weight_of(cells[at]) * cell_rates
+        counts[at] = _poisson_icdf(u[at], cell_rates)
         for c, law in others:
             at = np.flatnonzero(law_index == c)
             counts[at] = _sample_counts(u[at], law)
@@ -405,11 +403,10 @@ def _sampler(spec: SbmmSpec):
     """Prepare sampling from ``spec``: returns ``draw(keys)``, which samples
     one graph per uint64 key, all in one pass.
 
-    Whether a Poisson mean is too large to invert is decided here, from the
-    spec alone.  What depends only on the spec is built here once: the pair
-    index arrays, the words that fold the labels, the pair and loop laws'
-    tables and lowest candidate keys, the class CDF and, with degree
-    weights, the pairs' weight products.
+    What depends only on the spec is built here once: first the pair and
+    loop cell samplers (``_cell_sampler``), which refuse a Poisson mean too
+    large to invert before any array of the pairs is made, then the pair
+    index arrays, the words that fold the labels and the class CDF.
 
     Row r of ``draw(keys)`` is the graph ``sample_graph(spec, keys[r])``.
     ``draw`` returns the classes ``(R, n)``; the nonzero pair counts as
@@ -417,12 +414,20 @@ def _sampler(spec: SbmmSpec):
     sorted by ``(row, a, b)``; and the self-loop counts ``(R, n)`` (zero
     without self-loop laws).  Every cell hashes its own keyed uniform, the
     pairs in place in one buffer of keys that ``draw`` keeps and grows to
-    the largest block, but only the candidates (``_cell_sampler``) are
-    inverted.  No output shares the buffer, and every inversion works
-    elementwise, so a row does not depend on the other keys in the block.
+    the largest block, but only the candidates are inverted, a weighted
+    one with its weight ``weight_i * weight_j``.  No output shares the
+    buffer, and every inversion works elementwise, so a row does not depend
+    on the other keys in the block.
     """
-    _check_poisson_rates(spec)
     n, Q = spec.n, spec.Q
+    # one law per unordered class pair (the law matrix is symmetric)
+    laws = list(dict.fromkeys(spec.distinct_laws()))
+    law_at = np.array([[laws.index(law) for law in row] for row in spec.edge_laws])
+    weighted = spec.degree_weights is not None
+    top = _top_pair_weight(spec.degree_weights) if weighted else None
+    sample_pairs = _cell_sampler(laws, top)
+    if spec.self_loop_laws is not None:
+        sample_loops = _cell_sampler(spec.self_loop_laws)
     iu, ju = np.triu_indices(n, k=1)
     # words[i] folds label i: the prefixes (key, i) take i = 0..n, classes
     # (key, 0, i) and loops (key, i, i) a vertex label i = 1..n after their
@@ -433,18 +438,13 @@ def _sampler(spec: SbmmSpec):
     # size, so that every block hashes into the same pages
     buffer = np.empty((0, len(iu)), dtype=np.uint64)
     cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
-    weighted = spec.degree_weights is not None
+    pair_weights = None
     if weighted:
-        omega = np.array([[law.rate for law in row] for row in spec.edge_laws])
         theta = np.asarray(spec.degree_weights, dtype=np.float64)
-        pair_weights = theta[iu] * theta[ju]
-    else:
-        # one law per unordered class pair (the law matrix is symmetric)
-        laws = list(dict.fromkeys(spec.distinct_laws()))
-        law_at = np.array([[laws.index(law) for law in row] for row in spec.edge_laws])
-        sample_pairs = _cell_sampler(laws)
-    if spec.self_loop_laws is not None:
-        sample_loops = _cell_sampler(spec.self_loop_laws)
+
+        def pair_weights(cells):
+            k = cells % len(iu)
+            return theta[iu[k]] * theta[ju[k]]
 
     def draw(keys: np.ndarray):
         nonlocal buffer
@@ -465,18 +465,12 @@ def _sampler(spec: SbmmSpec):
         np.take(prefix, pair_prefix, axis=1, out=pair_keys, mode="clip")
         pair_keys ^= pair_words
         _mix64_np(pair_keys)
-        if weighted:
-            rates = pair_weights * omega[classes[:, iu], classes[:, ju]]
-            counts = _poisson_icdf(uniforms_from_keys(pair_keys), rates)
-            cells = np.flatnonzero(counts)
-            y = counts.reshape(-1)[cells]
-        else:
 
-            def pair_laws(cells):
-                r, k = np.divmod(cells, len(iu))
-                return law_at[classes[r, iu[k]], classes[r, ju[k]]]
+        def pair_laws(cells):
+            r, k = np.divmod(cells, len(iu))
+            return law_at[classes[r, iu[k]], classes[r, ju[k]]]
 
-            cells, y = sample_pairs(pair_keys, pair_laws)
+        cells, y = sample_pairs(pair_keys, pair_laws, pair_weights)
         rows, k = np.divmod(cells, len(iu))
 
         # self-loop counts from substreams (key, i, i)
@@ -488,11 +482,6 @@ def _sampler(spec: SbmmSpec):
         return classes, (rows, iu[k], ju[k], y), loops.reshape(classes.shape)
 
     return draw
-
-
-def _sample_block(spec: SbmmSpec, keys: np.ndarray):
-    """One graph per uint64 key, from a sampler prepared for this block alone."""
-    return _sampler(spec)(keys)
 
 
 def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
@@ -563,7 +552,7 @@ def graph_from_text(text: str) -> ObservedMultigraph:
     """Parse the edge-list text form (inverse of :func:`graph_to_text`).
 
     Without a ``# n`` header the vertex count is inferred as one past the
-    largest vertex mentioned.
+    largest vertex mentioned; a ``# n`` header must carry one integer.
     """
     n = None
     classes = None
@@ -577,7 +566,10 @@ def graph_from_text(text: str) -> ObservedMultigraph:
         if line.startswith("#"):
             fields = line[1:].split()
             if fields and fields[0] == "n":
-                n = int(fields[1])
+                try:
+                    (n,) = map(int, fields[1:])
+                except ValueError:
+                    raise ValueError(f"bad '# n' header, not one integer: {raw!r}") from None
             elif fields and fields[0] == "classes":
                 classes = [int(c) for c in fields[1:]]
             continue

@@ -159,6 +159,14 @@ def test_count_reads_graph_files(tmp_path, capsys):
     assert rc == 0 and out == "1\n"
 
 
+def test_count_reports_an_n_header_without_a_value(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("# n\n0 1 1\n")
+    rc, out, err = run(capsys, "count", "--graph", str(path), "--pattern", "triangle")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "'# n'" in err
+
+
 def test_experiment_writes_report_and_pmf_sidecars(tmp_path, capsys):
     spec_json, _ = bernoulli_spec_json(4, 0.35)
     config = {

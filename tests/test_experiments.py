@@ -42,7 +42,7 @@ from blockmotif import (
     tv_distance,
 )
 from blockmotif._rng import replicate_keys, substream_key
-from blockmotif.model import _sample_block, _sampler
+from blockmotif.model import _sampler
 
 TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
 LOOP_TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1}, {0: 1})
@@ -356,7 +356,7 @@ def test_block_counts_stay_exact_past_int64():
     # brute-force count, and the counts are Python integers past int64
     spec, pattern = MC_ORACLE_CASES["past_int64"]
     reps, seed = 12, 3
-    _, (rows, a, b, y), loops = _sample_block(spec, replicate_keys(seed, np.arange(reps)))
+    _, (rows, a, b, y), loops = _sampler(spec)(replicate_keys(seed, np.arange(reps)))
     totals = counting._count_block(counting._search_plan(pattern), loops, rows, a, b, y)
     got = totals.tolist()
     want = [
@@ -378,7 +378,7 @@ def test_block_sampler_returns_sorted_nonzero_triples(case):
     spec, _ = MC_ORACLE_CASES[case]
     reps, seed, n = 12, 4, spec.n
     keys = replicate_keys(seed, np.arange(reps))
-    classes, (rows, a, b, y), loops = _sample_block(spec, keys)
+    classes, (rows, a, b, y), loops = _sampler(spec)(keys)
     assert (y > 0).all()
     assert ((0 <= a) & (a < b) & (b < n)).all()
     assert (np.diff((rows * n + a) * n + b) > 0).all()
@@ -403,7 +403,7 @@ def test_sampler_draws_keep_their_outputs_across_later_draws(case):
     blocks = [replicate_keys(7, np.arange(s, s + k)) for s, k in spans]
     outputs = [draw(keys) for keys in blocks]
     for keys, (classes, pairs, loops) in zip(blocks, outputs):
-        want_classes, want_pairs, want_loops = _sample_block(spec, keys)
+        want_classes, want_pairs, want_loops = _sampler(spec)(keys)
         assert np.array_equal(classes, want_classes)
         assert all(map(np.array_equal, pairs, want_pairs))
         assert np.array_equal(loops, want_loops)

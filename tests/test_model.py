@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,8 +29,8 @@ from blockmotif import (
     spec_from_json,
     spec_to_json,
 )
-from blockmotif._rng import key_floor, substream_key, uniform_from_key
-from blockmotif.model import _poisson_icdf, _sample_counts, _zero_cut
+from blockmotif._rng import key_floor, substream_key, uniform_from_key, uniforms_from_keys
+from blockmotif.model import _cell_sampler, _poisson_icdf, _sample_counts, _zero_cut
 
 PLAIN_LAWS = ((Poisson(0.8), Poisson(0.3)), (Poisson(0.3), Poisson(1.2)))
 
@@ -250,6 +251,14 @@ def test_laws_that_never_draw_an_edge_give_empty_hosts():
         assert monte_carlo_pmf(spec, pattern, 40, 3) == ({0: 1.0}, {0: 40})
 
 
+def test_zero_rates_draw_nothing_under_overflowing_weights():
+    # a weight product past the float range times a zero rate is nan, and
+    # a nan rate inverts to 0, as every rate-0 pair does
+    spec = SbmmSpec(3, 1, (1.0,), ((Poisson(0.0),),), degree_weights=(1e200, 1e200, 1.0))
+    for seed in range(5):
+        assert sample_graph(spec, seed).edge_counts == {}
+
+
 def test_one_poisson_inversion_over_mixed_rates_equals_the_per_law_calls():
     # the sampler inverts a block's Poisson candidates in one call, each
     # with its own law's rate; element for element that must equal one
@@ -269,6 +278,36 @@ def test_one_poisson_inversion_over_mixed_rates_equals_the_per_law_calls():
         at = rate_cells == r
         assert (got[at] == _sample_counts(u_cells[at], Poisson(r))).all(), r
     assert got.max() > 600 and (got == 0).any()
+
+
+@pytest.mark.parametrize("rates", [(0.02, 0.9, 40.0), (0.001, 0.05, 0.3)])
+def test_weighted_cut_inverts_like_every_cell_inverted(rates):
+    # degree-weighted candidates come from the cut of the largest pair
+    # mean, lowered by a margin.  Crafted keys put each cell's uniform one
+    # step below, at and one step above its own exp(-rate) on the 2**-53
+    # grid; with random keys besides, the prepared sampler must return what
+    # inverting every cell returns, as weighted pairs once were drawn
+    rng = np.random.default_rng(5)
+    theta = np.concatenate(([4.0, 3.5], rng.uniform(0.2, 3.5, 10)))
+    iu, ju = np.triu_indices(len(theta), k=1)
+    weights = theta[iu] * theta[ju]
+    law_index = rng.integers(0, len(rates), len(iu))
+    law_index[0] = len(rates) - 1  # the two largest weights meet the largest rate
+    cell_rates = weights * np.array(rates)[law_index]
+    m = np.floor(np.exp(-cell_rates) * 2.0**53).astype(np.int64)
+    crafted = np.maximum(m + np.arange(-1, 2)[:, None], 0).astype(np.uint64)
+    drawn = rng.integers(0, 2**64, (20, len(iu)), dtype=np.uint64)
+    keys = np.concatenate((crafted << np.uint64(11), drawn))
+    sample = _cell_sampler([Poisson(r) for r in rates], 4.0 * 3.5)
+    cells, counts = sample(
+        keys, lambda c: law_index[c % len(iu)], lambda c: weights[c % len(iu)]
+    )
+    full = _poisson_icdf(uniforms_from_keys(keys), np.tile(cell_rates, (len(keys), 1)))
+    want = np.flatnonzero(full)
+    assert cells.tolist() == want.tolist()
+    assert counts.tolist() == full.reshape(-1)[want].tolist()
+    # at or below its exp(-rate) a cell draws 0, one step above it draws more
+    assert not full[:2].any() and full[2].all()
 
 
 RATE_TOO_LARGE_SPECS = {
@@ -300,6 +339,63 @@ def test_degree_weights_decide_the_rate_limit():
     # small weights bring a large rate's pair means under the limit
     spec = SbmmSpec(3, 1, (1.0,), ((Poisson(800.0),),), degree_weights=(0.5,) * 3)
     assert sample_graph(spec, 0).n == 3
+
+
+def test_rate_limit_refuses_before_any_quadratic_work():
+    # 200,000 vertices have about 2e10 pairs, whose keys alone would take
+    # 160 GB; the two largest weights put the largest pair mean at 900, so
+    # the model is refused from its weights and laws alone, in O(n) memory
+    n = 200_000
+    weights = (30.0, 1.0, 30.0) + (1.0,) * (n - 3)
+    spec = SbmmSpec(n, 1, (1.0,), ((Poisson(1.0),),), degree_weights=weights)
+    triangle = pattern_from_name("triangle")
+    for call in (lambda: sample_graph(spec, 0), lambda: monte_carlo_pmf(spec, triangle, 5, 0)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000, peak
+
+
+# weights spread over [0.5, 2], interleaved over the vertex labels
+PINNED_WEIGHTED_SPEC = SbmmSpec(
+    60, 2, (0.5, 0.5),
+    ((Poisson(3 / 60), Poisson(1 / 60)), (Poisson(1 / 60), Poisson(3 / 60))),
+    degree_weights=tuple(0.5 + 1.5 * ((7 * i) % 60) / 59 for i in range(60)),
+)
+
+
+def test_weighted_streams_match_the_pinned_draws():
+    # literals drawn when every weighted pair was still inverted: the
+    # candidate sampler must draw the same graphs, bit for bit
+    _, hist = monte_carlo_pmf(PINNED_WEIGHTED_SPEC, pattern_from_name("triangle"), 300, 7)
+    assert hist == {
+        0: 1, 1: 4, 2: 15, 3: 17, 4: 25, 5: 22, 6: 42, 7: 36, 8: 33, 9: 15, 10: 18,
+        11: 28, 12: 8, 13: 10, 14: 8, 15: 5, 16: 4, 17: 2, 18: 3, 20: 1, 23: 1,
+        24: 1, 26: 1,
+    }
+    graph = sample_graph(PINNED_WEIGHTED_SPEC, 7)
+    twos = {(6, 39): 3, (21, 41): 2, (32, 34): 2, (49, 51): 2}
+    ones = [
+        (0, 14), (0, 22), (0, 49), (1, 4), (1, 54), (2, 7), (2, 54), (3, 9),
+        (3, 20), (3, 30), (3, 32), (3, 41), (4, 6), (4, 13), (4, 18), (5, 8),
+        (5, 24), (5, 36), (5, 37), (6, 13), (7, 21), (7, 27), (7, 29), (7, 39),
+        (7, 50), (8, 19), (9, 35), (9, 39), (10, 34), (10, 59), (11, 13),
+        (11, 25), (12, 56), (13, 56), (14, 48), (15, 36), (15, 56), (15, 58),
+        (16, 33), (16, 34), (16, 46), (16, 58), (17, 42), (17, 46), (19, 21),
+        (20, 24), (20, 29), (20, 32), (21, 39), (21, 49), (22, 48), (22, 51),
+        (24, 32), (24, 51), (24, 59), (25, 41), (25, 49), (25, 51), (27, 38),
+        (29, 35), (29, 55), (31, 33), (31, 41), (32, 57), (33, 59), (34, 59),
+        (35, 45), (39, 59), (40, 58), (41, 42), (42, 55), (44, 56), (44, 58),
+        (48, 59), (50, 51), (50, 53), (50, 58),
+    ]
+    assert graph.edge_counts == dict(sorted({**dict.fromkeys(ones, 1), **twos}.items()))
+    assert "".join(map(str, graph.classes)) == (
+        "111011111101110100010111011101010001111111011101011101101000"
+    )
 
 
 def test_class_frequencies_match_f():
@@ -446,3 +542,10 @@ def test_graph_text_rejects_duplicates_and_garbage():
         graph_from_text("0 1\n")
     with pytest.raises(ValueError):
         graph_from_text("")
+
+
+@pytest.mark.parametrize("header", ["# n", "#n", "# n 4 5", "# n four"])
+def test_graph_text_rejects_an_n_header_without_one_integer(header):
+    with pytest.raises(ValueError, match="'# n' header") as err:
+        graph_from_text(f"{header}\n0 1 1\n")
+    assert repr(header) in str(err.value)
