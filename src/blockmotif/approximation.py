@@ -21,20 +21,22 @@ contributed by S is ``P(Z = i)``; multiplying by the number of vertex sets
 assignments of S and all edge configurations on its pairs (and self-loop
 slots), truncating each infinite-support law at a certified tail threshold
 and reporting the neglected mass.  Z is unchanged when the vertices of S
-are relabelled, so the float path enumerates class multisets, each weighted
-by its number of orderings, and walks each multiset's configuration grid in
-fixed-size numpy chunks (``counting._count_law``).  Each chunk is scored
+are relabelled, so the float path makes one pass over the class multisets,
+keys each one up to relabelling (swapping twin classes, which keeps every
+law, included), adds up the weights of equal keys, and walks each key's
+configuration grid once, in fixed-size numpy chunks
+(``counting._count_law``).  Each chunk is scored
 as a product grid: a trailing sub-grid of slots carries its probability
-columns and per-placement binomial products, built once per multiset, and
+columns and per-placement binomial products, built once per grid, and
 the chunk's few leading-slot rows are broadcast against it, so
 probabilities are slot-by-slot broadcast products and clump sizes sums of
 outer products; masses go per clump size into a dense ``np.bincount``
 histogram while sizes are small.  This walk
 (``_host_law``) gives the law of the copy count on any number m of random
 vertices: m = v here, and m = n for ``experiments.exact_count_pmf``, under
-one size guard.  The ``exact=True`` path keeps a plain loop over every
-class assignment and configuration in rational arithmetic and serves as
-the float path's oracle.
+one size guard that counts the grids it scores.  The ``exact=True`` path
+keeps a plain loop over every class assignment and configuration in
+rational arithmetic and serves as the float path's oracle.
 
 The total-variation error bounds come in seven variants (named in
 ``tv_bound``), each a closed form in the pattern's structural exponents and
@@ -228,54 +230,86 @@ def _check_walk(sizes, limit: int, what: str) -> None:
 def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     """Law of the copy count on ``m`` random vertices, and the neglected mass.
 
-    Walks the class multisets of the vertices and each one's grid of slot
-    values (pairs in ``combinations`` order, then loops when the pattern has
-    them), a slot with law ``law`` taking the values ``0..cap(law)``.  The
-    neglected mass is the union bound, over slots, on some slot exceeding
-    its cap.  Refuses walks of more than ``limit`` configurations, counting
-    every multiset's grid.
+    A class multiset's grid has one slot per vertex pair (in
+    ``combinations`` order), then one per vertex loop when the pattern has
+    loops; a slot with law ``law`` takes the values ``0..cap(law)``.  The
+    law of the grid does not change when the vertices are relabelled, so
+    one pass over the class multisets keys each one up to relabelling, adds
+    up the weights of equal keys, and each key's grid is then scored once
+    under its summed weight.  Classes ``c`` and ``d`` are twins when
+    swapping them keeps every law; a multiset's key is the slot-law sequence
+    of its canonical form, in which each twin set's counts go, largest
+    first, to the set's classes in index order.  The neglected mass is the
+    union bound, over slots, on some slot exceeding its cap.
 
-    Multisets with the same slot-law sequence and the same weight share one
-    scored grid: their ``_count_law`` calls are identical, so the law is
-    scored once and added again, in multiset order, bit for bit as if
-    rescored.  Grids equal only up to vertex relabelling are rescored, as
-    slot order sets the rounding.
+    Refuses walks of more than ``limit`` configurations.  A key's grid is
+    counted when the pass first finds it, so the count is the work the walk
+    does and a refusal stops at the first key past the limit.
     """
-    pairs = list(combinations(range(m), 2))
-    slots = {}
+    # (pmf up to the cap, P(Y > cap)) per distinct law, laws named by their
+    # index here; the tail is summed forward, with no cancellation, so the
+    # neglected mass stays certified even after the C(n, v) blow-up
+    slots, ids = [], {}
 
-    def slot_laws(assign):
-        laws = [spec.edge_laws[assign[i]][assign[j]] for i, j in pairs]
-        if pattern.self_loops:
-            laws += [spec.self_loop_laws[c] for c in assign]
-        return laws
-
-    def slot(law):
-        # (pmf up to the cap, P(Y > cap)); the tail is summed forward, with no
-        # cancellation, so the neglected mass stays certified even after the
-        # C(n, v) blow-up
-        if law not in slots:
+    def law_id(law):
+        if law not in ids:
+            ids[law] = len(slots)
             top = cap(law)
             table = [pmf_tail(law, k)[0] for k in range(top + 1)]
-            slots[law] = table, pmf_tail(law, top + 1)[1]
-        return slots[law]
+            slots.append((table, pmf_tail(law, top + 1)[1]))
+        return ids[law]
 
-    sizes = (
-        math.prod(len(slot(law)[0]) for law in slot_laws(assign))
-        for assign, _ in _class_multisets(spec.f, m)
-    )
-    _check_walk(sizes, limit, what)
+    Q = spec.Q
+    laws = [[law_id(law) for law in row] for row in spec.edge_laws]
+    loops = [law_id(law) for law in spec.self_loop_laws] if pattern.self_loops else None
+
+    def twins(c, d):
+        return (
+            laws[c][c] == laws[d][d]
+            and (loops is None or loops[c] == loops[d])
+            and all(laws[c][x] == laws[d][x] for x in range(Q) if x not in (c, d))
+        )
+
+    # twin sets, each under its first class
+    sets: dict[int, list[int]] = {}
+    for c in range(Q):
+        sets.setdefault(next((d for d in sets if twins(d, c)), c), []).append(c)
+    pairs = list(combinations(range(m), 2))
+
+    def key(assign):
+        # the slot laws of the canonical form of the multiset ``assign``
+        counts = [0] * Q
+        for c in assign:
+            counts[c] += 1
+        for twin_set in sets.values():
+            ranked = sorted((counts[c] for c in twin_set), reverse=True)
+            for c, k in zip(twin_set, ranked):
+                counts[c] = k
+        canonical = [c for c, k in enumerate(counts) for _ in range(k)]
+        slot_laws = [laws[canonical[i]][canonical[j]] for i, j in pairs]
+        if loops is not None:
+            slot_laws += [loops[c] for c in canonical]
+        return tuple(slot_laws)
+
+    weights: dict[tuple, float] = {}
+
+    def sizes():
+        # the one pass: a key's grid size is yielded when the key is new
+        for assign, weight in _class_multisets(spec.f, m):
+            grid = key(assign)
+            if grid not in weights:
+                weights[grid] = 0.0
+                yield math.prod(len(slots[law][0]) for law in grid)
+            weights[grid] += weight
+
+    _check_walk(sizes(), limit, what)
     terms = _copy_terms(pattern, m)
     pmf: dict[int, float] = {}
     neglected = 0.0
-    scored = {}
-    for assign, weight in _class_multisets(spec.f, m):
-        laws = tuple(slot_laws(assign))
-        tables = [slot(law) for law in laws]
+    for grid, weight in weights.items():
+        tables = [slots[law] for law in grid]
         neglected += weight * sum((tail for _, tail in tables), 0.0)
-        if (laws, weight) not in scored:
-            scored[laws, weight] = _count_law([t for t, _ in tables], terms, weight)
-        for w, p in scored[laws, weight].items():
+        for w, p in _count_law([t for t, _ in tables], terms, weight).items():
             pmf[w] = pmf.get(w, 0.0) + p
     return pmf, neglected
 
@@ -288,16 +322,18 @@ def lambda_params(
 ) -> CompoundPoissonParams:
     """Exact clump rates lambda_i = C(n, v) * P(Z = i).
 
-    Enumerates, for one vertex set, every class multiset (weighted by its
-    orderings) and every edge (and self-loop) configuration with per-pair
-    supports truncated where the law's tail falls below ``eps``, in
-    fixed-size chunks (``_host_law`` at ``m = v``).  ``exact=True`` switches
-    to rational arithmetic (categorical laws only), walks every class
-    assignment one configuration at a time, and returns Fractions.
+    Enumerates, for one vertex set, the class multisets up to relabelling
+    (each key weighted by the orderings of its multisets) and every edge
+    (and self-loop) configuration with per-pair supports truncated where the
+    law's tail falls below ``eps``, in fixed-size chunks (``_host_law`` at
+    ``m = v``).  ``exact=True`` switches to rational arithmetic (categorical
+    laws only), walks every class assignment one configuration at a time,
+    and returns Fractions.
 
     Raises :class:`InfeasibleError` when the walk would visit more than
-    ``CLUMP_ENUMERATION_LIMIT`` configurations: the sum, over the class
-    assignments it walks, of the product of per-slot truncated supports.
+    ``CLUMP_ENUMERATION_LIMIT`` configurations: the sum, over the grids it
+    scores (one per key on the float path, one per class assignment on the
+    exact path), of the product of per-slot truncated supports.
     """
     _require_plain(spec, "the clump-rate computation")
     _require_fit(spec, pattern)

@@ -5,9 +5,10 @@ Two routes to the distribution of the copy count W:
 * ``exact_count_pmf`` enumerates every edge configuration of a small
   finite-support model and accumulates the exact law of W.  It is the
   clump rates' walk (``approximation._host_law``) on all n vertices: class
-  multisets weighted by their number of orderings, and each multiset's
-  configuration grid in fixed-size numpy chunks that score every host with
-  the same binomial-product sums ``count_copies`` uses;
+  multisets keyed up to relabelling, each key weighted by its multisets'
+  orderings, and each key's configuration grid once, in fixed-size numpy
+  chunks that score every host with the same binomial-product sums
+  ``count_copies`` uses;
 * ``monte_carlo_pmf`` samples whole graphs (one keyed substream per
   replicate), a block of replicates per numpy pass, and counts the copies
   of several blocks' replicates in one pass of the block counter, in
@@ -91,9 +92,9 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
 
     Requires categorical (finite-support) edge laws, no degree weights, and
     a walk of at most ``EXACT_ENUMERATION_LIMIT`` configurations (counted
-    over the class multisets it visits); self-loop slots are enumerated
-    only when the pattern actually has self-loops.  Hosts of probability
-    0.0 leave no atom.
+    over the grids it scores, one per class multiset up to relabelling);
+    self-loop slots are enumerated only when the pattern actually has
+    self-loops.  Hosts of probability 0.0 leave no atom.
     """
     _require_plain(spec, "exact enumeration")
     for law in spec.distinct_laws():

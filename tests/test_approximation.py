@@ -328,16 +328,16 @@ def test_lambda_enumeration_size_guard(monkeypatch):
     spec = random_spec(random.Random(0), 12, 2)
     with pytest.raises(InfeasibleError):
         limited(10, spec, TRIANGLE)
-    # the guard counts the configurations the walk visits: for cycle:4 on
-    # two Poisson classes at eps 1e-8 (truncation caps 8 and 6) the
-    # class-multiset walk visits 1,757,457, under the default limit,
-    # although the labelled grid at the largest cap, 2^4 * 9^6 = 8,503,056,
-    # is not
+    # the guard counts the configurations the walk scores: for cycle:4 on
+    # two twin Poisson classes at eps 1e-8 (truncation caps 8 and 6) the
+    # 5 class multisets give 3 grids, (0,0,0,0), (0,0,0,1) and (0,0,1,1),
+    # of 975,969 configurations in all, although the labelled grid at the
+    # largest cap, 2^4 * 9^6 = 8,503,056, is over the default limit
     same, cross = Poisson(0.5), Poisson(0.2)
     spec = SbmmSpec(12, 2, (0.5, 0.5), ((same, cross), (cross, same)))
     cycle4 = pattern_from_name("cycle:4")
-    with pytest.raises(InfeasibleError, match="walks 1757457 configurations"):
-        limited(1_757_456, spec, cycle4, 1e-8)
+    with pytest.raises(InfeasibleError, match="walks 975969 configurations"):
+        limited(975_968, spec, cycle4, 1e-8)
     params = lambda_params(spec, cycle4, 1e-8)
     mean = math.fsum(i * lam for i, lam in enumerate(params.lam, start=1))
     assert mean == pytest.approx(expected_count(spec, cycle4), rel=1e-6)
@@ -386,7 +386,19 @@ def _host_law_scoring_every_multiset(spec, pattern, m, cap):
     return pmf, neglected
 
 
-def test_host_law_scores_each_repeated_grid_once_bit_for_bit(monkeypatch):
+def _assert_laws_close(got, want):
+    # summing the weights of a shared grid before scoring it moves the
+    # masses and the neglected mass by rounding only
+    (pmf, neglected), (want_pmf, want_neglected) = got, want
+    assert set(pmf) == set(want_pmf)
+    for w, p in want_pmf.items():
+        assert pmf[w] == pytest.approx(p, rel=1e-12, abs=0.0), w
+    assert neglected == pytest.approx(want_neglected, rel=1e-12, abs=0.0)
+
+
+@pytest.fixture
+def count_law_calls(monkeypatch):
+    # the grids ``_host_law`` scores, one entry per ``_count_law`` call
     calls = []
 
     def counted(*args):
@@ -394,41 +406,95 @@ def test_host_law_scores_each_repeated_grid_once_bit_for_bit(monkeypatch):
         return counting._count_law(*args)
 
     monkeypatch.setattr(approximation, "_count_law", counted)
+    return calls
 
+
+def _truncated(law):
+    return truncation_bound(law, 1e-8)
+
+
+def test_host_law_scores_each_grid_once_up_to_relabelling(count_law_calls):
     def check(spec, pattern, m, cap, scored):
-        calls.clear()
+        count_law_calls.clear()
         got = approximation._host_law(spec, pattern, m, cap, 10**8, "walk")
         want = _host_law_scoring_every_multiset(spec, pattern, m, cap)
-        assert got == want  # the pmf dict and the neglected mass, bit for bit
-        assert len(calls) == scored
-
-    def truncated(law):
-        return truncation_bound(law, 1e-8)
+        _assert_laws_close(got, want)
+        assert len(count_law_calls) == scored
 
     cycle4 = pattern_from_name("cycle:4")
     same, cross = Poisson(0.15), Poisson(0.05)
-    # the benchmark's two-class assortative model: (1,1,1,1) repeats
-    # (0,0,0,0), so 4 of its 5 multisets are scored
+    # the benchmark's two-class assortative model: its classes are twins,
+    # so (1,1,1,1) is keyed as (0,0,0,0) and (0,1,1,1) as (0,0,0,1), and
+    # its 5 multisets give 3 grids
     two = SbmmSpec(20, 2, (0.5, 0.5), ((same, cross), (cross, same)))
-    check(two, cycle4, 4, truncated, 4)
-    # equal planted classes: multisets share a grid when their sorted
-    # classes change at the same positions, 7 patterns among 15 multisets
+    check(two, cycle4, 4, _truncated, 3)
+    # equal planted classes: a multiset is keyed by its class counts,
+    # largest first, so the 15 multisets give the 4 partitions of 4 into at
+    # most 3 parts
     laws = [[same if a == b else cross for b in range(3)] for a in range(3)]
     three = SbmmSpec(20, 3, (1 / 3,) * 3, laws)
-    check(three, cycle4, 4, truncated, 7)
-    # the same slot laws under different weights share nothing
+    check(three, cycle4, 4, _truncated, 4)
+    # twins are found from the laws alone: unequal class frequencies only
+    # change the weights summed into a shared grid
     lopsided = SbmmSpec(20, 2, (0.3, 0.7), ((same, cross), (cross, same)))
-    check(lopsided, cycle4, 4, truncated, 5)
+    check(lopsided, cycle4, 4, _truncated, 3)
     # the exact law on all m = n vertices, as exact_count_pmf walks it:
-    # (1,1,1,1,1) repeats (0,0,0,0,0), while (0,0,0,0,1) and (0,1,1,1,1),
-    # equal only up to relabelling, are both scored
+    # (0,0,0,0,1) and (0,1,1,1,1) share a grid, as do (0,0,0,0,0) and
+    # (1,1,1,1,1), and (0,0,0,1,1) and (0,0,1,1,1)
     a, b = Categorical([0.6, 0.3, 0.1]), Categorical([0.8, 0.2])
     symmetric = SbmmSpec(5, 2, (0.5, 0.5), ((a, b), (b, a)))
     whole = lambda law: len(law.probabilities) - 1  # noqa: E731
-    check(symmetric, TRIANGLE, 5, whole, 5)
+    check(symmetric, TRIANGLE, 5, whole, 3)
     pmf, neglected = _host_law_scoring_every_multiset(symmetric, TRIANGLE, 5, whole)
     assert neglected == 0.0
-    assert exact_count_pmf(symmetric, TRIANGLE) == dict(sorted(pmf.items()))
+    got = exact_count_pmf(symmetric, TRIANGLE)
+    assert list(got) == sorted(pmf)
+    _assert_laws_close((got, 0.0), (pmf, 0.0))
+
+
+@pytest.mark.parametrize("Q", [4, 8, 12])
+def test_planted_partition_scores_one_grid_per_partition_of_v(Q, count_law_calls):
+    # with equal planted classes every two classes are twins, so a class
+    # multiset of the 4 cycle vertices is keyed by its class counts: the 5
+    # integer partitions of 4 among the C(Q + 3, 4) multisets, whatever Q is
+    same, cross = Poisson(0.15), Poisson(0.05)
+    laws = [[same if a == b else cross for b in range(Q)] for a in range(Q)]
+    spec = SbmmSpec(20, Q, (1 / Q,) * Q, laws)
+    cycle4 = pattern_from_name("cycle:4")
+    params = lambda_params(spec, cycle4, 1e-8)
+    assert len(count_law_calls) == 5
+    if Q == 4:
+        pmf, neglected = _host_law_scoring_every_multiset(spec, cycle4, 4, _truncated)
+        n_sets = math.comb(20, 4)
+        assert params.truncation_mass == pytest.approx(n_sets * neglected, rel=1e-12)
+        for i, lam in enumerate(params.lam, start=1):
+            assert lam == pytest.approx(n_sets * pmf.get(i, 0.0), rel=1e-12, abs=0.0)
+
+
+def test_host_law_keeps_unswappable_classes_apart(count_law_calls):
+    # classes 0 and 1 have equal frequencies and equal laws within, but meet
+    # class 2 under different laws, so they are not twins and (0,0,0,2) and
+    # (1,1,1,2) are scored apart; (0,0,0,0) and (1,1,1,1) still share a
+    # grid through their equal slot laws
+    same, cross = Poisson(0.15), Poisson(0.05)
+    laws = (
+        (same, cross, Poisson(0.1)),
+        (cross, same, Poisson(0.02)),
+        (Poisson(0.1), Poisson(0.02), Poisson(0.3)),
+    )
+    spec = SbmmSpec(20, 3, (0.25, 0.25, 0.5), laws)
+    cycle4 = pattern_from_name("cycle:4")
+    got = approximation._host_law(spec, cycle4, 4, _truncated, 10**8, "walk")
+    _assert_laws_close(got, _host_law_scoring_every_multiset(spec, cycle4, 4, _truncated))
+    assert len(count_law_calls) <= 14
+    # unequal loop laws keep two classes apart under a looped pattern
+    looped = SbmmSpec(
+        20, 2, (0.5, 0.5), ((same, cross), (cross, same)),
+        self_loop_laws=(Poisson(0.1), Poisson(0.4)),
+    )
+    got = approximation._host_law(looped, LOOP_TRIANGLE, 3, _truncated, 10**8, "walk")
+    want = _host_law_scoring_every_multiset(looped, LOOP_TRIANGLE, 3, _truncated)
+    _assert_laws_close(got, want)
 
 
 def test_pattern_larger_than_model_is_rejected():

@@ -353,12 +353,12 @@ def test_simple_pattern_counts_match_networkx_monomorphisms():
         assert count_copies(g, pattern) == mono // aut
 
 
-def _sparse_host():
-    # about 300 edges on 200 vertices, with a few planted triangles
-    host = nx.gnm_random_graph(200, 300, seed=5)
+def _sparse_host(n=200, edges=300):
+    # about ``edges`` edges on n vertices, with a few planted triangles
+    host = nx.gnm_random_graph(n, edges, seed=5)
     for a in range(0, 15, 3):
         host.add_edges_from([(a, a + 1), (a + 1, a + 2), (a, a + 2)])
-    return host, ObservedMultigraph(200, {tuple(sorted(e)): 1 for e in host.edges})
+    return host, ObservedMultigraph(n, {tuple(sorted(e)): 1 for e in host.edges})
 
 
 def test_sparse_host_triangles_match_networkx_in_little_memory():
@@ -420,17 +420,19 @@ def test_count_does_not_depend_on_frontier_chunk(monkeypatch):
 
 def test_orbit_bounds_cross_components_on_sparse_host(monkeypatch):
     # closed forms on a simple host: two disjoint edges are the edge pairs
-    # that share no vertex, a 3-leaf star is three edges at one centre
-    host, g = _sparse_host()
-    degrees = [d for _, d in host.degree()]
-    edges = host.number_of_edges()
+    # that share no vertex, a 3-leaf star is three edges at one centre.
+    # Chunks of one candidate each run on a 40-vertex host: on the
+    # 200-vertex one they take ten times as long as chunks of 7
     two_edges = PatternGraph(4, {(0, 1): 1, (2, 3): 1})
     star = PatternGraph(4, {(0, 1): 1, (0, 2): 1, (0, 3): 1})
-    want = [
-        math.comb(edges, 2) - sum(math.comb(d, 2) for d in degrees),
-        sum(math.comb(d, 3) for d in degrees),
-    ]
-    for chunk in (1, 7, counting._FRONTIER_CHUNK):
+    small, large = _sparse_host(40, 60), _sparse_host()
+    for chunk, (host, g) in ((1, small), (7, large), (counting._FRONTIER_CHUNK, large)):
+        degrees = [d for _, d in host.degree()]
+        edges = host.number_of_edges()
+        want = [
+            math.comb(edges, 2) - sum(math.comb(d, 2) for d in degrees),
+            sum(math.comb(d, 3) for d in degrees),
+        ]
         monkeypatch.setattr(counting, "_FRONTIER_CHUNK", chunk)
         assert [count_copies(g, p) for p in (two_edges, star)] == want, chunk
 

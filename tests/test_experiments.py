@@ -591,7 +591,7 @@ def test_experiment_reports_are_byte_stable():
 def test_poisson_reference_survives_infeasible_clump_rates():
     # the Poisson reference needs only nu: clump rates too large to
     # enumerate are reported as null instead of failing the experiment
-    same, cross = Poisson(0.5), Poisson(0.2)
+    same, cross = Poisson(1.0), Poisson(0.2)
     spec = SbmmSpec(12, 2, (0.5, 0.5), ((same, cross), (cross, same)))
     cycle4 = pattern_from_name("cycle:4")
     with pytest.raises(InfeasibleError):
@@ -660,7 +660,7 @@ def test_bound_hypotheses_fail_before_clump_rates_are_enumerated(
     # the clump rates of both patterns are too large to enumerate here; the
     # unknown variant and the failed hypothesis must be reported instead
     # (InfeasibleError is a ValueError too, so the message tells them apart)
-    same, cross = Poisson(0.5), Poisson(0.2)
+    same, cross = Poisson(1.0), Poisson(0.2)
     spec = SbmmSpec(12, 2, (0.5, 0.5), ((same, cross), (cross, same)))
     pattern = {
         "cycle:4": pattern_from_name("cycle:4"),
