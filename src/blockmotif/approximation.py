@@ -34,7 +34,8 @@ outer products; masses go per clump size into a dense ``np.bincount``
 histogram while sizes are small.  This walk
 (``_host_law``) gives the law of the copy count on any number m of random
 vertices: m = v here, and m = n for ``experiments.exact_count_pmf``, under
-one size guard that counts the grids it scores.  The ``exact=True`` path
+one size guard that bounds both the class multisets it keys and the
+configurations of the grids it scores.  The ``exact=True`` path
 keeps a plain loop over every class assignment and configuration in
 rational arithmetic and serves as the float path's oracle.
 
@@ -242,9 +243,13 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     first, to the set's classes in index order.  The neglected mass is the
     union bound, over slots, on some slot exceeding its cap.
 
-    Refuses walks of more than ``limit`` configurations.  A key's grid is
-    counted when the pass first finds it, so the count is the work the walk
-    does and a refusal stops at the first key past the limit.
+    Refuses, up front, more than ``limit`` class multisets, counted as
+    ``C(Q + m - 1, m)`` without walking them, so the pass keys at most
+    ``limit`` multisets.  It also refuses grids of more than ``limit``
+    configurations in all: a key's grid is counted when the pass first finds
+    it, so the count is what is scored and a refusal stops at the first key
+    past the limit (the message names the total only when no new key
+    remains).
     """
     # (pmf up to the cap, P(Y > cap)) per distinct law, laws named by their
     # index here; the tail is summed forward, with no cancellation, so the
@@ -260,6 +265,11 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
         return ids[law]
 
     Q = spec.Q
+    keyed = math.comb(Q + m - 1, m)
+    if keyed > limit:
+        raise InfeasibleError(
+            f"{what} keys {keyed} class multisets (limit {limit})"
+        )
     laws = [[law_id(law) for law in row] for row in spec.edge_laws]
     loops = [law_id(law) for law in spec.self_loop_laws] if pattern.self_loops else None
 
@@ -291,18 +301,23 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
             slot_laws += [loops[c] for c in canonical]
         return tuple(slot_laws)
 
+    # the one pass: sum the weights per key, counting a key's grid size
+    # when the key is new
     weights: dict[tuple, float] = {}
-
-    def sizes():
-        # the one pass: a key's grid size is yielded when the key is new
-        for assign, weight in _class_multisets(spec.f, m):
-            grid = key(assign)
-            if grid not in weights:
-                weights[grid] = 0.0
-                yield math.prod(len(slots[law][0]) for law in grid)
-            weights[grid] += weight
-
-    _check_walk(sizes(), limit, what)
+    total = 0
+    multisets = _class_multisets(spec.f, m)
+    for assign, weight in multisets:
+        grid = key(assign)
+        if grid not in weights:
+            weights[grid] = 0.0
+            total += math.prod(len(slots[law][0]) for law in grid)
+            if total > limit:
+                more = any(key(rest) not in weights for rest, _ in multisets)
+                walked = f"more than {limit}" if more else total
+                raise InfeasibleError(
+                    f"{what} walks {walked} configurations (limit {limit})"
+                )
+        weights[grid] += weight
     terms = _copy_terms(pattern, m)
     pmf: dict[int, float] = {}
     neglected = 0.0
@@ -333,7 +348,9 @@ def lambda_params(
     Raises :class:`InfeasibleError` when the walk would visit more than
     ``CLUMP_ENUMERATION_LIMIT`` configurations: the sum, over the grids it
     scores (one per key on the float path, one per class assignment on the
-    exact path), of the product of per-slot truncated supports.
+    exact path), of the product of per-slot truncated supports.  The float
+    path also refuses more than ``CLUMP_ENUMERATION_LIMIT`` class multisets,
+    ``C(Q + v - 1, v)``, before it keys any.
     """
     _require_plain(spec, "the clump-rate computation")
     _require_fit(spec, pattern)

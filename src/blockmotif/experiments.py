@@ -92,7 +92,8 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
 
     Requires categorical (finite-support) edge laws, no degree weights, and
     a walk of at most ``EXACT_ENUMERATION_LIMIT`` configurations (counted
-    over the grids it scores, one per class multiset up to relabelling);
+    over the grids it scores, one per class multiset up to relabelling) and
+    at most as many class multisets, ``C(Q + n - 1, n)``;
     self-loop slots are enumerated only when the pattern actually has
     self-loops.  Hosts of probability 0.0 leave no atom.
     """

@@ -351,10 +351,11 @@ def test_lambda_enumeration_size_guard(monkeypatch):
         limited(63, two_point, TRIANGLE, exact=True)
     with pytest.raises(InfeasibleError, match="walks 32 configurations"):
         limited(31, two_point, TRIANGLE)
-    # the guard stops counting once the walk passes the limit: cycle:6 on
-    # 30 Bernoulli classes walks C(35, 6) class multisets of 2^15
-    # configurations each, about 5.3e10 in all, and the refusal must not
-    # cost the whole count, neither directly nor through the bound
+    # the guard stops counting once the scored grids pass the limit: cycle:6
+    # on 30 Bernoulli classes has C(35, 6) class multisets, few of them
+    # sharing a key, and grids of 2^15 configurations each, up to 5.3e10 in
+    # all, and the refusal must not cost the whole count, neither directly
+    # nor through the bound
     laws = [
         [bernoulli(0.01 * (1 + (a + b) % 7)) for b in range(30)] for a in range(30)
     ]
@@ -366,6 +367,36 @@ def test_lambda_enumeration_size_guard(monkeypatch):
     with pytest.raises(InfeasibleError, match="walks more than 5000000 configurations"):
         tv_bound(many, cycle6, "thm31_simple")
     assert time.perf_counter() - start < 2.0
+
+
+def test_lambda_refuses_too_many_class_multisets_up_front(monkeypatch):
+    # a planted partition keys every class multiset to one of the 11
+    # partitions of 6, so its scored grids stay small (11 * 2^15
+    # configurations), but C(65, 6) = 82,598,880 multisets would each be
+    # keyed first: their number alone is refused, before any is walked
+    Q = 60
+    same, cross = bernoulli(0.1), bernoulli(0.02)
+    laws = [[same if a == b else cross for b in range(Q)] for a in range(Q)]
+    planted = SbmmSpec(80, Q, (1 / Q,) * Q, laws)
+    cycle6 = pattern_from_name("cycle:6")
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleError, match="keys 82598880 class multisets"):
+        lambda_params(planted, cycle6)
+    with pytest.raises(InfeasibleError, match="keys 82598880 class multisets"):
+        tv_bound(planted, cycle6, "thm31_simple")
+    assert time.perf_counter() - start < 2.0
+    # the refusal is for more multisets than the limit, not for as many:
+    # a triangle on two classes has C(4, 3) = 4 class multisets
+    two_point = SbmmSpec(
+        6, 2, (0.5, 0.5),
+        ((bernoulli(0.3), bernoulli(0.1)), (bernoulli(0.1), bernoulli(0.5))),
+    )
+    monkeypatch.setattr(approximation, "CLUMP_ENUMERATION_LIMIT", 3)
+    with pytest.raises(InfeasibleError, match="keys 4 class multisets"):
+        lambda_params(two_point, TRIANGLE)
+    monkeypatch.setattr(approximation, "CLUMP_ENUMERATION_LIMIT", 4)
+    with pytest.raises(InfeasibleError, match="walks more than 4 configurations"):
+        lambda_params(two_point, TRIANGLE)
 
 
 def _host_law_scoring_every_multiset(spec, pattern, m, cap):

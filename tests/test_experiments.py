@@ -178,6 +178,18 @@ def test_exact_pmf_size_guard(monkeypatch):
         assert got[w] == pytest.approx(prob, abs=1e-14)
 
 
+def test_exact_pmf_refuses_too_many_class_multisets_up_front(monkeypatch):
+    # two classes on 4 vertices give C(5, 4) = 5 class multisets; more than
+    # the limit are refused by their number, before any is keyed
+    spec = SbmmSpec(
+        4, 2, (0.3, 0.7),
+        ((bernoulli(0.4), bernoulli(0.1)), (bernoulli(0.1), bernoulli(0.6))),
+    )
+    monkeypatch.setattr(experiments, "EXACT_ENUMERATION_LIMIT", 4)
+    with pytest.raises(InfeasibleError, match="keys 5 class multisets"):
+        exact_count_pmf(spec, TRIANGLE)
+
+
 def _labelled_host_oracle(spec, pattern):
     """Exact law of W over every class assignment and labelled host.
 
