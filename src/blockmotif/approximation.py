@@ -55,8 +55,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, count, islice, product
+
+import numpy as np
 
 from .counting import _class_multisets, _copy_terms, _count_law, clump_size
 from .distributions import (
@@ -148,11 +149,6 @@ class BoundReport:
 # -- means -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _bmoment(law, r: int) -> float:
-    return binomial_moment(law, r)
-
-
 def _require_plain(spec: SbmmSpec, what: str) -> None:
     if spec.degree_weights is not None:
         raise PreconditionError(
@@ -172,32 +168,36 @@ def _require_fit(spec: SbmmSpec, pattern: PatternGraph, prefix: str = "") -> Non
 def occurrence_mean(spec: SbmmSpec, pattern: PatternGraph) -> float:
     """Expected copy count contributed by one placement on one vertex set.
 
-    Averages, over the class assignment of the placement's vertices, the
-    product of binomial moments ``E[C(Y, multiplicity)]`` over pattern pairs
-    and ``E[C(S, loops)]`` over self-loop vertices.  A pattern with
-    self-loops has mean 0 under a model without self-loop laws.
+    Sums, over the class assignments of the pattern's vertices, the product
+    of ``f`` per vertex, ``E[C(Y, multiplicity)]`` per pattern pair and
+    ``E[C(S, loops)]`` per self-loop vertex, one vertex at a time: each step
+    sums out the vertex whose factors touch the fewest others (lowest index
+    first), so the cost is O(v Q^(w+1)) for elimination width w (2 for cycles
+    and paths).  A pattern with self-loops has mean 0 under a model without
+    self-loop laws.
     """
     _require_plain(spec, "the occurrence mean")
-    v = pattern.vertex_count
     if pattern.self_loops and spec.self_loop_laws is None:
         return 0.0
-    total = 0.0
-    for assign in product(range(spec.Q), repeat=v):
-        term = 1.0
-        for c in assign:
-            term *= spec.f[c]
-        for (a, b), m in pattern.edge_mult.items():
-            term *= _bmoment(spec.edge_laws[assign[a]][assign[b]], m)
-            if term == 0.0:
-                break
-        else:
-            for w, cnt in pattern.self_loops.items():
-                term *= _bmoment(spec.self_loop_laws[assign[w]], cnt)
-                if term == 0.0:
-                    break
-            else:
-                total += term
-    return total
+    left = list(range(pattern.vertex_count))
+    factors = [((w,), np.array(spec.f, dtype=float)) for w in left]
+    for m in set(pattern.edge_mult.values()):
+        pair = np.array([[binomial_moment(law, m) for law in row] for row in spec.edge_laws])
+        factors += [(s, pair) for s, k in pattern.edge_mult.items() if k == m]
+    for w, k in pattern.self_loops.items():
+        loop = [binomial_moment(law, k) for law in spec.self_loop_laws]
+        factors.append(((w,), np.array(loop)))
+    while left:
+        reach = {w: {x for s, _ in factors if w in s for x in s} - {w} for w in left}
+        w = min(left, key=lambda x: len(reach[x]))
+        left.remove(w)
+        out = sorted(reach[w])
+        # local einsum labels (it takes at most 52): 0 for w, 1.. for the rest
+        label = {x: k for k, x in enumerate([w, *out])}
+        operands = [op for s, t in factors if w in s for op in (t, [label[x] for x in s])]
+        factors = [(s, t) for s, t in factors if w not in s]
+        factors.append((tuple(out), np.einsum(*operands, list(range(1, len(out) + 1)))))
+    return float(math.prod(t for _, t in factors))
 
 
 def expected_count(spec: SbmmSpec, pattern: PatternGraph) -> float:

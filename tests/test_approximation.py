@@ -84,19 +84,28 @@ def test_occurrence_mean_averages_over_class_assignments():
 
 
 def test_occurrence_mean_matches_reimplementation_on_random_specs():
+    # patterns whose elimination order differs from index order: the star
+    # (centre 0) loses its leaves first, where index order would build a Q^4
+    # factor; the path is labelled out of order; and summing out vertex 0 of
+    # the paw leaves a factor on (1, 2) that is not symmetric, because the
+    # doubled pair (0, 1) ends at the pendant's vertex
+    star = PatternGraph(5, {(0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1})
+    shuffled_path = PatternGraph(4, {(0, 3): 1, (3, 1): 1, (1, 2): 1})
+    paw = PatternGraph(4, {(0, 1): 2, (0, 2): 1, (1, 2): 1, (1, 3): 1})
+    patterns = (TRIANGLE, PATH3, DOUBLED_EDGE_TRIANGLE, star, shuffled_path, paw)
     rng = random.Random(4242)
     for _ in range(12):
         spec = random_spec(rng, 9, rng.randint(1, 3))
-        pattern = (TRIANGLE, PATH3, DOUBLED_EDGE_TRIANGLE)[rng.randrange(3)]
-        expect = 0.0
-        for assign in product(range(spec.Q), repeat=pattern.vertex_count):
-            term = 1.0
-            for c in assign:
-                term *= float(spec.f[c])
-            for (a, b), m in pattern.edge_mult.items():
-                term *= binomial_moment(spec.edge_laws[assign[a]][assign[b]], m)
-            expect += term
-        assert occurrence_mean(spec, pattern) == pytest.approx(expect, rel=1e-10)
+        for pattern in patterns:
+            expect = 0.0
+            for assign in product(range(spec.Q), repeat=pattern.vertex_count):
+                term = 1.0
+                for c in assign:
+                    term *= float(spec.f[c])
+                for (a, b), m in pattern.edge_mult.items():
+                    term *= binomial_moment(spec.edge_laws[assign[a]][assign[b]], m)
+                expect += term
+            assert occurrence_mean(spec, pattern) == pytest.approx(expect, rel=1e-10)
 
 
 def test_occurrence_mean_agrees_with_clump_rate_total():
@@ -143,6 +152,31 @@ def test_expected_count_closed_forms():
     assert expected_count(spec, PATH3) == pytest.approx(math.comb(15, 3) * 3 * 1e-2)
     with pytest.raises(PreconditionError):
         expected_count(one_class_spec(2, bernoulli(0.1)), TRIANGLE)
+
+
+def _planted(Q, n=80, same=0.15, cross=0.05):
+    laws = [[Poisson(same if a == b else cross) for b in range(Q)] for a in range(Q)]
+    return SbmmSpec(n, Q, (1 / Q,) * Q, laws)
+
+
+def test_planted_cycle_mean_is_the_trace_of_a_matrix_power():
+    # with equal f the cycle's mean is tr(M^v) / Q^v for the moment matrix
+    # M = b J + (a - b) I, whose eigenvalues are a + (Q - 1) b (once) and
+    # a - b (Q - 1 times); summing over all Q^v class assignments instead
+    # would take hours at Q = 60
+    a, b = 0.15, 0.05
+    start = time.perf_counter()
+    for Q in (3, 12, 35, 60):
+        for v in (4, 6):
+            closed = ((a + (Q - 1) * b) ** v + (Q - 1) * (a - b) ** v) / Q**v
+            mean = occurrence_mean(_planted(Q), pattern_from_name(f"cycle:{v}"))
+            assert mean == pytest.approx(closed, rel=1e-12)
+    report = tv_bound(_planted(60), pattern_from_name("cycle:6"), "thm52_poisson_approx")
+    # rho(cycle:6) = 6! / 12 = 60 placements per vertex set
+    assert report.ingredients["nu"] == pytest.approx(
+        math.comb(80, 6) * 60 * closed, rel=1e-12
+    )
+    assert time.perf_counter() - start < 1.0
 
 
 # -- clump rates ---------------------------------------------------------------
@@ -871,6 +905,24 @@ def test_regime_bound_hand_values_and_envelope():
         tv_bound(spec, TRIANGLE, "regime_corpn")
     with pytest.raises(PreconditionError):
         tv_bound(spec, TRIANGLE, "regime_corpn", regime_c=3.0, regime_C=2.0)
+
+
+def test_single_edge_bounds_take_the_vanishing_overlap_branches():
+    # complete:2 has no proper subgraph with an edge, so kappa_1 = inf and the
+    # overlap terms vanish.  thm31: v = 2, e = 1, rho = 1, mu = 0.02, and
+    # value = (c / 2) n^2 mu (2 n mu + 2 n mu^inf) = c n^3 mu^2 = c * 50.
+    # regime_corpn: density 1/2, so the envelope unit is n^-2 and the means
+    # are 25 / n^2 and 50 / n^2; value = (c / 2) C (2 C / n + 0) = c * 50.
+    spec = SbmmSpec(
+        50, 2, (0.5, 0.5), ((Poisson(0.02), Poisson(0.01)), (Poisson(0.01), Poisson(0.02)))
+    )
+    edge = pattern_from_name("complete:2")
+    simple = tv_bound(spec, edge, "thm31_simple")
+    regime = tv_bound(spec, edge, "regime_corpn", regime_c=25, regime_C=50)
+    assert simple.ingredients["kappa_1"] == math.inf
+    assert regime.ingredients["regime_A"] == regime.ingredients["regime_B"] == 0.0
+    c = simple.ingredients["c_lambda"]
+    assert simple.value == regime.value == 50 * c
 
 
 # -- the report reproduces its own value ---------------------------------------
