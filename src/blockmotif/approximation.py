@@ -21,10 +21,10 @@ contributed by S is ``P(Z = i)``; multiplying by the number of vertex sets
 assignments of S and all edge configurations on its pairs (and self-loop
 slots), truncating each infinite-support law at a certified tail threshold
 and reporting the neglected mass.  Z is unchanged when the vertices of S
-are relabelled, so the float path makes one pass over the class multisets,
-keys each one up to relabelling (swapping twin classes, which keeps every
-law, included), adds up the weights of equal keys, and walks each key's
-configuration grid once, in fixed-size numpy chunks
+are relabelled or twin classes (whose swap keeps every law) are swapped,
+so the float path walks only the canonical class assignments, one shape
+of class counts per twin set, sums the weights of equal keys, and walks
+each key's configuration grid once, in fixed-size numpy chunks
 (``counting._count_law``).  Each chunk is scored
 as a product grid: a trailing sub-grid of slots carries its probability
 columns and per-placement binomial products, built once per grid, and
@@ -34,8 +34,8 @@ outer products; masses go per clump size into a dense ``np.bincount``
 histogram while sizes are small.  This walk
 (``_host_law``) gives the law of the copy count on any number m of random
 vertices: m = v here, and m = n for ``experiments.exact_count_pmf``, under
-one size guard that bounds both the class multisets it keys and the
-configurations of the grids it scores.  The ``exact=True`` path
+one size guard that bounds both the canonical assignments it walks and
+the configurations of the grids it scores.  The ``exact=True`` path
 keeps a plain loop over every class assignment and configuration in
 rational arithmetic and serves as the float path's oracle.
 
@@ -59,7 +59,7 @@ from itertools import combinations, count, islice, product
 
 import numpy as np
 
-from .counting import _class_multisets, _copy_terms, _count_law, clump_size
+from .counting import _copy_terms, _count_law, clump_size
 from .distributions import (
     Categorical,
     Geometric,
@@ -213,9 +213,9 @@ def expected_count(spec: SbmmSpec, pattern: PatternGraph) -> float:
 def _check_walk(sizes, limit: int, what: str) -> None:
     """Raise :class:`InfeasibleError` if a walk exceeds ``limit`` configurations.
 
-    ``sizes`` yields the configuration count of each class assignment walked.
+    ``sizes`` yields the configuration count of each grid walked.
     Counting stops once the sum passes the limit, so a refusal is cheap; if
-    assignments remain, the message names the limit, not a partial sum.
+    grids remain, the message names the limit, not a partial sum.
     """
     sizes = iter(sizes)
     total = 0
@@ -231,25 +231,23 @@ def _check_walk(sizes, limit: int, what: str) -> None:
 def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     """Law of the copy count on ``m`` random vertices, and the neglected mass.
 
-    A class multiset's grid has one slot per vertex pair (in
+    A class assignment's grid has one slot per vertex pair (in
     ``combinations`` order), then one per vertex loop when the pattern has
     loops; a slot with law ``law`` takes the values ``0..cap(law)``.  The
-    law of the grid does not change when the vertices are relabelled, so
-    one pass over the class multisets keys each one up to relabelling, adds
-    up the weights of equal keys, and each key's grid is then scored once
-    under its summed weight.  Classes ``c`` and ``d`` are twins when
-    swapping them keeps every law; a multiset's key is the slot-law sequence
-    of its canonical form, in which each twin set's counts go, largest
-    first, to the set's classes in index order.  The neglected mass is the
-    union bound, over slots, on some slot exceeding its cap.
+    grid's law is unchanged when the vertices are relabelled or twin
+    classes (whose swap keeps every law) are swapped, so only canonical
+    assignments are walked: a twin set's counts, sorted largest first (its
+    *shape*), go to its classes in index order.  One pass over each twin
+    set's classes tabulates its shapes and their summed weights, and the
+    walk picks one shape per set, the sizes adding up to ``m``.  Each key
+    (a grid's slot-law sequence) is scored once under its summed weight.
+    The neglected mass is the union bound, over slots, on some slot
+    exceeding its cap.
 
-    Refuses, up front, more than ``limit`` class multisets, counted as
-    ``C(Q + m - 1, m)`` without walking them, so the pass keys at most
-    ``limit`` multisets.  It also refuses grids of more than ``limit``
-    configurations in all: a key's grid is counted when the pass first finds
-    it, so the count is what is scored and a refusal stops at the first key
-    past the limit (the message names the total only when no new key
-    remains).
+    Refuses, up front, more than ``limit`` canonical assignments, counted
+    from the tables, and grids of more than ``limit`` configurations in
+    all (``_check_walk``), each key's grid counted when the walk first
+    finds it, so the count is what is scored.
     """
     # (pmf up to the cap, P(Y > cap)) per distinct law, laws named by their
     # index here; the tail is summed forward, with no cancellation, so the
@@ -265,11 +263,6 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
         return ids[law]
 
     Q = spec.Q
-    keyed = math.comb(Q + m - 1, m)
-    if keyed > limit:
-        raise InfeasibleError(
-            f"{what} keys {keyed} class multisets (limit {limit})"
-        )
     laws = [[law_id(law) for law in row] for row in spec.edge_laws]
     loops = [law_id(law) for law in spec.self_loop_laws] if pattern.self_loops else None
 
@@ -284,40 +277,68 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     sets: dict[int, list[int]] = {}
     for c in range(Q):
         sets.setdefault(next((d for d in sets if twins(d, c)), c), []).append(c)
+
+    # per twin set and size, its shapes' classes and weights: a class that
+    # takes k more vertices multiplies by C(prefix + k, k) f^k, so the
+    # orderings of the set's vertices stay exact integers
+    by_set = []
+    for twin_set in sets.values():
+        shapes = {(): 1.0}
+        for c in twin_set:
+            grown: dict[tuple, float] = {}
+            for shape, weight in shapes.items():
+                prefix = sum(shape)
+                for k in range(m - prefix + 1):
+                    more = tuple(sorted((*shape, k), reverse=True)) if k else shape
+                    add = weight * math.comb(prefix + k, k) * spec.f[c] ** k
+                    grown[more] = grown.get(more, 0.0) + add
+            shapes = grown
+        by_size = [[] for _ in range(m + 1)]
+        for shape, weight in shapes.items():
+            classes = [c for c, k in zip(twin_set, shape) for _ in range(k)]
+            by_size[sum(shape)].append((classes, weight))
+        by_set.append(by_size)
+    # the canonical assignments: x^m in the product of the size histograms
+    keyed = [1] + [0] * m
+    for by_size in by_set:
+        keyed = [
+            sum(keyed[j] * len(by_size[s - j]) for j in range(s + 1))
+            for s in range(m + 1)
+        ]
+    if keyed[m] > limit:
+        raise InfeasibleError(
+            f"{what} keys {keyed[m]} canonical class assignments (limit {limit})"
+        )
+
+    def canonical(i, left, classes, weight):
+        # twin sets i on place the ``left`` vertices still unplaced, the last
+        # set all of them; C(left, size) picks the vertices a set takes
+        last = i == len(by_set) - 1
+        for size in [left] if last else range(left + 1):
+            ways = weight * math.comb(left, size)
+            for more, w in by_set[i][size]:
+                if last:
+                    yield classes + more, ways * w
+                else:
+                    yield from canonical(i + 1, left - size, classes + more, ways * w)
+
     pairs = list(combinations(range(m), 2))
-
-    def key(assign):
-        # the slot laws of the canonical form of the multiset ``assign``
-        counts = [0] * Q
-        for c in assign:
-            counts[c] += 1
-        for twin_set in sets.values():
-            ranked = sorted((counts[c] for c in twin_set), reverse=True)
-            for c, k in zip(twin_set, ranked):
-                counts[c] = k
-        canonical = [c for c, k in enumerate(counts) for _ in range(k)]
-        slot_laws = [laws[canonical[i]][canonical[j]] for i, j in pairs]
-        if loops is not None:
-            slot_laws += [loops[c] for c in canonical]
-        return tuple(slot_laws)
-
-    # the one pass: sum the weights per key, counting a key's grid size
-    # when the key is new
     weights: dict[tuple, float] = {}
-    total = 0
-    multisets = _class_multisets(spec.f, m)
-    for assign, weight in multisets:
-        grid = key(assign)
-        if grid not in weights:
-            weights[grid] = 0.0
-            total += math.prod(len(slots[law][0]) for law in grid)
-            if total > limit:
-                more = any(key(rest) not in weights for rest, _ in multisets)
-                walked = f"more than {limit}" if more else total
-                raise InfeasibleError(
-                    f"{what} walks {walked} configurations (limit {limit})"
-                )
-        weights[grid] += weight
+
+    def grid_sizes():
+        # each key's configuration count when the walk first finds it; the
+        # weights are summed as the walk resumes
+        for classes, weight in canonical(0, m, [], 1.0):
+            assign = sorted(classes)
+            grid = tuple(laws[assign[i]][assign[j]] for i, j in pairs)
+            if loops is not None:
+                grid += tuple(loops[c] for c in assign)
+            if grid not in weights:
+                weights[grid] = 0.0
+                yield math.prod(len(slots[law][0]) for law in grid)
+            weights[grid] += weight
+
+    _check_walk(grid_sizes(), limit, what)
     terms = _copy_terms(pattern, m)
     pmf: dict[int, float] = {}
     neglected = 0.0
@@ -337,8 +358,8 @@ def lambda_params(
 ) -> CompoundPoissonParams:
     """Exact clump rates lambda_i = C(n, v) * P(Z = i).
 
-    Enumerates, for one vertex set, the class multisets up to relabelling
-    (each key weighted by the orderings of its multisets) and every edge
+    Enumerates, for one vertex set, the canonical class assignments (each
+    weighted by the labelled assignments it stands for) and every edge
     (and self-loop) configuration with per-pair supports truncated where the
     law's tail falls below ``eps``, in fixed-size chunks (``_host_law`` at
     ``m = v``).  ``exact=True`` switches to rational arithmetic (categorical
@@ -349,8 +370,8 @@ def lambda_params(
     ``CLUMP_ENUMERATION_LIMIT`` configurations: the sum, over the grids it
     scores (one per key on the float path, one per class assignment on the
     exact path), of the product of per-slot truncated supports.  The float
-    path also refuses more than ``CLUMP_ENUMERATION_LIMIT`` class multisets,
-    ``C(Q + v - 1, v)``, before it keys any.
+    path also refuses more than ``CLUMP_ENUMERATION_LIMIT`` canonical
+    assignments before it walks any.
     """
     _require_plain(spec, "the clump-rate computation")
     _require_fit(spec, pattern)

@@ -30,16 +30,13 @@ class assignment in fixed-size numpy chunks, each scored as a product of a
 few leading-slot rows and a trailing sub-grid built once (broadcast
 probability products, counts as outer products per term) and grouped by
 count in a dense ``np.bincount`` histogram while the counts stay small.
-``_class_multisets`` lists the class assignments up to vertex relabelling,
-which leaves counts and their laws unchanged.  The clump rates and the
-exact count law share them.
+The clump rates and the exact count law share it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -394,24 +391,6 @@ def _copy_terms(pattern: PatternGraph, n: int) -> list[list[tuple[int, int]]]:
     """
     reqs = [*pattern.edge_mult.values(), *pattern.self_loops.values()]
     return [list(zip(row, reqs)) for row in orbit_slots(pattern, n).tolist()]
-
-
-def _class_multisets(f, size: int):
-    """Class assignments of ``size`` vertices up to relabelling, weighted.
-
-    Yields each sorted assignment with its probability: the number of its
-    orderings (a multinomial coefficient) times the product of the class
-    probabilities ``f``.  Summing a relabelling-invariant quantity over
-    these equals summing it over all ``len(f) ** size`` assignments.
-    """
-    for assign in combinations_with_replacement(range(len(f)), size):
-        orderings = math.factorial(size)
-        for k in Counter(assign).values():
-            orderings //= math.factorial(k)
-        weight = float(orderings)
-        for c in assign:
-            weight *= f[c]
-        yield assign, weight
 
 
 def _digits(index, radices) -> list:

@@ -4,11 +4,11 @@ Two routes to the distribution of the copy count W:
 
 * ``exact_count_pmf`` enumerates every edge configuration of a small
   finite-support model and accumulates the exact law of W.  It is the
-  clump rates' walk (``approximation._host_law``) on all n vertices: class
-  multisets keyed up to relabelling, each key weighted by its multisets'
-  orderings, and each key's configuration grid once, in fixed-size numpy
-  chunks that score every host with the same binomial-product sums
-  ``count_copies`` uses;
+  clump rates' walk (``approximation._host_law``) on all n vertices: the
+  canonical class assignments, one shape of class counts per twin set,
+  and each key's configuration grid once, in fixed-size numpy chunks that
+  score every host with the same binomial-product sums ``count_copies``
+  uses;
 * ``monte_carlo_pmf`` samples whole graphs (one keyed substream per
   replicate), a block of replicates per numpy pass, and counts the copies
   of several blocks' replicates in one pass of the block counter, in
@@ -16,15 +16,15 @@ Two routes to the distribution of the copy count W:
 
 ``run_experiment`` glues these to the approximation module: it computes the
 structural profile, model extrema (once: reused from the bound's report),
+the mean count (once: reused from the Poisson-limit bounds' ingredients),
 clump rates (once: reused from the bound's report when it enumerated them;
 null for the Poisson-limit variants when they are too large to enumerate),
 the requested total-variation bound, the reference law (compound Poisson,
 or plain Poisson for the Poisson-limit variants), the measured
 total-variation distance, and a pass/fail comparison including a Monte
-Carlo error allowance of
-``sqrt(atoms / (4 reps))`` (a Cauchy-Schwarz bound on the expected
-estimation error, over the union of compared supports) plus the reference
-law's truncation deficit.
+Carlo error allowance of ``sqrt(atoms / (4 reps))`` (a Cauchy-Schwarz
+bound on the expected estimation error, over the union of compared
+supports) plus the reference law's truncation deficit.
 """
 
 from __future__ import annotations
@@ -92,10 +92,9 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
 
     Requires categorical (finite-support) edge laws, no degree weights, and
     a walk of at most ``EXACT_ENUMERATION_LIMIT`` configurations (counted
-    over the grids it scores, one per class multiset up to relabelling) and
-    at most as many class multisets, ``C(Q + n - 1, n)``;
-    self-loop slots are enumerated only when the pattern actually has
-    self-loops.  Hosts of probability 0.0 leave no atom.
+    over the grids it scores, one per key) and at most as many canonical
+    class assignments; self-loop slots are enumerated only when the
+    pattern actually has self-loops.  Hosts of probability 0.0 leave no atom.
     """
     _require_plain(spec, "exact enumeration")
     for law in spec.distinct_laws():
@@ -312,7 +311,8 @@ def run_experiment(config: dict) -> dict:
             # the Poisson reference needs only nu; report the rates as null
             if not poisson_reference:
                 raise
-    nu = expected_count(spec, pattern)
+    # the Poisson-limit bounds already computed the mean count
+    nu = bound.ingredients["nu"] if poisson_reference else expected_count(spec, pattern)
     # a reference whose P(0) underflows is refused before the observed law
     if poisson_reference:
         ref_kind = "poisson"

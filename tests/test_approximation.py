@@ -7,7 +7,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -404,42 +404,43 @@ def test_lambda_enumeration_size_guard(monkeypatch):
 
 
 def test_lambda_refuses_too_many_class_multisets_up_front(monkeypatch):
-    # a planted partition keys every class multiset to one of the 11
-    # partitions of 6, so its scored grids stay small (11 * 2^15
-    # configurations), but C(65, 6) = 82,598,880 multisets would each be
-    # keyed first: their number alone is refused, before any is walked
+    # no two of 60 classes are twins, so each class multiset of the 6 cycle
+    # vertices is its own canonical assignment: C(65, 6) = 82,598,880 of
+    # them are refused by their number, counted from the shape tables
+    # before any is walked
     Q = 60
-    same, cross = bernoulli(0.1), bernoulli(0.02)
-    laws = [[same if a == b else cross for b in range(Q)] for a in range(Q)]
-    planted = SbmmSpec(80, Q, (1 / Q,) * Q, laws)
+    laws = [[bernoulli(0.001 * (1 + a + b)) for b in range(Q)] for a in range(Q)]
+    twin_free = SbmmSpec(80, Q, (1 / Q,) * Q, laws)
     cycle6 = pattern_from_name("cycle:6")
     start = time.perf_counter()
-    with pytest.raises(InfeasibleError, match="keys 82598880 class multisets"):
-        lambda_params(planted, cycle6)
-    with pytest.raises(InfeasibleError, match="keys 82598880 class multisets"):
-        tv_bound(planted, cycle6, "thm31_simple")
+    message = "keys 82598880 canonical class assignments"
+    with pytest.raises(InfeasibleError, match=message):
+        lambda_params(twin_free, cycle6)
+    with pytest.raises(InfeasibleError, match=message):
+        tv_bound(twin_free, cycle6, "thm31_simple")
     assert time.perf_counter() - start < 2.0
-    # the refusal is for more multisets than the limit, not for as many:
-    # a triangle on two classes has C(4, 3) = 4 class multisets
+    # the refusal is for more assignments than the limit, not for as many:
+    # a triangle on two classes that are not twins has C(4, 3) = 4
     two_point = SbmmSpec(
         6, 2, (0.5, 0.5),
         ((bernoulli(0.3), bernoulli(0.1)), (bernoulli(0.1), bernoulli(0.5))),
     )
     monkeypatch.setattr(approximation, "CLUMP_ENUMERATION_LIMIT", 3)
-    with pytest.raises(InfeasibleError, match="keys 4 class multisets"):
+    with pytest.raises(InfeasibleError, match="keys 4 canonical class assignments"):
         lambda_params(two_point, TRIANGLE)
     monkeypatch.setattr(approximation, "CLUMP_ENUMERATION_LIMIT", 4)
     with pytest.raises(InfeasibleError, match="walks more than 4 configurations"):
         lambda_params(two_point, TRIANGLE)
 
 
-def _host_law_scoring_every_multiset(spec, pattern, m, cap):
+def _host_law_scoring(spec, pattern, m, cap, weighted):
     """``_host_law`` without reuse: one ``_count_law`` call per class
-    multiset, each grid's tables built afresh."""
+    assignment in ``weighted``, under its weight, each grid's tables built
+    afresh."""
     pairs = list(combinations(range(m), 2))
     terms = counting._copy_terms(pattern, m)
     pmf, neglected = {}, 0.0
-    for assign, weight in counting._class_multisets(spec.f, m):
+    for assign, weight in weighted:
         laws = [spec.edge_laws[assign[i]][assign[j]] for i, j in pairs]
         if pattern.self_loops:
             laws += [spec.self_loop_laws[c] for c in assign]
@@ -449,6 +450,30 @@ def _host_law_scoring_every_multiset(spec, pattern, m, cap):
         for w, p in counting._count_law(tables, terms, weight).items():
             pmf[w] = pmf.get(w, 0.0) + p
     return pmf, neglected
+
+
+def _host_law_scoring_every_multiset(spec, pattern, m, cap):
+    """``_host_law_scoring`` over the class multisets, each weighted by its
+    orderings (a multinomial coefficient) times its class probabilities."""
+
+    def weighted():
+        for assign in combinations_with_replacement(range(spec.Q), m):
+            orderings = math.factorial(m)
+            for c in set(assign):
+                orderings //= math.factorial(assign.count(c))
+            yield assign, orderings * math.prod(spec.f[c] for c in assign)
+
+    return _host_law_scoring(spec, pattern, m, cap, weighted())
+
+
+def _host_law_scoring_every_assignment(spec, pattern, m, cap):
+    """``_host_law_scoring`` over all Q^m labelled class assignments, each
+    weighted by its product of class probabilities."""
+    weighted = (
+        (assign, math.prod(spec.f[c] for c in assign))
+        for assign in product(range(spec.Q), repeat=m)
+    )
+    return _host_law_scoring(spec, pattern, m, cap, weighted)
 
 
 def _assert_laws_close(got, want):
@@ -517,7 +542,7 @@ def test_host_law_scores_each_grid_once_up_to_relabelling(count_law_calls):
     _assert_laws_close((got, 0.0), (pmf, 0.0))
 
 
-@pytest.mark.parametrize("Q", [4, 8, 12])
+@pytest.mark.parametrize("Q", [4, 8, 12, 60])
 def test_planted_partition_scores_one_grid_per_partition_of_v(Q, count_law_calls):
     # with equal planted classes every two classes are twins, so a class
     # multiset of the 4 cycle vertices is keyed by its class counts: the 5
@@ -534,6 +559,43 @@ def test_planted_partition_scores_one_grid_per_partition_of_v(Q, count_law_calls
         assert params.truncation_mass == pytest.approx(n_sets * neglected, rel=1e-12)
         for i, lam in enumerate(params.lam, start=1):
             assert lam == pytest.approx(n_sets * pmf.get(i, 0.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["cycle4", "loop_triangle"])
+def test_host_law_weights_match_every_labelled_assignment(name, count_law_calls):
+    # all 4 planted classes are twins, with unequal frequencies: a shape's
+    # weight sums the labelled assignments of every count vector it stands
+    # for, which a loop over all Q^m labelled assignments checks
+    same, cross = bernoulli(0.3), bernoulli(0.1)
+    laws = [[same if a == b else cross for b in range(4)] for a in range(4)]
+    spec = SbmmSpec(
+        10, 4, (0.1, 0.2, 0.3, 0.4), laws, self_loop_laws=(bernoulli(0.2),) * 4
+    )
+    pattern = pattern_from_name("cycle:4") if name == "cycle4" else LOOP_TRIANGLE
+    m = pattern.vertex_count
+    got = approximation._host_law(spec, pattern, m, _truncated, 10**8, "walk")
+    # the integer partitions of m into at most 4 parts
+    assert len(count_law_calls) == {"cycle4": 5, "loop_triangle": 3}[name]
+    _assert_laws_close(
+        got, _host_law_scoring_every_assignment(spec, pattern, m, _truncated)
+    )
+
+
+@pytest.mark.parametrize("Q", [20, 60])
+def test_planted_cycle6_rates_give_the_mean_count(Q):
+    # the walk scores the 11 partitions of 6 whatever Q is, so a planted
+    # partition with many classes is quick; Bernoulli laws truncate
+    # nothing, so the rates' mean is the expected count up to rounding
+    same, cross = bernoulli(0.1), bernoulli(0.02)
+    laws = [[same if a == b else cross for b in range(Q)] for a in range(Q)]
+    spec = SbmmSpec(80, Q, (1 / Q,) * Q, laws)
+    cycle6 = pattern_from_name("cycle:6")
+    start = time.perf_counter()
+    params = lambda_params(spec, cycle6)
+    assert time.perf_counter() - start < 0.5
+    assert params.truncation_mass == 0.0
+    mean = math.fsum(i * lam for i, lam in enumerate(params.lam, start=1))
+    assert mean == pytest.approx(expected_count(spec, cycle6), rel=1e-12)
 
 
 def test_host_law_keeps_unswappable_classes_apart(count_law_calls):

@@ -179,15 +179,40 @@ def test_exact_pmf_size_guard(monkeypatch):
 
 
 def test_exact_pmf_refuses_too_many_class_multisets_up_front(monkeypatch):
-    # two classes on 4 vertices give C(5, 4) = 5 class multisets; more than
-    # the limit are refused by their number, before any is keyed
+    # two classes that are not twins, on 4 vertices, give C(5, 4) = 5
+    # canonical class assignments; more than the limit are refused by their
+    # number, before any is walked
     spec = SbmmSpec(
         4, 2, (0.3, 0.7),
         ((bernoulli(0.4), bernoulli(0.1)), (bernoulli(0.1), bernoulli(0.6))),
     )
     monkeypatch.setattr(experiments, "EXACT_ENUMERATION_LIMIT", 4)
-    with pytest.raises(InfeasibleError, match="keys 5 class multisets"):
+    with pytest.raises(InfeasibleError, match="keys 5 canonical class assignments"):
         exact_count_pmf(spec, TRIANGLE)
+
+
+def test_exact_pmf_refuses_many_twin_classes_promptly():
+    # 30 planted classes are one twin set, whose table of shapes (the
+    # integer partitions of at most 20 into at most 30 parts) is built
+    # before the first grid, 2^190 configurations, is refused
+    Q = 30
+    same, cross = bernoulli(0.1), bernoulli(0.02)
+    laws = [[same if a == b else cross for b in range(Q)] for a in range(Q)]
+    spec = SbmmSpec(20, Q, (1 / Q,) * Q, laws)
+    start = time.perf_counter()
+    message = "walks more than 100000000 configurations"
+    with pytest.raises(InfeasibleError, match=message):
+        exact_count_pmf(spec, TRIANGLE)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_exact_pmf_weights_stay_exact_integers_on_many_vertices():
+    # 180 vertices on two twin classes: the weights' orderings, up to
+    # C(180, 90) ~ 9e52, are exact integers (180! alone would overflow a
+    # float), and every host carries no edge
+    nothing = Categorical([1.0])
+    spec = SbmmSpec(180, 2, (0.5, 0.5), ((nothing, nothing), (nothing, nothing)))
+    assert exact_count_pmf(spec, pattern_from_name("complete:2")) == {0: 1.0}
 
 
 def _labelled_host_oracle(spec, pattern):
@@ -713,6 +738,31 @@ def test_experiment_enumerates_clump_rates_once(monkeypatch, variant):
     assert len(calls) == 1
     want = lambda_params(config["spec"], TRIANGLE)
     assert report["clump_rates"]["lambda"] == [float(x) for x in want.lam]
+
+
+def test_poisson_experiment_computes_the_mean_count_once(monkeypatch):
+    # the Poisson-limit bound puts nu among its ingredients; the report and
+    # the reference law reuse it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expected_count(*args, **kwargs)
+
+    for module in (approximation, experiments):
+        monkeypatch.setattr(module, "expected_count", counted)
+    spec = one_class_spec(8, bernoulli(0.3))
+    config = {
+        "spec": spec,
+        "pattern": TRIANGLE,
+        "variant": "thm52_poisson_approx",
+        "mode": "monte_carlo",
+        "reps": 5,
+    }
+    report = run_experiment(config)
+    assert len(calls) == 1
+    assert report["nu"] == report["bound"]["ingredients"]["nu"]
+    assert report["nu"] == expected_count(spec, TRIANGLE)
 
 
 @pytest.mark.parametrize("variant", ["thm31_simple", "thm52_poisson_approx"])

@@ -9,11 +9,15 @@ report pins.  The golden bytes were written on x86-64 Linux; 17-digit floats may
 differ in the last digit on another libm.
 
 To rewrite the golden files after an intended output change, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.  It
+prints, for each file it changes, how many numbers moved and the largest
+relative and absolute move.
 """
 
 import json
+import math
 import os
+import re
 
 import pytest
 
@@ -223,6 +227,39 @@ def test_bound_output_matches_golden_bytes(name, capsys):
     assert out == _read_golden(f"{name}.txt")
 
 
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _moves(old, new):
+    """How the numbers of golden text ``new`` moved from ``old``: a line
+    naming the count and the largest relative and absolute move, or what
+    else changed."""
+    if old is None:
+        return "new file"
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return "changed beyond its numbers"
+    moved = [
+        (float(a), float(b))
+        for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new))
+        if a != b
+    ]
+    largest_abs = max(abs(b - a) for a, b in moved)
+    largest_rel = max(abs(b - a) / abs(a) if a else math.inf for a, b in moved)
+    return (
+        f"{len(moved)} numbers moved, largest relative {largest_rel:.3g}, "
+        f"absolute {largest_abs:.3g}"
+    )
+
+
+def _write(fname, text):
+    path = os.path.join(GOLDEN, fname)
+    old = _read_golden(fname) if os.path.exists(path) else None
+    if text != old:
+        print(f"{fname}: {_moves(old, text)}")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _write_golden():
     import contextlib
     import io
@@ -232,16 +269,14 @@ def _write_golden():
     with tempfile.TemporaryDirectory() as workdir:
         for name in sorted(EXPERIMENTS):
             for fname, text in _experiment_outputs(name, workdir).items():
-                with open(os.path.join(GOLDEN, fname), "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                _write(fname, text)
     stdout_cases = [(name, _lambda_argv(name)) for name in sorted(LAMBDAS)]
     stdout_cases += [(name, _bound_argv(name)) for name in sorted(BOUNDS)]
     for name, argv in stdout_cases:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             assert main(argv) == 0
-        with open(os.path.join(GOLDEN, f"{name}.txt"), "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+        _write(f"{name}.txt", buf.getvalue())
 
 
 if __name__ == "__main__":
