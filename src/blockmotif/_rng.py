@@ -13,16 +13,12 @@ at once: ``replicate_keys`` gives the keys ``(seed, r)`` of a block of
 replicates, and ``key_chains`` / ``fold_labels`` extend every key of an
 array by one label at a time.  A label enters a key only through its word
 ``label * golden`` (``label_words``), so the sampler computes the words of
-its vertex and pair labels once per call; each block's pair keys are then
-gathered into one buffer kept for the call (grown when a block brings more
-keys), xored with those words and remixed in place (``_mix64_np``, with one
-scratch array per block), keying all vertices and pairs of all replicates
-in a block in a few array operations.
+its vertex and block labels once per call and folds each block's event
+labels into its block prefix in one array operation (``_mix64_np`` remixes
+in place, with one scratch array).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -99,17 +95,6 @@ def replicate_keys(seed: int, indices: np.ndarray) -> np.ndarray:
 def uniform_from_key(key: int) -> float:
     """The single double in [0, 1) carried by a stream key."""
     return (key >> 11) * _INV53
-
-
-def key_floor(cut: float) -> int:
-    """The least 64-bit key whose uniform exceeds ``cut``.
-
-    A key's uniform is ``m / 2**53`` with ``m = key >> 11``, and ``m / 2**53
-    > cut`` exactly when ``m > floor(cut * 2**53)``, the scaling being exact.
-    So ``key >= key_floor(cut)`` exactly when ``uniform_from_key(key) >
-    cut``; from 2**64 on, no key does.
-    """
-    return max(math.floor(cut * 2.0**53) + 1, 0) << 11
 
 
 def uniforms_from_keys(keys: np.ndarray) -> np.ndarray:

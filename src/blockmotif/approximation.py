@@ -244,10 +244,12 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     The neglected mass is the union bound, over slots, on some slot
     exceeding its cap.
 
-    Refuses, up front, more than ``limit`` canonical assignments, counted
-    from the tables, and grids of more than ``limit`` configurations in
-    all (``_check_walk``), each key's grid counted when the walk first
-    finds it, so the count is what is scored.
+    Refuses, before any shape is tabulated, more than ``limit`` canonical
+    assignments (counted as partitions per twin set) and a walk whose
+    smallest grid, ``s^C(m, 2)`` for the smallest truncated pair support s,
+    alone passes ``limit``; then grids of more than ``limit``
+    configurations in all (``_check_walk``), each key's grid counted when
+    the walk first finds it, so the count is what is scored.
     """
     # (pmf up to the cap, P(Y > cap)) per distinct law, laws named by their
     # index here; the tail is summed forward, with no cancellation, so the
@@ -278,6 +280,28 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     for c in range(Q):
         sets.setdefault(next((d for d in sets if twins(d, c)), c), []).append(c)
 
+    # the canonical assignments: x^m in the product, over twin sets, of the
+    # shape counts by size, the partitions of size s into at most |set| parts
+    keyed = [1] + [0] * m
+    for twin_set in sets.values():
+        shapes = [1] + [0] * m
+        for part in range(1, len(twin_set) + 1):
+            for size in range(part, m + 1):
+                shapes[size] += shapes[size - part]
+        keyed = [sum(keyed[j] * shapes[s - j] for j in range(s + 1)) for s in range(m + 1)]
+    if keyed[m] > limit:
+        raise InfeasibleError(
+            f"{what} keys {keyed[m]} canonical class assignments (limit {limit})"
+        )
+    # every grid has C(m, 2) pair slots of at least the smallest support, so
+    # a walk whose one grid would pass the limit is refused before any twin
+    # set's shapes are tabulated
+    least, grid = min(len(slots[law][0]) for row in laws for law in row), math.comb(m, 2)
+    if least > 1 and (grid >= limit.bit_length() or least**grid > limit):
+        raise InfeasibleError(
+            f"{what} walks more than {limit} configurations (limit {limit})"
+        )
+
     # per twin set and size, its shapes' classes and weights: a class that
     # takes k more vertices multiplies by C(prefix + k, k) f^k, so the
     # orderings of the set's vertices stay exact integers
@@ -298,17 +322,6 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
             classes = [c for c, k in zip(twin_set, shape) for _ in range(k)]
             by_size[sum(shape)].append((classes, weight))
         by_set.append(by_size)
-    # the canonical assignments: x^m in the product of the size histograms
-    keyed = [1] + [0] * m
-    for by_size in by_set:
-        keyed = [
-            sum(keyed[j] * len(by_size[s - j]) for j in range(s + 1))
-            for s in range(m + 1)
-        ]
-    if keyed[m] > limit:
-        raise InfeasibleError(
-            f"{what} keys {keyed[m]} canonical class assignments (limit {limit})"
-        )
 
     def canonical(i, left, classes, weight):
         # twin sets i on place the ``left`` vertices still unplaced, the last

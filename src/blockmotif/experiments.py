@@ -10,9 +10,10 @@ Two routes to the distribution of the copy count W:
   score every host with the same binomial-product sums ``count_copies``
   uses;
 * ``monte_carlo_pmf`` samples whole graphs (one keyed substream per
-  replicate), a block of replicates per numpy pass, and counts the copies
-  of several blocks' replicates in one pass of the block counter, in
-  batches sized by the edges and vertices the counter holds.
+  replicate), a block of replicates per numpy pass at a cost that follows
+  their vertices and edges, and counts the copies of one or more blocks'
+  replicates in one pass of the block counter, in batches sized by the
+  edges and vertices the counter holds.
 
 ``run_experiment`` glues these to the approximation module: it computes the
 structural profile, model extrema (once: reused from the bound's report),
@@ -55,7 +56,7 @@ from .counting import (  # noqa: F401 -- count_copies is re-exported for callers
     _search_plan,
     count_copies,
 )
-from .distributions import Categorical
+from .distributions import Categorical, Poisson, pmf_tail
 from .model import ModelExtrema, SbmmSpec, _sampler, spec_from_json, spec_to_json
 from .patterns import (
     PatternGraph,
@@ -75,9 +76,12 @@ __all__ = [
 
 EXACT_ENUMERATION_LIMIT = 10**8
 
-# pair and loop cells per Monte Carlo block: bounds the sampler's working
-# memory whatever reps and n are (a block holds at least one replicate)
-_BLOCK_CELLS = 1 << 15
+# sampler entries per Monte Carlo block, counting per host its n vertices,
+# Q^2 class blocks and expected edges: bounds the sampler's working memory
+# whatever reps and n are (a block holds at least one replicate).  Each
+# block pays a fixed set-up (its block totals' inversion), so larger blocks
+# sample faster, but the counter's memory grows with the block it counts
+_BLOCK_ENTRIES = 1 << 14
 
 # counter entries (2 per edge, 1 per vertex) a Monte Carlo batch gathers
 # before it is counted: each counter pass pays a fixed set-up and a sparse
@@ -120,16 +124,34 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
     return dict(sorted(pmf.items()))
 
 
+def _host_entries(spec: SbmmSpec) -> float:
+    """The sampler's entries for one host: its n vertices, Q^2 blocks and
+    expected events (a Poisson law's rate, another law's ``P(Y >= 1)``, per
+    pair or loop)."""
+
+    def events(law):
+        return law.rate if isinstance(law, Poisson) else pmf_tail(law, 1)[1]
+
+    f = np.asarray(spec.f, dtype=np.float64)
+    weight = spec.n if spec.degree_weights is None else math.fsum(spec.degree_weights)
+    pairs = float(f @ np.array([[events(law) for law in row] for row in spec.edge_laws]) @ f)
+    total = spec.n + spec.Q**2 + pairs * weight * weight / 2
+    if spec.self_loop_laws is not None:
+        total += spec.n * float(f @ np.array([events(law) for law in spec.self_loop_laws]))
+    return total
+
+
 def monte_carlo_pmf(
     spec: SbmmSpec, pattern: PatternGraph, reps: int, seed: int
 ) -> tuple[dict[int, float], dict[int, int]]:
     """Empirical law of W over ``reps`` independent sampled graphs.
 
     Replicate r is the graph ``sample_graph(spec, substream_key(seed, r))``.
-    Replicates are sampled in blocks of at most ``_BLOCK_CELLS`` pair and
-    loop cells by one sampler prepared for the call (``_sampler``).  It
-    inverts only the candidate cells, above a cut, and hands over the
-    block's nonzero pair counts as ``(row, a, b, count)`` arrays.
+    Replicates are sampled in blocks by one sampler prepared for the call
+    (``_sampler``), as many per block as fit in ``_BLOCK_ENTRIES`` sampler
+    entries (``_host_entries``: per host its n vertices, Q^2 class blocks
+    and expected edges; at least one host), and each block comes back as
+    its nonzero pair counts, ``(row, a, b, count)`` arrays.
     Blocks gather into a batch, their rows renumbered after the hosts
     before them, until the batch holds ``_COUNT_ENTRIES`` counter entries
     (2 per edge, n per host); ``_count_block`` then counts all of its
@@ -143,7 +165,7 @@ def monte_carlo_pmf(
     n = spec.n
     plan = _search_plan(pattern)
     draw = _sampler(spec)
-    block = max(1, _BLOCK_CELLS // (n * (n - 1) // 2 + n))
+    block = max(1, int(_BLOCK_ENTRIES // _host_entries(spec)))
     hist: dict[int, int] = {}
     batch, hosts, entries = [], 0, 0
     for start in range(0, reps, block):
@@ -153,7 +175,9 @@ def monte_carlo_pmf(
         hosts += stop - start
         entries += 2 * len(y) + loops.size
         if entries >= _COUNT_ENTRIES or stop == reps:
-            totals = _count_block(plan, *map(np.concatenate, zip(*batch)))
+            # a batch of one block is counted as drawn, without a copy
+            arrays = batch[0] if len(batch) == 1 else map(np.concatenate, zip(*batch))
+            totals = _count_block(plan, *arrays)
             for w in totals.tolist():
                 hist[w] = hist.get(w, 0) + 1
             batch, hosts, entries = [], 0, 0

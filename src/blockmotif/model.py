@@ -8,24 +8,20 @@ pair's count becomes Poisson with rate ``weight_i * weight_j * rate_ab``;
 only defined when every edge law is Poisson) and per-class self-loop laws.
 
 Sampling is reproducible by construction: every random quantity reads
-exactly one uniform from a keyed substream — classes from ``(seed, 0, i)``,
-the count of pair ``i < j`` from ``(seed, i, j)``, the self-loop count of
-vertex ``i`` from ``(seed, i, i)``, all with 1-based vertex labels — and is
-produced from that uniform by inverting the law's CDF.  One sampler,
-``_sampler(spec)``, is prepared once per call from the spec alone: its
-cell samplers decide whether a Poisson mean is too large to invert, then
-it builds the pair index arrays, the words that fold the vertex and pair
-labels and the class CDF, before anything is drawn.  Its ``draw(keys)``
-samples a block of graphs, one per key, as arrays in one numpy pass;
-``sample_graph`` is a block of one.  Every cell hashes its uniform, a
-block's pair keys in place in one buffer the sampler keeps, but a law's
-CDF at 0 gives a float cut at or below which the uniform provably inverts
-to 0, so only the candidates above the lowest cut, picked on the raw
-64-bit keys, are inverted: in the sparse regime most pairs are never
-inverted, and the block comes back as the endpoints and counts of its
-nonzero pairs, degree-weighted or not.  Each value depends only on its
-own key and labels, so results never depend on iteration order or on how
-replicates are grouped into blocks.
+exactly one uniform from a keyed substream and is produced from it by
+inverting a CDF.  Classes come from ``(seed, 0, i)`` with 1-based vertex
+labels; then each unordered class pair, and each class's self-loops, is
+one *block* with one law, whose streams hang off the label ``n + 1 + b``
+of block b.  A Poisson block draws its total count and drops each edge on
+endpoints picked with probability proportional to their degree weights
+(Karrer & Newman's recipe); a categorical or geometric block skips through
+its cells with geometric gaps (Batagelj & Brandes).  So a host costs
+O(n + Q^2 + E) time and memory for E edges, not O(n^2).  One sampler,
+``_sampler(spec)``, is prepared once per call from the spec alone (it
+refuses a Poisson mean too large to invert); its ``draw(keys)`` samples a
+block of graphs, one per key, as arrays in one numpy pass, and
+``sample_graph`` is a block of one.  Each graph depends only on its own
+key, so results never depend on how replicates are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -39,8 +35,8 @@ import numpy as np
 from ._rng import (
     _MASK,
     _mix64_np,
+    fold_labels,
     key_chains,
-    key_floor,
     label_words,
     uniforms_from_keys,
 )
@@ -307,12 +303,6 @@ def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _categorical_icdf(u: np.ndarray, law: Categorical) -> np.ndarray:
-    cum = np.cumsum(np.asarray(law.probabilities, dtype=np.float64))
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(cum) - 1).astype(np.int64)
-
-
 def _geometric_icdf(u: np.ndarray, law: Geometric) -> np.ndarray:
     if law.ratio == 0.0:
         return np.zeros(u.shape, dtype=np.int64)
@@ -321,165 +311,271 @@ def _geometric_icdf(u: np.ndarray, law: Geometric) -> np.ndarray:
     return np.maximum(raw, 0.0).astype(np.int64)
 
 
-def _sample_counts(u: np.ndarray, law: EdgeCountDistribution) -> np.ndarray:
-    if isinstance(law, Poisson):
-        return _poisson_icdf(u, np.full(u.shape, law.rate))
-    if isinstance(law, Categorical):
-        return _categorical_icdf(u, law)
+def _positive_icdf(u: np.ndarray, law: EdgeCountDistribution) -> np.ndarray:
+    """Elementwise inverse CDF of a categorical or geometric ``law`` given
+    a positive count.
+
+    Categorical: the least k >= 1 with ``u * T < T_k``, for the running
+    sums ``T_k = p_1 + ... + p_k`` and their last ``T``, else the last k.
+    Geometric: 1 plus the geometric inversion (past 0 the law is ``1 +
+    Geometric(ratio)``).
+    """
     if isinstance(law, Geometric):
-        return _geometric_icdf(u, law)
-    raise TypeError(f"not an edge-count law: {law!r}")
+        return _geometric_icdf(u, law) + 1
+    tail = np.cumsum(np.asarray(law.probabilities[1:], dtype=np.float64))
+    return np.minimum(np.searchsorted(tail, u * tail[-1], side="right"), len(tail) - 1) + 1
 
 
-def _zero_cut(law: EdgeCountDistribution) -> float:
-    """A uniform ``u <= cut`` inverts to 0 under ``law``.
-
-    The cut reads the same floats as the inversion, so for Poisson and
-    categorical laws ``u > cut`` holds exactly when the count is positive;
-    every geometric uniform stays a candidate.
-    """
-    if isinstance(law, Poisson):
-        # _poisson_icdf's first test, pmf < u, at k = 0
-        return float(np.exp(-np.full(1, law.rate))[0])
-    if isinstance(law, Categorical):
-        # searchsorted(cum, u, "right") is 0 exactly when u < cum[0]
-        cum0 = np.cumsum(np.asarray(law.probabilities, dtype=np.float64))[0]
-        return float(np.nextafter(cum0, -np.inf))
-    return -1.0
+def _log_p0(law: EdgeCountDistribution) -> float:
+    """``log P(0)`` of a categorical or geometric law: 0 when every count
+    is 0, ``-inf`` when none is."""
+    if isinstance(law, Geometric):
+        return math.log1p(-law.ratio)
+    p0 = float(law.probabilities[0])
+    return math.log(p0) if p0 > 0.0 else -math.inf
 
 
-def _cell_sampler(laws, top_weight=None):
-    """Prepare ``sample(keys, law_of, weight_of=None)``, the nonzero counts
-    of the cells whose stream keys are ``keys``.
+def _runs(counts: np.ndarray):
+    """For runs of ``counts`` elements laid end to end: each element's run
+    and its index in the run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
 
-    ``law_of`` maps flat cell indices to indices into ``laws``.
-    Degree-weighted cells, all Poisson, give ``weight_of``, their weights
-    by flat index, and ``top_weight``, the largest; a cell's rate is its
-    weight times its law's.  A largest rate (times ``top_weight``) above
-    ``_MAX_POISSON_RATE`` is refused here.  Only the candidates are
-    inverted, the raw keys at or past the ``key_floor`` of the lowest law's
-    cut, or with weights of the largest mean's cut lowered by a relative
-    2**-40, far more than ``np.exp``'s rounding (none when that floor passes
-    every key); every other cell is provably 0.  The Poisson candidates are
-    inverted in one call, each with its own rate, the others one law at a
-    time.  ``sample`` returns the flat cell indices, increasing, and their
-    positive counts.
-    """
-    poisson = np.array([isinstance(law, Poisson) for law in laws])
-    rates = np.array([law.rate if isinstance(law, Poisson) else 0.0 for law in laws])
-    largest = float(rates.max()) * (1.0 if top_weight is None else top_weight)
-    if largest > _MAX_POISSON_RATE:
-        raise ValueError("Poisson rate too large for direct CDF inversion")
-    # zero rates stay 0 under any weight, also an overflowed one (inf * 0)
-    if top_weight is None or not rates.any():
-        lowest = key_floor(min(_zero_cut(law) for law in laws))
-    else:
-        lowest = key_floor(_zero_cut(Poisson(largest)) * (1.0 - 2.0**-40))
-    others = [(c, law) for c, law in enumerate(laws) if not poisson[c]]
 
-    def sample(keys, law_of, weight_of=None):
-        if lowest > _MASK:
-            cells = np.zeros(0, dtype=np.int64)
-        else:
-            cells = np.flatnonzero(keys >= np.uint64(lowest))
-        u = uniforms_from_keys(keys.reshape(-1)[cells])
-        law_index = law_of(cells)
-        counts = np.zeros(cells.shape, dtype=np.int64)
-        at = np.flatnonzero(poisson[law_index])
-        cell_rates = rates[law_index[at]]
-        if weight_of is not None:
-            cell_rates = weight_of(cells[at]) * cell_rates
-        counts[at] = _poisson_icdf(u[at], cell_rates)
-        for c, law in others:
-            at = np.flatnonzero(law_index == c)
-            counts[at] = _sample_counts(u[at], law)
-        keep = np.flatnonzero(counts)
-        return cells[keep], counts[keep]
+def _uniforms(prefix: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The uniform of stream ``(*prefix, label)``, elementwise."""
+    return uniforms_from_keys(_mix64_np(prefix ^ label_words(labels)))
 
-    return sample
+
+def _pair_at(t: np.ndarray, size: np.ndarray):
+    """Pair ``(i, j)`` at position ``t`` of ``combinations(range(size), 2)``."""
+
+    def before(i):  # the pairs whose first index is below i
+        return i * (2 * size - i - 1) // 2
+
+    # the float root is off by at most one either way
+    width = 2.0 * size - 1.0
+    i = np.floor((width - np.sqrt(width * width - 8.0 * t)) / 2.0).astype(np.int64)
+    i = np.clip(i, 0, np.maximum(size - 2, 0))
+    i += before(i + 1) <= t
+    i -= before(i) > t
+    return i, t - before(i) + i + 1
 
 
 def _sampler(spec: SbmmSpec):
     """Prepare sampling from ``spec``: returns ``draw(keys)``, which samples
     one graph per uint64 key, all in one pass.
 
-    What depends only on the spec is built here once: first the pair and
-    loop cell samplers (``_cell_sampler``), which refuse a Poisson mean too
-    large to invert before any array of the pairs is made, then the pair
-    index arrays, the words that fold the labels and the class CDF.
+    Row r of ``draw(keys)`` is the graph ``sample_graph(spec, keys[r])``, a
+    pure function of its key.  ``draw`` returns the classes ``(R, n)``; the
+    nonzero pair counts as ``(rows, a, b, y)``, pair ``a < b`` of row
+    ``rows`` carrying ``y`` edges, sorted by ``(row, a, b)``; and the
+    self-loop counts ``(R, n)`` (zero without self-loop laws).  A host costs
+    O(n + Q^2 + E) time and memory for E edges: no array of the C(n, 2)
+    pairs is made.  A Poisson mean past ``_MAX_POISSON_RATE`` (an edge or
+    loop law, with degree weights the two largest weights times the largest
+    rate) is refused here, from the spec alone.
 
-    Row r of ``draw(keys)`` is the graph ``sample_graph(spec, keys[r])``.
-    ``draw`` returns the classes ``(R, n)``; the nonzero pair counts as
-    ``(rows, a, b, y)``, pair ``a < b`` of row ``rows`` carrying ``y`` edges,
-    sorted by ``(row, a, b)``; and the self-loop counts ``(R, n)`` (zero
-    without self-loop laws).  Every cell hashes its own keyed uniform, the
-    pairs in place in one buffer of keys that ``draw`` keeps and grows to
-    the largest block, but only the candidates are inverted, a weighted
-    one with its weight ``weight_i * weight_j``.  No output shares the
-    buffer, and every inversion works elementwise, so a row does not depend
-    on the other keys in the block.
+    The recipe, one variate per stream, ``u(*labels)`` being the uniform
+    of ``substream_key(key, *labels)``:
+
+    * Vertex i (0-based) takes the least class a with ``u(0, i + 1) < f_0 +
+      ... + f_a``, else the last class; one class draws nothing.
+    * Blocks: the class pairs ``c <= d`` in row-major order, then, with
+      self-loop laws, one loop block per class.  Block b's streams are
+      ``(n + 1 + b, label)``, never a class, pair or loop stream.  A
+      class's members are its vertices in increasing order.  ``cum`` is the
+      running float sum of the weights (1 without degree weights) over the
+      n vertices sorted by (class, vertex); a class at positions ``[p, q)``
+      of that order has ``lo = cum[p - 1]`` (0 when p = 0) and ``S =
+      cum[q - 1] - lo``.
+    * A Poisson block of rate ``w > 0`` has mean ``M = w * S_c * S_d``
+      between classes ``c < d``, ``w * S_c * S_c / 2`` within class c and
+      ``w * size_c`` for loops (left to right; M from 2^53 on is refused).
+      Its total K sums ``_poisson_icdf(u(n + 1 + b, 3 i + 2), M / P)`` over
+      its ``P = ceil(M / 700)`` parts i.  Event ``j < K`` takes an endpoint
+      in class c from ``u(n + 1 + b, 3 j)`` and one in class d from ``u(n +
+      1 + b, 3 j + 1)``: the least position k in ``[p, q)`` with ``cum[k] -
+      lo > u * S``, else ``q - 1``.  A loop event's vertex is member
+      ``min(floor(u * size_c), size_c - 1)``.  Within a class, events whose
+      two endpoints coincide are dropped (the mean counts ordered pairs at
+      half the rate); every other event adds one edge to its pair, or one
+      loop.  By Poisson splitting and thinning, pair ``i, j`` carries
+      ``Poisson(theta_i * theta_j * w)`` edges.  Karrer & Newman's recipe.
+    * A categorical or geometric block with ``P(0) < 1`` skips through its
+      cells in order: cross pairs row-major over the members of c then d,
+      within pairs in ``combinations`` order of the members, loops by
+      member.  Event j's gap is ``G_j = floor(log1p(-u(n + 1 + b, 3 j)) /
+      log P(0))`` (0 when P(0) = 0), its cell ``t_j = t_(j-1) + 1 + G_j``
+      from ``t_(-1) = -1`` while below the cell count, and its value
+      ``_positive_icdf`` of ``u(n + 1 + b, 3 j + 1)`` (Batagelj & Brandes).
+
+    Gaps are drawn in rounds, gap j keyed by j alone, so the rounds' sizes
+    change no draw, and every inversion works elementwise.
     """
     n, Q = spec.n, spec.Q
-    # one law per unordered class pair (the law matrix is symmetric)
-    laws = list(dict.fromkeys(spec.distinct_laws()))
-    law_at = np.array([[laws.index(law) for law in row] for row in spec.edge_laws])
     weighted = spec.degree_weights is not None
-    top = _top_pair_weight(spec.degree_weights) if weighted else None
-    sample_pairs = _cell_sampler(laws, top)
-    if spec.self_loop_laws is not None:
-        sample_loops = _cell_sampler(spec.self_loop_laws)
-    iu, ju = np.triu_indices(n, k=1)
-    # words[i] folds label i: the prefixes (key, i) take i = 0..n, classes
-    # (key, 0, i) and loops (key, i, i) a vertex label i = 1..n after their
-    # prefix, pairs (key, i, j) the label j = ju + 1 after prefix i = iu + 1
-    words = label_words(np.arange(n + 1))
-    vertex_words, pair_words, pair_prefix = words[1:], words[ju + 1], iu + 1
-    # the pair keys of a block, kept for the call and grown with the block
-    # size, so that every block hashes into the same pages
-    buffer = np.empty((0, len(iu)), dtype=np.uint64)
-    cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
-    pair_weights = None
+    rates = [law.rate for law in spec.distinct_laws() if isinstance(law, Poisson)]
+    largest = max(rates, default=0.0)
     if weighted:
-        theta = np.asarray(spec.degree_weights, dtype=np.float64)
-
-        def pair_weights(cells):
-            k = cells % len(iu)
-            return theta[iu[k]] * theta[ju[k]]
+        largest *= _top_pair_weight(spec.degree_weights)
+    # block b: its classes c <= d, its kind (0 for the pairs across c < d,
+    # 1 for the pairs within c = d, 2 for the loops of c = d) and its law
+    blocks = [(c, d, int(c == d), spec.edge_laws[c][d]) for c in range(Q) for d in range(c, Q)]
+    if spec.self_loop_laws is not None:
+        blocks += [(c, c, 2, law) for c, law in enumerate(spec.self_loop_laws)]
+    loop_rates = [law.rate for *_, kind, law in blocks if kind == 2 and isinstance(law, Poisson)]
+    if any(rate > _MAX_POISSON_RATE for rate in [largest, *loop_rates]):
+        raise ValueError("Poisson rate too large for direct CDF inversion")
+    block_c, block_d, kind = (np.array(x, dtype=np.int64) for x in list(zip(*blocks))[:3])
+    laws = [law for *_, law in blocks]
+    block_words = label_words(n + 1 + np.arange(len(blocks)))
+    # the blocks that can draw an event: Poisson rate or P(Y > 0) above 0
+    poisson = [b for b, law in enumerate(laws) if isinstance(law, Poisson) and law.rate > 0.0]
+    rate = np.array([laws[b].rate for b in poisson])
+    walked = [b for b, law in enumerate(laws) if not isinstance(law, Poisson)]
+    walked = [b for b in walked if _log_p0(laws[b]) < 0.0]
+    log_p0 = np.array([_log_p0(laws[b]) for b in walked])
+    hit = -np.expm1(log_p0)  # 1 - P(0): the share of cells that carry an event
+    walk_laws = list(dict.fromkeys(laws[b] for b in walked))
+    walk_law = np.array([walk_laws.index(laws[b]) for b in walked], dtype=np.int64)
+    poisson, walked = np.array(poisson, dtype=np.int64), np.array(walked, dtype=np.int64)
+    vertex_words = label_words(np.arange(1, n + 1))
+    cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
+    theta = np.asarray(spec.degree_weights if weighted else np.ones(n), dtype=np.float64)
 
     def draw(keys: np.ndarray):
-        nonlocal buffer
-        # substream_key(key, i) for i = 0..n: the prefix of every stream
-        prefix = _mix64_np(key_chains(keys)[:, None] ^ words)
-
-        # vertex classes from substreams (key, 0, i); one class needs no draw
-        classes = np.zeros((len(keys), n), dtype=np.int64)
+        R = len(keys)
+        if R * n * n >= 2**63:
+            raise ValueError(f"{R} hosts of {n} vertices are too many for one draw")
+        chain = key_chains(keys)
+        classes = np.zeros((R, n), dtype=np.int64)
         if Q > 1:
-            class_u = uniforms_from_keys(_mix64_np(prefix[:, :1] ^ vertex_words))
-            classes = np.minimum(np.searchsorted(cum_f, class_u, side="right"), Q - 1)
+            u = uniforms_from_keys(_mix64_np(fold_labels(chain, 0)[:, None] ^ vertex_words))
+            classes = np.minimum(np.searchsorted(cum_f, u, side="right"), Q - 1)
+            del u
+        # flat position r * n + k holds row r's k-th vertex in (class, vertex)
+        # order, as the flat vertex r * n + v; class c of row r takes the
+        # positions [start, start + size)
+        row = n * np.arange(R)[:, None]
+        member = np.argsort(classes, axis=1, kind="stable")
+        cum = np.cumsum(theta[member], axis=1).reshape(-1)
+        member += row
+        member = member.reshape(-1)
+        size = np.bincount((classes + Q * np.arange(R)[:, None]).reshape(-1), minlength=R * Q)
+        size = size.reshape(R, Q)
+        start = np.cumsum(size, axis=1) - size + row
+        lo = np.where(start % n == 0, 0.0, cum[start - 1])
+        S = np.where(size > 0, cum[start + size - 1] - lo, 0.0)
+        # (pair code (row * n + a) * n + b, count) and (flat vertex, count)
+        # per event
+        empty = np.zeros(0, dtype=np.int64)
+        pieces, loop_pieces = [(empty, empty)], [(empty, empty)]
 
-        # pair counts from substreams (key, i, j), i < j
-        if len(keys) > len(buffer):
-            buffer = np.empty((len(keys), len(iu)), dtype=np.uint64)
-        # mode "clip" writes straight into the buffer (every index is valid)
-        pair_keys = buffer[: len(keys)]
-        np.take(prefix, pair_prefix, axis=1, out=pair_keys, mode="clip")
-        pair_keys ^= pair_words
-        _mix64_np(pair_keys)
+        def pick(u, s, r, c, weigh):
+            # the position of event s's endpoint in class c[s] of row r[s]
+            g, width = start[r, c][s], size[r, c][s]
+            if not weigh:
+                # unit weights: the search below lands on floor(u * size)
+                return g + np.minimum((u * width).astype(np.int64), width - 1)
+            # the least position whose running weight past lo exceeds u * S
+            target, base = u * S[r, c][s], lo[r, c][s]
+            left, right = g, g + width - 1
+            while (open_ := np.flatnonzero(left < right)).size:
+                mid = (left[open_] + right[open_]) // 2
+                up = cum[mid] - base[open_] <= target[open_]
+                left[open_] = np.where(up, mid + 1, left[open_])
+                right[open_] = np.where(up, right[open_], mid)
+            return left
 
-        def pair_laws(cells):
-            r, k = np.divmod(cells, len(iu))
-            return law_at[classes[r, iu[k]], classes[r, ju[k]]]
+        def add(a, b, y):
+            a, b = member[a], member[b]
+            pieces.append((np.minimum(a, b) * n + np.maximum(a, b) % n, y))
 
-        cells, y = sample_pairs(pair_keys, pair_laws, pair_weights)
-        rows, k = np.divmod(cells, len(iu))
+        def poisson_events():
+            c, d, pk = block_c[poisson], block_d[poisson], kind[poisson]
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = rate * np.where(pk == 2, size[:, c], S[:, c])
+                mean *= np.where(pk == 2, 1.0, S[:, d])
+                mean = np.where(pk == 1, mean / 2.0, mean)
+            # past 2^53 (or not finite) no host of that many edges is drawn
+            if not (mean < 2.0**53).all():
+                raise ValueError("Poisson block mean too large to draw")
+            r, k = np.divmod(np.flatnonzero(mean), len(poisson))
+            mean, prefix = mean[r, k], _mix64_np(chain[r] ^ block_words[poisson[k]])
+            parts = np.ceil(mean / _MAX_POISSON_RATE).astype(np.int64)
+            s, i = _runs(parts)
+            drawn = _poisson_icdf(_uniforms(prefix[s], 3 * i + 2), (mean / parts)[s])
+            s, j = _runs(np.bincount(s, weights=drawn, minlength=len(parts)).astype(np.int64))
+            u = _uniforms(prefix[s], 3 * j)
+            loop = (pk[k] == 2)[s]
+            at = np.flatnonzero(loop)
+            loop_pieces.append((member[pick(u[at], s[at], r, c[k], False)], np.ones(len(at))))
+            s, j, u = s[~loop], j[~loop], u[~loop]
+            a = pick(u, s, r, c[k], weighted)
+            b = pick(_uniforms(prefix[s], 3 * j + 1), s, r, d[k], weighted)
+            at = np.flatnonzero(a != b)
+            add(a[at], b[at], np.ones(len(at), dtype=np.int64))
 
-        # self-loop counts from substreams (key, i, i)
-        loops = np.zeros(classes.size, dtype=np.int64)
-        if spec.self_loop_laws is not None:
-            loop_keys = _mix64_np(prefix[:, 1:] ^ vertex_words)
-            cells, counts = sample_loops(loop_keys, classes.reshape(-1).__getitem__)
-            loops[cells] = counts
-        return classes, (rows, iu[k], ju[k], y), loops.reshape(classes.shape)
+        def walk_events():
+            c, d, wk = block_c[walked], block_d[walked], kind[walked]
+            sc, sd = size[:, c], size[:, d]
+            cells = np.where(wk == 0, sc * sd, np.where(wk == 1, sc * (sc - 1) // 2, sc))
+            r, k = np.divmod(np.flatnonzero(cells), len(walked))
+            cells, prefix = cells[r, k], _mix64_np(chain[r] ^ block_words[walked[k]])
+            pos, nxt = np.zeros(len(r), dtype=np.int64), np.zeros(len(r), dtype=np.int64)
+            open_, found = np.arange(len(r)), [(np.zeros(0, dtype=np.int64),) * 3]
+            while open_.size:
+                # a round of gaps, sized to pass the last cell most times
+                left = cells[open_] - pos[open_]
+                hits = hit[k[open_]] * left
+                take = np.minimum(np.ceil(hits + 2.0 * np.sqrt(hits)).astype(np.int64) + 1, left)
+                run, i = _runs(take)
+                s = open_[run]
+                j = nxt[s] + i
+                gap = np.floor(np.log1p(-_uniforms(prefix[s], 3 * j)) / log_p0[k[s]])
+                step = np.cumsum(np.minimum(gap, cells[s]).astype(np.int64) + 1)
+                last = np.cumsum(take) - 1
+                t = pos[s] - 1 + step - np.concatenate(([0], step[last[:-1]]))[run]
+                inside = t < cells[s]
+                found.append((s[inside], j[inside], t[inside]))
+                pos[open_] = t[last] + 1
+                nxt[open_] += take
+                open_ = open_[inside[last] & (pos[open_] < cells[open_])]
+            s, j, t = (np.concatenate(x) for x in zip(*found))
+            value_u, y = _uniforms(prefix[s], 3 * j + 1), np.zeros(len(s), dtype=np.int64)
+            for index, law in enumerate(walk_laws):
+                at = np.flatnonzero(walk_law[k[s]] == index)
+                y[at] = _positive_icdf(value_u[at], law)
+            g, width, wk = start[r, c[k]][s], size[r, d[k]][s], wk[k[s]]
+            # loops: member t; cross pairs: row-major over c's and d's members
+            a, b = g + t, start[r, d[k]][s] + t % width
+            at = np.flatnonzero(wk == 0)
+            a[at] = g[at] + t[at] // width[at]
+            at = np.flatnonzero(wk == 1)
+            i, j = _pair_at(t[at], width[at])
+            a[at], b[at] = g[at] + i, g[at] + j
+            at = np.flatnonzero(wk == 2)
+            loop_pieces.append((member[a[at]], y[at]))
+            at = np.flatnonzero(wk != 2)
+            add(a[at], b[at], y[at])
+
+        # the blocks' work arrays are freed as each kind returns
+        if len(poisson):
+            poisson_events()
+        if len(walked):
+            walk_events()
+        v, y = (np.concatenate(x) for x in zip(*loop_pieces))
+        loops = np.bincount(v, weights=y, minlength=R * n).astype(np.int64)
+
+        code, y = (np.concatenate(x) for x in zip(*pieces))
+        order = np.argsort(code)
+        code, y = code[order], y[order]
+        first = np.flatnonzero(np.diff(code, prepend=-1))
+        rows, pair = np.divmod(code[first], n * n)
+        a, b = np.divmod(pair, n)
+        y = np.add.reduceat(y, first) if len(y) else y
+        return classes, (rows, a, b, y), loops.reshape(R, n)
 
     return draw
 

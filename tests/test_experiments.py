@@ -206,6 +206,22 @@ def test_exact_pmf_refuses_many_twin_classes_promptly():
     assert time.perf_counter() - start < 2.0
 
 
+def test_exact_pmf_refuses_a_hopeless_grid_before_its_shapes():
+    # every grid of 30 planted Bernoulli classes on n vertices has C(n, 2)
+    # pair slots of 2 values each, 2^66 configurations at n = 12, so the
+    # walk is refused before the twin set's shapes are tabulated (which
+    # took 0.021, 0.26 and 3.3 s at n = 12, 20 and 30)
+    Q = 30
+    same, cross = bernoulli(0.1), bernoulli(0.02)
+    laws = [[same if a == b else cross for b in range(Q)] for a in range(Q)]
+    for n in (12, 20, 30):
+        spec = SbmmSpec(n, Q, (1 / Q,) * Q, laws)
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleError, match="walks more than 100000000 configurations"):
+            exact_count_pmf(spec, TRIANGLE)
+        assert time.perf_counter() - start < 0.05, n
+
+
 def test_exact_pmf_weights_stay_exact_integers_on_many_vertices():
     # 180 vertices on two twin classes: the weights' orderings, up to
     # C(180, 90) ~ 9e52, are exact integers (180! alone would overflow a
@@ -370,11 +386,11 @@ def test_monte_carlo_matches_per_replicate_bruteforce_oracle(monkeypatch, case):
     graphs = [sample_graph(spec, substream_key(seed, r)) for r in range(reps)]
     want = Counter(count_copies_bruteforce(g, pattern) for g in graphs)
     assert len(want) > 1
-    cells = spec.n * (spec.n - 1) // 2 + spec.n
+    host = experiments._host_entries(spec)
     entries = sum(2 * len(g.edge_counts) + spec.n for g in graphs)
     hosts = _record_passes(monkeypatch)
     for block, budget in product((1, 3, reps), (1, entries // 3, entries)):
-        monkeypatch.setattr(experiments, "_BLOCK_CELLS", block * cells)
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", (block + 0.5) * host)
         monkeypatch.setattr(experiments, "_COUNT_ENTRIES", budget)
         hosts.clear()
         _, hist = monte_carlo_pmf(spec, pattern, reps, seed)
@@ -842,16 +858,15 @@ def test_enumeration_memory_stays_bounded(enumeration):
 
 
 def test_one_monte_carlo_block_works_in_little_memory():
-    # one block of the sparse n = 60 triangle experiment, 17 replicates and
-    # 30,090 pair cells: the sampler, prepared beforehand, hashes the pair
-    # keys in place with one scratch array, and the counter works on the
-    # block's edges, so the block peaks near two arrays of its pair keys
-    # (about 0.51 MB; hashing with temporaries took 0.79 MB, and blocks of
-    # 25 replicates take 0.75 MB)
+    # one block of the sparse n = 60 triangle experiment: 124 sampler
+    # entries per host (60 vertices, 4 class blocks, 60 expected edges), so
+    # 132 replicates.  The sampler's arrays follow the block's 7,920
+    # vertices and about 7,600 edges, and the counter works on the edges:
+    # about 2.43 MB traced, 2.05 MB of it the counter's (blocks of 264
+    # replicates, at 2^15 entries, take 4.5 MB)
     spec = _mc_triangle_spec()
-    n = spec.n
-    block = experiments._BLOCK_CELLS // (n * (n - 1) // 2 + n)
-    assert block == 17
+    block = int(experiments._BLOCK_ENTRIES // experiments._host_entries(spec))
+    assert block == 132
     draw, plan = _sampler(spec), counting._search_plan(TRIANGLE)
     keys = replicate_keys(1, np.arange(block))
     tracemalloc.start()
@@ -862,24 +877,41 @@ def test_one_monte_carlo_block_works_in_little_memory():
     finally:
         tracemalloc.stop()
     assert len(pairs[0]) > 0
-    assert peak < 700_000, peak
+    assert peak < 3_000_000, peak
 
 
 def test_monte_carlo_counts_sparse_hosts_in_few_batches(monkeypatch):
-    # the sparse n = 60 triangle experiment samples 59 blocks of 17
-    # replicates, about 1,000 edges each; the counter takes them about
-    # three blocks at a time (20 passes), not one pass per block
+    # the sparse n = 60 triangle experiment samples 8 blocks of at most
+    # 132 replicates, each about 23,000 counter entries: past the batch
+    # size, so the counter takes one pass per block
     passes = _record_passes(monkeypatch)
     _, hist = monte_carlo_pmf(_mc_triangle_spec(), TRIANGLE, 1000, 1)
     assert sum(passes) == sum(hist.values()) == 1000
-    assert len(passes) <= 21, passes
+    assert passes == [132] * 7 + [76], passes
+
+
+def test_one_large_host_costs_follow_its_edges():
+    # one host, Poisson 3/n within and 1/n across two classes (about n
+    # edges), sampled and counted: the memory follows its vertices and
+    # edges, where its C(n, 2) pair keys alone would take 100 MB at n = 5000
+    # and 4 TB at n = 10^6 (measured: 1.7 MB and 192 MB)
+    for n, limit in ((5000, 8_000_000), (10**6, 256_000_000)):
+        same, cross = Poisson(3 / n), Poisson(1 / n)
+        spec = SbmmSpec(n, 2, (0.5, 0.5), ((same, cross), (cross, same)))
+        tracemalloc.start()
+        try:
+            _, hist = monte_carlo_pmf(spec, TRIANGLE, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(hist.values()) == 1
+        assert peak < limit, (n, peak)
 
 
 def test_monte_carlo_call_works_in_little_memory():
-    # a whole 1,000-replicate call holds one sampled block and one counter
-    # batch of about 8,192 entries at a time: about 1.44 MB traced, against
-    # 0.61 MB when every block is counted alone and 2.76 MB in batches of
-    # 16,384 entries.  A short call first fills the pattern's caches
+    # a whole 1,000-replicate call holds one sampled block of 132 hosts and
+    # counts it at once: about 2.51 MB traced.  A short call first fills
+    # the pattern's caches
     spec = _mc_triangle_spec()
     monte_carlo_pmf(spec, TRIANGLE, 20, 1)
     tracemalloc.start()
@@ -888,4 +920,4 @@ def test_monte_carlo_call_works_in_little_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000, peak
+    assert peak < 3_500_000, peak

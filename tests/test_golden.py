@@ -11,7 +11,9 @@ differ in the last digit on another libm.
 To rewrite the golden files after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.  It
 prints, for each file it changes, how many numbers moved and the largest
-relative and absolute move.
+relative and absolute move, and for a Monte Carlo observed pmf the
+total-variation distance between the old and new histograms beside
+``sqrt(atoms / reps)``.
 """
 
 import json
@@ -251,11 +253,28 @@ def _moves(old, new):
     )
 
 
-def _write(fname, text):
+def _pmf_csv(text):
+    return {int(k): float(p) for k, p in (line.split(",") for line in text.split()[1:])}
+
+
+def _histogram_move(old, new, reps):
+    """The total-variation distance between two Monte Carlo observed-pmf
+    CSV texts, beside ``sqrt(atoms / reps)``, the scale of its noise."""
+    p, q = _pmf_csv(old), _pmf_csv(new)
+    atoms = set(p) | set(q)
+    tv = 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in atoms)
+    return f"tv {tv:.4g} against sqrt(atoms / reps) = {math.sqrt(len(atoms) / reps):.4g}"
+
+
+def _write(fname, text, reps=None):
+    """Rewrite one golden file when ``text`` differs; ``reps`` marks a Monte
+    Carlo observed pmf, whose histogram move is printed too."""
     path = os.path.join(GOLDEN, fname)
     old = _read_golden(fname) if os.path.exists(path) else None
     if text != old:
         print(f"{fname}: {_moves(old, text)}")
+        if reps is not None and old is not None:
+            print(f"{fname}: {_histogram_move(old, text, reps)}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
@@ -268,8 +287,10 @@ def _write_golden():
     os.makedirs(GOLDEN, exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
         for name in sorted(EXPERIMENTS):
+            config = EXPERIMENTS[name]
             for fname, text in _experiment_outputs(name, workdir).items():
-                _write(fname, text)
+                observed = config["mode"] == "monte_carlo" and fname.endswith("_observed.csv")
+                _write(fname, text, config["reps"] if observed else None)
     stdout_cases = [(name, _lambda_argv(name)) for name in sorted(LAMBDAS)]
     stdout_cases += [(name, _bound_argv(name)) for name in sorted(BOUNDS)]
     for name, argv in stdout_cases:

@@ -1,8 +1,10 @@
 """Model specs, keyed sampling, extreme moments, serialization."""
 
+import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -29,8 +31,8 @@ from blockmotif import (
     spec_from_json,
     spec_to_json,
 )
-from blockmotif._rng import key_floor, substream_key, uniform_from_key, uniforms_from_keys
-from blockmotif.model import _cell_sampler, _poisson_icdf, _sample_counts, _zero_cut
+from blockmotif._rng import substream_key, uniform_from_key
+from blockmotif.model import _poisson_icdf
 
 PLAIN_LAWS = ((Poisson(0.8), Poisson(0.3)), (Poisson(0.3), Poisson(1.2)))
 
@@ -127,118 +129,145 @@ WEIGHTED_ORACLE_SPEC = SbmmSpec(
 )
 
 
+# one class, geometric pairs and loops; a block mean of 798 (n = 400,
+# Poisson(0.01)) is drawn in two parts; categorical pairs across classes
+# with P(0) = 0 put an event on every cell
+GEOMETRIC_ORACLE_SPEC = SbmmSpec(
+    7, 1, (1.0,), ((Geometric(0.35),),), self_loop_laws=(Geometric(0.2),)
+)
+PARTS_ORACLE_SPEC = SbmmSpec(400, 1, (1.0,), ((Poisson(0.01),),))
+DENSE_ORACLE_SPEC = SbmmSpec(
+    6, 2, (0.5, 0.5),
+    ((Geometric(0.3), Categorical((0.0, 0.25, 0.75))),
+     (Categorical((0.0, 0.25, 0.75)), Categorical((0.9, 0.1)))),
+)
+
+
+def _scalar_graph(spec, seed):
+    """An independent scalar re-derivation of the block sampler's recipe
+    (``model._sampler``), one stream key at a time: the classes, then per
+    block a Poisson total with its events' endpoints, or a walk of
+    geometric gaps over the block's cells with a positive value each."""
+    n, Q = spec.n, spec.Q
+
+    def u(*labels):
+        return uniform_from_key(substream_key(seed, *labels))
+
+    def classify(i):
+        x, cdf = u(0, i + 1), 0.0
+        for a, fa in enumerate(spec.f):
+            cdf += fa
+            if x < cdf:
+                return a
+        return Q - 1
+
+    def poisson(x, rate):
+        # smallest k with CDF(k) >= x, by forward stepping
+        pmf = math.exp(-rate)
+        cdf, k = pmf, 0
+        while cdf < x and pmf > 0.0:
+            k += 1
+            pmf *= rate / k
+            cdf += pmf
+        return k
+
+    def positive(law, x):
+        # the law given a positive count
+        if isinstance(law, Geometric):
+            return max(math.ceil(math.log1p(-x) / math.log(law.ratio)) - 1.0, 0.0) + 1
+        tails = list(itertools.accumulate(float(p) for p in law.probabilities[1:]))
+        return next((k for k, t in enumerate(tails, 1) if x * tails[-1] < t), len(tails))
+
+    classes = tuple(classify(i) for i in range(n)) if Q > 1 else (0,) * n
+    theta = spec.degree_weights or (1.0,) * n
+    order = sorted(range(n), key=lambda i: (classes[i], i))
+    cum = list(itertools.accumulate(theta[i] for i in order))
+    members = [[i for i in order if classes[i] == c] for c in range(Q)]
+    span = {}
+    for c in range(Q):
+        p = sum(len(members[x]) for x in range(c))
+        q = p + len(members[c])
+        lo = cum[p - 1] if p else 0.0
+        span[c] = (p, q, lo, cum[q - 1] - lo if q > p else 0.0)
+
+    def endpoint(c, x):
+        p, q, lo, total = span[c]
+        return order[next((k for k in range(p, q) if cum[k] - lo > x * total), q - 1)]
+
+    blocks = [(c, d, spec.edge_laws[c][d]) for c in range(Q) for d in range(c, Q)]
+    if spec.self_loop_laws is not None:
+        blocks += [(c, None, law) for c, law in enumerate(spec.self_loop_laws)]
+    edges, loops = Counter(), Counter()
+    for b, (c, d, law) in enumerate(blocks):
+        label = n + 1 + b
+        size = len(members[c])
+        if isinstance(law, Poisson):
+            if law.rate == 0.0:
+                continue
+            if d is None:
+                mean = law.rate * size
+            else:
+                mean = law.rate * span[c][3] * span[d][3]
+                mean = mean / 2.0 if c == d else mean
+            if mean == 0.0:
+                continue
+            parts = math.ceil(mean / 700.0)
+            total = sum(poisson(u(label, 3 * i + 2), mean / parts) for i in range(parts))
+            for j in range(total):
+                if d is None:
+                    loops[members[c][min(int(u(label, 3 * j) * size), size - 1)]] += 1
+                    continue
+                a, z = endpoint(c, u(label, 3 * j)), endpoint(d, u(label, 3 * j + 1))
+                if a != z:
+                    edges[min(a, z), max(a, z)] += 1
+            continue
+        if d is None:
+            cells = members[c]
+        elif c == d:
+            cells = list(itertools.combinations(members[c], 2))
+        else:
+            cells = [(a, z) for a in members[c] for z in members[d]]
+        p0 = 1.0 - law.ratio if isinstance(law, Geometric) else float(law.probabilities[0])
+        if p0 >= 1.0 or not cells:
+            continue
+        log_p0 = math.log1p(-law.ratio) if isinstance(law, Geometric) else (
+            math.log(p0) if p0 > 0.0 else -math.inf
+        )
+        t, j = -1, 0
+        while True:
+            t += 1 + math.floor(math.log1p(-u(label, 3 * j)) / log_p0)
+            if t >= len(cells):
+                break
+            y = int(positive(law, u(label, 3 * j + 1)))
+            if d is None:
+                loops[cells[t]] = y
+            else:
+                edges[min(cells[t]), max(cells[t])] = y
+            j += 1
+    return classes, dict(sorted(edges.items())), dict(sorted(loops.items()))
+
+
 @pytest.mark.parametrize(
     "spec, seed",
     [pytest.param(TWO_CLASS_ORACLE_SPEC, s, id=str(s)) for s in ORACLE_SEEDS]
     + [pytest.param(ONE_CLASS_ORACLE_SPEC, s, id=f"one_class-{s}") for s in ORACLE_SEEDS]
-    + [pytest.param(WEIGHTED_ORACLE_SPEC, s, id=f"weighted-{s}") for s in ORACLE_SEEDS],
+    + [pytest.param(WEIGHTED_ORACLE_SPEC, s, id=f"weighted-{s}") for s in ORACLE_SEEDS]
+    + [pytest.param(GEOMETRIC_ORACLE_SPEC, s, id=f"geometric-{s}") for s in ORACLE_SEEDS]
+    + [pytest.param(DENSE_ORACLE_SPEC, s, id=f"dense-{s}") for s in ORACLE_SEEDS]
+    + [pytest.param(PARTS_ORACLE_SPEC, s, id=f"parts-{s}") for s in ORACLE_SEEDS[:2]],
 )
 def test_sample_matches_per_key_scalar_oracle(spec, seed):
-    # independent scalar re-derivation of the keyed inversion sampler; the
-    # scalar keys take any int seed modulo 2**64
+    # the scalar keys take any int seed modulo 2**64
     got = sample_graph(spec, seed)
-
-    def classify(i):
-        u = uniform_from_key(substream_key(seed, 0, i + 1))
-        cdf = 0.0
-        for a, fa in enumerate(spec.f):
-            cdf += fa
-            if u < cdf:
-                return a
-        return spec.Q - 1
-
-    def invert(law, u):
-        if isinstance(law, Categorical):
-            cdf = 0.0
-            for k, p in enumerate(law.probabilities):
-                cdf += float(p)
-                if u < cdf:
-                    return k
-            return len(law.probabilities) - 1
-        # Poisson: smallest k with CDF(k) >= u, same forward stepping
-        pmf = math.exp(-law.rate)
-        cdf = pmf
-        k = 0
-        while cdf < u and pmf > 0.0:
-            k += 1
-            pmf *= law.rate / k
-            cdf += pmf
-        return k
-
-    n = spec.n
-    classes = tuple(classify(i) for i in range(n))
+    classes, edges, loops = _scalar_graph(spec, seed)
     assert got.classes == classes
-    edges = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            u = uniform_from_key(substream_key(seed, i + 1, j + 1))
-            a, b = sorted((classes[i], classes[j]))
-            law = spec.edge_laws[a][b]
-            if spec.degree_weights is not None:
-                theta = spec.degree_weights
-                law = Poisson((theta[i] * theta[j]) * law.rate)
-            y = invert(law, u)
-            if y:
-                edges[(i, j)] = y
     assert got.edge_counts == edges
-    loops = {}
-    for i in range(n):
-        u = uniform_from_key(substream_key(seed, i + 1, i + 1))
-        s = invert(spec.self_loop_laws[classes[i]], u)
-        if s:
-            loops[i] = s
     assert got.self_loop_counts == loops
 
 
-CUT_LAWS = [
-    Poisson(0.0), Poisson(1 / 60), Poisson(2.0), Poisson(600.0),
-    Categorical((0.0, 0.3, 0.7)), Categorical((1.0,)),
-    Categorical((F(1, 3), F(1, 6), F(1, 2))),
-    Geometric(0.0), Geometric(0.45),
-]
-
-
-@pytest.mark.parametrize("law", CUT_LAWS, ids=repr)
-def test_zero_cut_bounds_the_positive_counts(law):
-    # the sampler inverts only uniforms above their law's cut; it draws what
-    # inverting every cell would only if no uniform at or below the cut
-    # inverts to a positive count
-    cut = _zero_cut(law)
-    edge = [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
-    u = np.concatenate((edge, np.random.default_rng(7).random(10**4)))
-    u = u[(u >= 0.0) & (u < 1.0)]  # the range of a keyed uniform
-    positive = _sample_counts(u, law) > 0
-    assert not (positive & (u <= cut)).any()
-    if not isinstance(law, Geometric):
-        assert (positive == (u > cut)).all()
-
-
-@pytest.mark.parametrize("law", CUT_LAWS, ids=repr)
-def test_raw_key_floor_selects_the_uniforms_above_the_cut(law):
-    # the sampler picks its candidates on the raw 64-bit keys, key >=
-    # key_floor(cut), before any uniform is formed: exactly the keys whose
-    # uniform exceeds the cut, also where the floor passes every key
-    cut = _zero_cut(law)
-    floor = key_floor(cut)
-    assert (floor >= 2**64) == (law in (Poisson(0.0), Categorical((1.0,))))
-    # the last key of the boundary's 53-bit integer, the floor, and around
-    m = max(math.floor(cut * 2.0**53), 0) << 11
-    near = [m + d for d in (-1, 0, 2047, 2048)] + [floor + d for d in (-1, 0, 1)]
-    near += [0, 1, 2**64 - 2048, 2**64 - 1]
-    drawn = np.random.default_rng(3).integers(0, 2**64, 2000, dtype=np.uint64)
-    keys = [k for k in near if 0 <= k < 2**64] + drawn.tolist()
-    want = [uniform_from_key(k) > cut for k in keys]
-    assert [k >= floor for k in keys] == want
-    if floor < 2**64:
-        picked = np.array(keys, dtype=np.uint64) >= np.uint64(floor)
-        assert picked.tolist() == want
-    else:
-        assert not any(want)
-
-
 def test_laws_that_never_draw_an_edge_give_empty_hosts():
-    # every key lies below the floor of Poisson(0) and Categorical((1.0,)):
-    # no pair or loop is a candidate, and nothing is drawn
+    # Poisson(0) and Categorical((1.0,)) blocks draw no event, so nothing
+    # is drawn
     zero, one = Poisson(0.0), Categorical((1.0,))
     spec = SbmmSpec(
         8, 2, (0.5, 0.5), ((zero, one), (one, zero)), self_loop_laws=(one, zero)
@@ -252,21 +281,21 @@ def test_laws_that_never_draw_an_edge_give_empty_hosts():
 
 
 def test_zero_rates_draw_nothing_under_overflowing_weights():
-    # a weight product past the float range times a zero rate is nan, and
-    # a nan rate inverts to 0, as every rate-0 pair does
+    # a zero rate draws no event, also when a weight product is past the
+    # float range (a zero rate times it would be nan)
     spec = SbmmSpec(3, 1, (1.0,), ((Poisson(0.0),),), degree_weights=(1e200, 1e200, 1.0))
     for seed in range(5):
         assert sample_graph(spec, seed).edge_counts == {}
 
 
 def test_one_poisson_inversion_over_mixed_rates_equals_the_per_law_calls():
-    # the sampler inverts a block's Poisson candidates in one call, each
-    # with its own law's rate; element for element that must equal one
-    # call per law, also for uniforms next to a cut or to 1
+    # the sampler inverts every Poisson block's part totals in one call,
+    # each with its own mean; element for element that must equal one call
+    # per mean, also for uniforms next to exp(-rate) or to 1
     rates = [0.0, 1 / 60, 0.05, 2.0, 35.0, 600.0]
     rng = np.random.default_rng(11)
     offsets = (-1e-15, -1e-16, 0.0, 1e-16, 1e-15)
-    near = [_zero_cut(Poisson(r)) + d for r in rates for d in offsets]
+    near = [float(np.exp(-r)) + d for r in rates for d in offsets]
     near += [1.0 - d for d in (1e-15, 5e-16, 2e-16, 1e-16)]
     u = np.concatenate((rng.random(2000), near))
     u = u[(u >= 0.0) & (u < 1.0)]  # the range of a keyed uniform
@@ -276,38 +305,8 @@ def test_one_poisson_inversion_over_mixed_rates_equals_the_per_law_calls():
     got = _poisson_icdf(u_cells, rate_cells)
     for r in rates:
         at = rate_cells == r
-        assert (got[at] == _sample_counts(u_cells[at], Poisson(r))).all(), r
+        assert (got[at] == _poisson_icdf(u_cells[at], np.full(at.sum(), r))).all(), r
     assert got.max() > 600 and (got == 0).any()
-
-
-@pytest.mark.parametrize("rates", [(0.02, 0.9, 40.0), (0.001, 0.05, 0.3)])
-def test_weighted_cut_inverts_like_every_cell_inverted(rates):
-    # degree-weighted candidates come from the cut of the largest pair
-    # mean, lowered by a margin.  Crafted keys put each cell's uniform one
-    # step below, at and one step above its own exp(-rate) on the 2**-53
-    # grid; with random keys besides, the prepared sampler must return what
-    # inverting every cell returns, as weighted pairs once were drawn
-    rng = np.random.default_rng(5)
-    theta = np.concatenate(([4.0, 3.5], rng.uniform(0.2, 3.5, 10)))
-    iu, ju = np.triu_indices(len(theta), k=1)
-    weights = theta[iu] * theta[ju]
-    law_index = rng.integers(0, len(rates), len(iu))
-    law_index[0] = len(rates) - 1  # the two largest weights meet the largest rate
-    cell_rates = weights * np.array(rates)[law_index]
-    m = np.floor(np.exp(-cell_rates) * 2.0**53).astype(np.int64)
-    crafted = np.maximum(m + np.arange(-1, 2)[:, None], 0).astype(np.uint64)
-    drawn = rng.integers(0, 2**64, (20, len(iu)), dtype=np.uint64)
-    keys = np.concatenate((crafted << np.uint64(11), drawn))
-    sample = _cell_sampler([Poisson(r) for r in rates], 4.0 * 3.5)
-    cells, counts = sample(
-        keys, lambda c: law_index[c % len(iu)], lambda c: weights[c % len(iu)]
-    )
-    full = _poisson_icdf(uniforms_from_keys(keys), np.tile(cell_rates, (len(keys), 1)))
-    want = np.flatnonzero(full)
-    assert cells.tolist() == want.tolist()
-    assert counts.tolist() == full.reshape(-1)[want].tolist()
-    # at or below its exp(-rate) a cell draws 0, one step above it draws more
-    assert not full[:2].any() and full[2].all()
 
 
 RATE_TOO_LARGE_SPECS = {
@@ -333,6 +332,17 @@ def test_poisson_rate_limit_depends_on_the_spec_alone(case):
             sample_graph(spec, seed)
     with pytest.raises(ValueError, match="too large"):
         monte_carlo_pmf(spec, pattern_from_name("triangle"), 5, 0)
+
+
+def test_a_block_mean_past_two_to_the_53_is_refused():
+    # every pair mean is at most 1e-100, but one weight of 1e200 puts the
+    # within-class block's mean (ordered pairs, the dropped diagonal too)
+    # near 1e100 events: no host is drawn, and the draw says why
+    spec = SbmmSpec(
+        3, 1, (1.0,), ((Poisson(1e-300),),), degree_weights=(1e200, 1e-200, 1.0)
+    )
+    with pytest.raises(ValueError, match="block mean too large"):
+        sample_graph(spec, 0)
 
 
 def test_degree_weights_decide_the_rate_limit():
@@ -369,28 +379,28 @@ PINNED_WEIGHTED_SPEC = SbmmSpec(
 
 
 def test_weighted_streams_match_the_pinned_draws():
-    # literals drawn when every weighted pair was still inverted: the
-    # candidate sampler must draw the same graphs, bit for bit
+    # literals drawn when the block sampler was written (its classes are
+    # those of every earlier sampler): a change to the recipe, the streams
+    # or the weighted endpoint picks shows here, bit for bit
     _, hist = monte_carlo_pmf(PINNED_WEIGHTED_SPEC, pattern_from_name("triangle"), 300, 7)
     assert hist == {
-        0: 1, 1: 4, 2: 15, 3: 17, 4: 25, 5: 22, 6: 42, 7: 36, 8: 33, 9: 15, 10: 18,
-        11: 28, 12: 8, 13: 10, 14: 8, 15: 5, 16: 4, 17: 2, 18: 3, 20: 1, 23: 1,
-        24: 1, 26: 1,
+        0: 1, 1: 7, 2: 15, 3: 17, 4: 37, 5: 31, 6: 28, 7: 31, 8: 17, 9: 26,
+        10: 27, 11: 17, 12: 8, 13: 15, 14: 8, 15: 5, 16: 4, 17: 2, 18: 1,
+        19: 2, 27: 1,
     }
     graph = sample_graph(PINNED_WEIGHTED_SPEC, 7)
-    twos = {(6, 39): 3, (21, 41): 2, (32, 34): 2, (49, 51): 2}
+    twos = {(8, 15): 2, (17, 34): 2, (21, 53): 2, (41, 47): 2}
     ones = [
-        (0, 14), (0, 22), (0, 49), (1, 4), (1, 54), (2, 7), (2, 54), (3, 9),
-        (3, 20), (3, 30), (3, 32), (3, 41), (4, 6), (4, 13), (4, 18), (5, 8),
-        (5, 24), (5, 36), (5, 37), (6, 13), (7, 21), (7, 27), (7, 29), (7, 39),
-        (7, 50), (8, 19), (9, 35), (9, 39), (10, 34), (10, 59), (11, 13),
-        (11, 25), (12, 56), (13, 56), (14, 48), (15, 36), (15, 56), (15, 58),
-        (16, 33), (16, 34), (16, 46), (16, 58), (17, 42), (17, 46), (19, 21),
-        (20, 24), (20, 29), (20, 32), (21, 39), (21, 49), (22, 48), (22, 51),
-        (24, 32), (24, 51), (24, 59), (25, 41), (25, 49), (25, 51), (27, 38),
-        (29, 35), (29, 55), (31, 33), (31, 41), (32, 57), (33, 59), (34, 59),
-        (35, 45), (39, 59), (40, 58), (41, 42), (42, 55), (44, 56), (44, 58),
-        (48, 59), (50, 51), (50, 53), (50, 58),
+        (0, 50), (1, 22), (1, 33), (1, 37), (1, 56), (3, 6), (3, 52), (4, 8),
+        (4, 39), (4, 51), (5, 17), (5, 23), (6, 31), (6, 49), (7, 15), (7, 25),
+        (7, 41), (8, 29), (8, 40), (8, 44), (12, 25), (13, 23), (13, 29),
+        (13, 44), (13, 51), (14, 48), (15, 37), (15, 58), (16, 19), (16, 40),
+        (16, 42), (17, 24), (17, 32), (17, 46), (17, 57), (17, 58), (18, 40),
+        (18, 52), (19, 50), (20, 24), (21, 24), (21, 25), (21, 29), (22, 25),
+        (22, 31), (22, 40), (22, 51), (23, 29), (23, 51), (23, 56), (24, 52),
+        (25, 31), (25, 53), (28, 34), (28, 50), (30, 48), (32, 34), (33, 54),
+        (33, 57), (34, 57), (37, 39), (37, 59), (40, 53), (40, 57), (41, 50),
+        (42, 44), (47, 49), (47, 56), (49, 53), (50, 53), (57, 58), (58, 59),
     ]
     assert graph.edge_counts == dict(sorted({**dict.fromkeys(ones, 1), **twos}.items()))
     assert "".join(map(str, graph.classes)) == (
@@ -462,6 +472,126 @@ def test_degree_corrected_rates_scale_pair_means():
     assert means["ll"] == pytest.approx(0.25 * 0.25 * 0.5, rel=0.1)
     assert means["hl"] == pytest.approx(0.25 * 2.0 * 0.5, rel=0.05)
     assert means["hh"] == pytest.approx(2.0 * 2.0 * 0.5, rel=0.05)
+
+
+def test_within_class_walk_follows_combinations_order():
+    # with P(0) = 0 every cell carries an event: event j sits on pair j of
+    # combinations(members, 2) and its value inverts the uniform of stream
+    # (seed, n + 1, 3 j + 1), the one pair block's label being n + 1
+    n, law = 6, Categorical((0.0, 0.5, 0.3, 0.2))
+    spec = SbmmSpec(n, 1, (1.0,), ((law,),))
+    for seed in range(5):
+        want = {}
+        for j, pair in enumerate(itertools.combinations(range(n), 2)):
+            x = uniform_from_key(substream_key(seed, n + 1, 3 * j + 1))
+            want[pair] = 1 if x < 0.5 else 2 if x < 0.8 else 3
+        assert sample_graph(spec, seed).edge_counts == want
+
+
+def test_block_mean_past_the_inversion_limit_draws_its_edges():
+    # one class of 400 vertices at Poisson(0.01): the block's mean 798 is
+    # past exp(-mean)'s range, so its total is drawn in two parts.  The
+    # hosts' edge totals are Poisson(798) each, so by Chebyshev the mean of
+    # 100 lies within sqrt(798 / 100 / 0.01) = 28.2 of 798 with
+    # probability at least 0.99 (one part, exp(-800) = 0, would give 1)
+    spec = SbmmSpec(400, 1, (1.0,), ((Poisson(0.01),),))
+    want = 0.01 * 400 * 399 / 2
+    totals = [sum(sample_graph(spec, seed).edge_counts.values()) for seed in range(100)]
+    assert abs(sum(totals) / 100 - want) <= math.sqrt(want / 100 / 0.01)
+
+
+def _pearson(values, law, draws):
+    """Pearson's statistic and degrees of freedom of ``draws`` values
+    against ``law``, one bin per value while its expected count is at least
+    5, then one bin for the rest."""
+    seen, observed, expected = Counter(values), [], []
+    while (e := pmf_tail(law, len(observed))[0] * draws) >= 5:
+        observed.append(seen[len(observed)])
+        expected.append(e)
+    rest = draws - sum(observed)
+    if draws - math.fsum(expected) > 1e-9 * draws:
+        observed.append(rest)
+        expected.append(draws - math.fsum(expected))
+    else:
+        assert rest == 0
+    return sum((o - e) ** 2 / e for o, e in zip(observed, expected)), len(observed) - 1
+
+
+# one class of 6 vertices per case, pair and loop laws of each kind; the
+# per-cell law of pair (i, j) is its law with rate theta_i theta_j w
+CHI_SQUARE_CASES = {
+    "poisson": SbmmSpec(
+        6, 1, (1.0,), ((Poisson(0.6),),), self_loop_laws=(Geometric(0.3),)
+    ),
+    "categorical": SbmmSpec(
+        6, 1, (1.0,), ((Categorical((0.5, 0.3, 0.2)),),), self_loop_laws=(Poisson(0.4),)
+    ),
+    "geometric": SbmmSpec(
+        6, 1, (1.0,), ((Geometric(0.45),),),
+        self_loop_laws=(Categorical((0.6, 0.3, 0.1)),),
+    ),
+    "degree_weighted": SbmmSpec(
+        6, 1, (1.0,), ((Poisson(0.5),),),
+        degree_weights=(0.4, 0.8, 1.0, 1.3, 1.7, 2.2), self_loop_laws=(Poisson(0.3),),
+    ),
+}
+# cell pairs tested for independence, no cell in two of them: pairs that
+# share a vertex, neighbours in the walk's order, and loops
+INDEPENDENT_CELLS = [
+    ((0, 1), (0, 2)), ((1, 2), (1, 3)), ((2, 3), (4, 5)), ((0, 0), (0, 3)), ((4, 4), (5, 5)),
+]
+
+
+@pytest.mark.parametrize("case", sorted(CHI_SQUARE_CASES))
+def test_cells_follow_their_laws_independently(case):
+    # 1,000 seeded hosts.  Every pair and loop cell's counts against its
+    # law, and the joint counts (capped at 2) of the cell pairs above
+    # against independence: each statistic sums independent Pearson
+    # statistics, tested at level 1e-3 against its chi-square law
+    spec, draws = CHI_SQUARE_CASES[case], 1000
+    graphs = [sample_graph(spec, seed) for seed in range(draws)]
+
+    def cell(g, a, b):
+        return g.self_loop_counts.get(a, 0) if a == b else g.edge_counts.get((a, b), 0)
+
+    total = dof = 0
+    theta = spec.degree_weights or (1.0,) * spec.n
+    for a, b in itertools.combinations_with_replacement(range(spec.n), 2):
+        law = spec.self_loop_laws[0] if a == b else spec.edge_laws[0][0]
+        if isinstance(law, Poisson) and a != b:
+            law = Poisson(theta[a] * theta[b] * law.rate)
+        stat, k = _pearson([cell(g, a, b) for g in graphs], law, draws)
+        total, dof = total + stat, dof + k
+    assert stats.chi2.sf(total, dof) > 1e-3, (total, dof)
+    total = dof = 0
+    for first, second in INDEPENDENT_CELLS:
+        table = np.zeros((3, 3))
+        for g in graphs:
+            table[min(cell(g, *first), 2), min(cell(g, *second), 2)] += 1
+        table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+        stat, _, k, _ = stats.chi2_contingency(table, correction=False)
+        total, dof = total + stat, dof + k
+    assert stats.chi2.sf(total, dof) > 1e-3, (total, dof)
+
+
+def test_cross_class_cells_follow_their_laws():
+    # two classes, a Poisson law within one, a categorical law across and
+    # a geometric law within the other.  Given the classes the cells are
+    # independent, so each law's cells pooled over 1,000 hosts are its
+    # draws; the summed statistic is tested at level 1e-3
+    poisson, across, geometric = Poisson(0.5), Categorical((0.4, 0.35, 0.25)), Geometric(0.3)
+    spec = SbmmSpec(6, 2, (0.5, 0.5), ((poisson, across), (across, geometric)))
+    pooled = {poisson: [], across: [], geometric: []}
+    for seed in range(1000):
+        g = sample_graph(spec, seed)
+        for a, b in itertools.combinations(range(spec.n), 2):
+            law = spec.edge_laws[g.classes[a]][g.classes[b]]
+            pooled[law].append(g.edge_counts.get((a, b), 0))
+    total = dof = 0
+    for law, values in pooled.items():
+        stat, k = _pearson(values, law, len(values))
+        total, dof = total + stat, dof + k
+    assert stats.chi2.sf(total, dof) > 1e-3, (total, dof)
 
 
 # -- extreme moments ---------------------------------------------------------------
