@@ -311,6 +311,37 @@ def _geometric_icdf(u: np.ndarray, law: Geometric) -> np.ndarray:
     return np.maximum(raw, 0.0).astype(np.int64)
 
 
+def _sample_counts(u: np.ndarray, law: EdgeCountDistribution) -> np.ndarray:
+    """Elementwise inverse CDF of ``law``: the count of one cell drawn by
+    inverting its own uniform.  The block sampler draws each cell's count
+    from the same law without a uniform per cell."""
+    if isinstance(law, Poisson):
+        return _poisson_icdf(u, np.full(u.shape, law.rate))
+    if isinstance(law, Categorical):
+        cum = np.cumsum(np.asarray(law.probabilities, dtype=np.float64))
+        return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    if isinstance(law, Geometric):
+        return _geometric_icdf(u, law)
+    raise TypeError(f"not an edge-count law: {law!r}")
+
+
+def _zero_cut(law: EdgeCountDistribution) -> float:
+    """A uniform ``u <= cut`` inverts to 0 under ``law`` (:func:`_sample_counts`).
+
+    The cut reads the same floats as the inversion, so for Poisson and
+    categorical laws ``u > cut`` holds exactly when the count is positive;
+    every geometric uniform stays a candidate.
+    """
+    if isinstance(law, Poisson):
+        # _poisson_icdf's first test, pmf < u, at k = 0
+        return float(np.exp(-np.full(1, law.rate))[0])
+    if isinstance(law, Categorical):
+        # searchsorted(cum, u, "right") is 0 exactly when u < cum[0]
+        cum0 = np.cumsum(np.asarray(law.probabilities, dtype=np.float64))[0]
+        return float(np.nextafter(cum0, -np.inf))
+    return -1.0
+
+
 def _positive_icdf(u: np.ndarray, law: EdgeCountDistribution) -> np.ndarray:
     """Elementwise inverse CDF of a categorical or geometric ``law`` given
     a positive count.
