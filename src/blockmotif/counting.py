@@ -18,7 +18,7 @@ directed adjacency entry at a time, so only a pattern vertex without
 neighbours is tried at every host vertex.  Symmetry-breaking order bounds
 on the images (``_search_plan``, from the pattern's stabilizer chain) pick
 the one map per orbit, so its sums are copy counts.  ``monte_carlo_pmf``
-hands it batches of sampled blocks; ``count_copies`` hands it one
+hands it each sampled block; ``count_copies`` hands it one
 ``ObservedMultigraph`` as a block of one.
 ``count_copies_bruteforce`` independently sums the product over every
 injective vertex map and divides by the automorphism count.  All return

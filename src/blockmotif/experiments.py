@@ -11,9 +11,8 @@ Two routes to the distribution of the copy count W:
   uses;
 * ``monte_carlo_pmf`` samples whole graphs (one keyed substream per
   replicate), a block of replicates per numpy pass at a cost that follows
-  their vertices and edges, and counts the copies of one or more blocks'
-  replicates in one pass of the block counter, in batches sized by the
-  edges and vertices the counter holds.
+  their vertices and edges, and counts each block's copies in the pass
+  that draws it.
 
 ``run_experiment`` glues these to the approximation module: it computes the
 structural profile, model extrema (once: reused from the bound's report),
@@ -77,18 +76,13 @@ __all__ = [
 EXACT_ENUMERATION_LIMIT = 10**8
 
 # sampler entries per Monte Carlo block, counting per host its n vertices,
-# Q^2 class blocks and expected edges: bounds the sampler's working memory
-# whatever reps and n are (a block holds at least one replicate).  Each
-# block pays a fixed set-up (its block totals' inversion), so larger blocks
-# sample faster, but the counter's memory grows with the block it counts
+# Q^2 class blocks and expected edges: bounds the working memory of both
+# the sampler and the counter, which counts each block as drawn, whatever
+# reps and n are (a block holds at least one replicate).  Each block pays a
+# fixed set-up, so larger blocks run faster, but the counter holds about
+# 270 bytes per edge (2.05 MB of the 2.43 MB a 132-host ``mc_triangle``
+# block peaks at), so the counter sets this budget
 _BLOCK_ENTRIES = 1 << 14
-
-# counter entries (2 per edge, 1 per vertex) a Monte Carlo batch gathers
-# before it is counted: each counter pass pays a fixed set-up and a sparse
-# block holds few edges for its cells, so a batch spans several blocks.  A
-# batch holds fewer than this plus one block's entries, which bounds the
-# counter's working memory whatever reps and n are
-_COUNT_ENTRIES = 1 << 13
 
 
 def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
@@ -151,36 +145,24 @@ def monte_carlo_pmf(
     (``_sampler``), as many per block as fit in ``_BLOCK_ENTRIES`` sampler
     entries (``_host_entries``: per host its n vertices, Q^2 class blocks
     and expected edges; at least one host), and each block comes back as
-    its nonzero pair counts, ``(row, a, b, count)`` arrays.
-    Blocks gather into a batch, their rows renumbered after the hosts
-    before them, until the batch holds ``_COUNT_ENTRIES`` counter entries
-    (2 per edge, n per host); ``_count_block`` then counts all of its
-    hosts at once with their loop counts, and once more the last, partial
-    batch.  The result depends on neither size.  Returns the empirical pmf
-    and the exact integer histogram.
+    its nonzero pair counts, ``(row, a, b, count)`` arrays, which
+    ``_count_block`` counts with the loop counts in the pass that draws
+    them, all of the block's hosts at once.  The result does not depend on
+    the block size.  Returns the empirical pmf and the exact integer
+    histogram.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     _require_fit(spec, pattern)
-    n = spec.n
     plan = _search_plan(pattern)
     draw = _sampler(spec)
     block = max(1, int(_BLOCK_ENTRIES // _host_entries(spec)))
     hist: dict[int, int] = {}
-    batch, hosts, entries = [], 0, 0
     for start in range(0, reps, block):
         stop = min(start + block, reps)
-        _, (rows, a, b, y), loops = draw(replicate_keys(seed, np.arange(start, stop)))
-        batch.append((loops, rows + hosts, a, b, y))
-        hosts += stop - start
-        entries += 2 * len(y) + loops.size
-        if entries >= _COUNT_ENTRIES or stop == reps:
-            # a batch of one block is counted as drawn, without a copy
-            arrays = batch[0] if len(batch) == 1 else map(np.concatenate, zip(*batch))
-            totals = _count_block(plan, *arrays)
-            for w in totals.tolist():
-                hist[w] = hist.get(w, 0) + 1
-            batch, hosts, entries = [], 0, 0
+        _, pairs, loops = draw(replicate_keys(seed, np.arange(start, stop)))
+        for w in _count_block(plan, loops, *pairs).tolist():
+            hist[w] = hist.get(w, 0) + 1
     hist = dict(sorted(hist.items()))
     pmf = {w: c / reps for w, c in hist.items()}
     return pmf, hist
@@ -190,10 +172,13 @@ def tv_distance(p: dict, q: dict) -> float:
     """Total-variation distance between two sub-probability mass functions.
 
     Any mass deficit (totals below 1) is treated as sitting on an atom the
-    other law cannot share, contributing half the deficit difference.
+    other law cannot share, contributing half the deficit difference.  A
+    negative or non-finite mass raises ``ValueError``.
     """
     for name, mapping in (("p", p), ("q", q)):
         for k, prob in mapping.items():
+            if not math.isfinite(prob):
+                raise ValueError(f"non-finite mass in {name} at {k}: {prob}")
             if prob < 0:
                 raise ValueError(f"negative mass in {name} at {k}: {prob}")
     support = set(p) | set(q)

@@ -378,30 +378,22 @@ def _record_passes(monkeypatch) -> list[int]:
 def test_monte_carlo_matches_per_replicate_bruteforce_oracle(monkeypatch, case):
     # replicate r is the graph sample_graph(spec, substream_key(seed, r)),
     # recounted here by brute force.  Blocks of 1, 3 (the last one partial)
-    # and all replicates, each counted block by block, in batches of about
-    # a third of the call's counter entries (several blocks, the last batch
-    # partial) and all at once, must give the same histogram
+    # and all replicates, each counted in the pass that draws it, must give
+    # the same histogram
     spec, pattern = MC_ORACLE_CASES[case]
     reps, seed = 40, 5
     graphs = [sample_graph(spec, substream_key(seed, r)) for r in range(reps)]
     want = Counter(count_copies_bruteforce(g, pattern) for g in graphs)
     assert len(want) > 1
     host = experiments._host_entries(spec)
-    entries = sum(2 * len(g.edge_counts) + spec.n for g in graphs)
     hosts = _record_passes(monkeypatch)
-    for block, budget in product((1, 3, reps), (1, entries // 3, entries)):
+    for block in (1, 3, reps):
         monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", (block + 0.5) * host)
-        monkeypatch.setattr(experiments, "_COUNT_ENTRIES", budget)
         hosts.clear()
         _, hist = monte_carlo_pmf(spec, pattern, reps, seed)
-        assert hist == dict(sorted(want.items())), (block, budget)
-        assert sum(hosts) == reps
-        if budget == 1:
-            assert len(hosts) == -(-reps // block)
-        elif budget == entries:
-            assert hosts == [reps]
-        elif block < reps:
-            assert 1 < len(hosts) <= 3 and max(hosts) > block
+        assert hist == dict(sorted(want.items())), block
+        k, rest = divmod(reps, block)
+        assert hosts == [block] * k + ([rest] if rest else []), block
 
 
 def test_block_counts_stay_exact_past_int64():
@@ -494,6 +486,16 @@ def test_tv_distance_rejects_negative_mass():
         tv_distance({0: 1.0}, {0: -0.1})
     with pytest.raises(ValueError, match="negative mass in p"):
         tv_distance({3: -1e-9}, {0: 1.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("law", ["p", "q"])
+def test_tv_distance_rejects_non_finite_mass(law, bad):
+    # nan passes a `< 0` check and would come back as the distance
+    laws = {"p": {0: 0.5, 2: 0.5}, "q": {0: 1.0}}
+    laws[law] = {**laws[law], 2: bad}
+    with pytest.raises(ValueError, match=f"non-finite mass in {law} at 2"):
+        tv_distance(laws["p"], laws["q"])
 
 
 small_pmfs = st.dictionaries(
@@ -882,8 +884,7 @@ def test_one_monte_carlo_block_works_in_little_memory():
 
 def test_monte_carlo_counts_sparse_hosts_in_few_batches(monkeypatch):
     # the sparse n = 60 triangle experiment samples 8 blocks of at most
-    # 132 replicates, each about 23,000 counter entries: past the batch
-    # size, so the counter takes one pass per block
+    # 132 replicates, and the counter takes one pass per block
     passes = _record_passes(monkeypatch)
     _, hist = monte_carlo_pmf(_mc_triangle_spec(), TRIANGLE, 1000, 1)
     assert sum(passes) == sum(hist.values()) == 1000
