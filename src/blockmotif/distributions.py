@@ -18,6 +18,7 @@ laws are summed exactly over their finite support.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -105,7 +106,10 @@ def _poisson_tail(rate: float, k: int) -> float:
     """P(Y >= k) for Poisson(rate), by forward summation from k.
 
     The terms beyond the stopping index are bounded by a geometric series,
-    so the neglected remainder is below relative machine precision.
+    so the neglected remainder is below relative machine precision.  At or
+    below the mean every term before k is at most the one at k, so when
+    that term is under the least normal float, ``P(Y < k) < k * 2.3e-308``
+    and the tail is 1.
     """
     if k <= 0:
         return 1.0
@@ -113,6 +117,8 @@ def _poisson_tail(rate: float, k: int) -> float:
         return 0.0
     log_term = -rate + k * math.log(rate) - math.lgamma(k + 1)
     term = math.exp(log_term)
+    if k <= rate and term < sys.float_info.min:
+        return 1.0
     if term == 0.0:
         return 0.0
     total = term

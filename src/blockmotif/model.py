@@ -17,11 +17,11 @@ endpoints picked with probability proportional to their degree weights
 (Karrer & Newman's recipe); a categorical or geometric block skips through
 its cells with geometric gaps (Batagelj & Brandes).  So a host costs
 O(n + Q^2 + E) time and memory for E edges, not O(n^2).  One sampler,
-``_sampler(spec)``, is prepared once per call from the spec alone (it
-refuses a Poisson mean too large to invert); its ``draw(keys)`` samples a
-block of graphs, one per key, as arrays in one numpy pass, and
-``sample_graph`` is a block of one.  Each graph depends only on its own
-key, so results never depend on how replicates are grouped into blocks.
+``_sampler(spec)``, is prepared once per call from the spec alone; its
+``draw(keys)`` samples a block of graphs, one per key, as arrays in one
+numpy pass, and ``sample_graph`` is a block of one.  Each graph depends
+only on its own key, so results never depend on how replicates are
+grouped into blocks.
 """
 
 from __future__ import annotations
@@ -233,13 +233,6 @@ class ModelExtrema:
     inhom_max: float
 
 
-def _top_pair_weight(weights) -> float:
-    """The largest pair weight ``weight_i * weight_j``, the product of the
-    two largest weights; 0.0 when fewer than two vertices make no pair."""
-    top = sorted(weights, reverse=True) + [0.0, 0.0]
-    return top[0] * top[1]
-
-
 def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
     """Maxima over class pairs of the moment functionals the bounds use."""
     laws = spec.distinct_laws()
@@ -259,7 +252,8 @@ def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
     if spec.degree_weights is not None:
         if spec.n < 2:
             raise ValueError("degree weights need at least two vertices")
-        inhom_max = _top_pair_weight(spec.degree_weights) * max(law.rate for law in laws)
+        top = sorted(spec.degree_weights, reverse=True)  # the largest pair weight
+        inhom_max = top[0] * top[1] * max(law.rate for law in laws)
     return ModelExtrema(
         mu1_star=mu1_star,
         mu_star=mu_star,
@@ -272,7 +266,8 @@ def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
     )
 
 
-# direct CDF inversion starts from exp(-rate), which underflows near rate 745
+# direct CDF inversion starts from exp(-rate), which underflows near rate 745;
+# the sampler splits each Poisson block total into parts of at most this mean
 _MAX_POISSON_RATE = 700.0
 
 
@@ -281,8 +276,9 @@ def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
 
     Forward CDF stepping, over only the elements whose CDF is still below
     their u; each element's result depends only on its own (u, rate), so
-    any grouping of calls yields identical values.  Rates must not exceed
-    ``_MAX_POISSON_RATE``.
+    any grouping of calls yields identical values.  Valid only for rates
+    up to ``_MAX_POISSON_RATE``: past about 745 ``exp(-rate)`` underflows
+    to 0 and every element would come out 1.
     """
     rates = np.asarray(rates, dtype=np.float64)
     pmf = np.exp(-rates)
@@ -314,7 +310,9 @@ def _geometric_icdf(u: np.ndarray, law: Geometric) -> np.ndarray:
 def _sample_counts(u: np.ndarray, law: EdgeCountDistribution) -> np.ndarray:
     """Elementwise inverse CDF of ``law``: the count of one cell drawn by
     inverting its own uniform.  The block sampler draws each cell's count
-    from the same law without a uniform per cell."""
+    from the same law without a uniform per cell.  A Poisson law is
+    inverted at its own rate, so this reference is valid only for rates up
+    to ``_MAX_POISSON_RATE`` (see :func:`_poisson_icdf`)."""
     if isinstance(law, Poisson):
         return _poisson_icdf(u, np.full(u.shape, law.rate))
     if isinstance(law, Categorical):
@@ -403,9 +401,7 @@ def _sampler(spec: SbmmSpec):
     ``rows`` carrying ``y`` edges, sorted by ``(row, a, b)``; and the
     self-loop counts ``(R, n)`` (zero without self-loop laws).  A host costs
     O(n + Q^2 + E) time and memory for E edges: no array of the C(n, 2)
-    pairs is made.  A Poisson mean past ``_MAX_POISSON_RATE`` (an edge or
-    loop law, with degree weights the two largest weights times the largest
-    rate) is refused here, from the spec alone.
+    pairs is made.
 
     The recipe, one variate per stream, ``u(*labels)`` being the uniform
     of ``substream_key(key, *labels)``:
@@ -446,18 +442,11 @@ def _sampler(spec: SbmmSpec):
     """
     n, Q = spec.n, spec.Q
     weighted = spec.degree_weights is not None
-    rates = [law.rate for law in spec.distinct_laws() if isinstance(law, Poisson)]
-    largest = max(rates, default=0.0)
-    if weighted:
-        largest *= _top_pair_weight(spec.degree_weights)
     # block b: its classes c <= d, its kind (0 for the pairs across c < d,
     # 1 for the pairs within c = d, 2 for the loops of c = d) and its law
     blocks = [(c, d, int(c == d), spec.edge_laws[c][d]) for c in range(Q) for d in range(c, Q)]
     if spec.self_loop_laws is not None:
         blocks += [(c, c, 2, law) for c, law in enumerate(spec.self_loop_laws)]
-    loop_rates = [law.rate for *_, kind, law in blocks if kind == 2 and isinstance(law, Poisson)]
-    if any(rate > _MAX_POISSON_RATE for rate in [largest, *loop_rates]):
-        raise ValueError("Poisson rate too large for direct CDF inversion")
     block_c, block_d, kind = (np.array(x, dtype=np.int64) for x in list(zip(*blocks))[:3])
     laws = [law for *_, law in blocks]
     block_words = label_words(n + 1 + np.arange(len(blocks)))

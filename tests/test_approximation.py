@@ -318,6 +318,15 @@ def test_triangle_truncation_mass_is_three_slot_union_bound():
     )
 
 
+def test_edge_rates_past_the_tail_underflow_cover_the_law():
+    # exp(-800) underflows, yet the rates run up to Poisson(800)'s cap 986,
+    # certified to 1e-9, and the C(5, 2) = 10 pairs' rates sum to 10
+    params = lambda_params(one_class_spec(5, Poisson(800.0)), EDGE)
+    assert params.imax == 986
+    assert params.truncation_mass <= 1e-9
+    assert params.total == pytest.approx(10.0, rel=1e-9)
+
+
 def test_rate_total_tracks_expected_count_within_truncation():
     spec = one_class_spec(10, Poisson(0.7))
     params = lambda_params(spec, TRIANGLE)
@@ -842,6 +851,16 @@ def test_thm31_rejects_multigraph_loop_and_unbalanced_patterns():
         tv_bound(spec, disjoint, "thm31_simple")
     with pytest.raises(PreconditionError, match="no edges"):
         tv_bound(loop_spec, PatternGraph(1, {}, {0: 2}), "thm51_selfloop")
+
+
+@pytest.mark.parametrize("variant", ["thm41_multi", "thm51_selfloop"])
+def test_multigraph_bounds_reject_a_not_strictly_pseudo_balanced_pattern(variant):
+    # a triangle with a pendant edge: 4 supported pairs on 4 vertices, the
+    # same pseudo-density 1 as its triangle
+    spec = one_class_spec(30, bernoulli(0.1), loop_law=bernoulli(0.1))
+    pendant = PatternGraph(4, {(0, 1): 1, (0, 2): 1, (1, 2): 1, (2, 3): 1})
+    with pytest.raises(PreconditionError, match="not strictly pseudo-balanced"):
+        tv_bound(spec, pendant, variant)
 
 
 def test_degree_weights_restrict_to_cor35():

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from blockmotif import (
     Categorical,
@@ -144,6 +145,16 @@ def test_pmf_sums_to_tail():
             assert pmf_tail(law, k)[1] == pytest.approx(total, rel=1e-10, abs=1e-15)
 
 
+@pytest.mark.parametrize("rate", [744.0, 746.0, 800.0, 1500.0, 1e4])
+def test_poisson_pmf_tail_matches_scipy_where_exp_minus_rate_underflows(rate):
+    # past rate 745 the first term of a tail below the mean underflows to
+    # 0; the tail is then 1 to within k * 2.3e-308, not 0
+    for k in (1, 2, 10, 100, int(rate) // 2, int(rate), int(rate + 3 * math.sqrt(rate))):
+        p, t = pmf_tail(Poisson(rate), k)
+        assert t == pytest.approx(stats.poisson.sf(k - 1, rate), rel=1e-10), k
+        assert p == pytest.approx(stats.poisson.pmf(k, rate), rel=1e-10, abs=1e-300), k
+
+
 def test_pmf_tail_rejects_negative_k():
     with pytest.raises(ValueError):
         pmf_tail(Poisson(1.0), -1)
@@ -156,13 +167,20 @@ def test_pmf_tail_rejects_negative_k():
 @pytest.mark.parametrize(
     "law",
     [Poisson(0.05), Poisson(1.7), Geometric(0.3), Geometric(0.85),
-     Categorical((0.5, 0.3, 0.2)), Categorical((1.0,))],
+     Categorical((0.5, 0.3, 0.2)), Categorical((1.0,)),
+     Poisson(0.0), Geometric(0.0)],
 )
 def test_truncation_bound_is_the_smallest_cap(law, eps):
     m = truncation_bound(law, eps)
     assert pmf_tail(law, m + 1)[1] <= eps
     if m > 0:
         assert pmf_tail(law, m)[1] > eps
+
+
+@pytest.mark.parametrize("rate", [700.0, 800.0, 1500.0])
+def test_poisson_truncation_bound_matches_scipy_past_the_underflow(rate):
+    # the least m with P(Y > m) <= eps is scipy's inverse survival function
+    assert truncation_bound(Poisson(rate), 1e-10) == stats.poisson.isf(1e-10, rate)
 
 
 def test_truncation_bound_rejects_bad_eps():

@@ -192,9 +192,10 @@ def test_exact_pmf_refuses_too_many_class_multisets_up_front(monkeypatch):
 
 
 def test_exact_pmf_refuses_many_twin_classes_promptly():
-    # 30 planted classes are one twin set, whose table of shapes (the
-    # integer partitions of at most 20 into at most 30 parts) is built
-    # before the first grid, 2^190 configurations, is refused
+    # 30 planted classes are one twin set; every grid has C(20, 2) = 190
+    # pair slots of 2 values each, 2^190 configurations, so the walk is
+    # refused before the twin set's table of shapes (the integer
+    # partitions of at most 20 into at most 30 parts) is built
     Q = 30
     same, cross = bernoulli(0.1), bernoulli(0.02)
     laws = [[same if a == b else cross for b in range(Q)] for a in range(Q)]
@@ -665,6 +666,32 @@ def test_poisson_reference_survives_infeasible_clump_rates():
     assert report["nu"] == pytest.approx(expected_count(spec, cycle4), rel=1e-12)
     with pytest.raises(InfeasibleError):
         run_experiment(dict(config, variant="thm31_simple"))
+
+
+def test_compound_poisson_reference_reraises_infeasible_clump_rates(monkeypatch):
+    # c_override lets the bound skip the clump rates; the compound-Poisson
+    # reference still needs them, so their refusal stands, before any of
+    # the million replicates is drawn
+    def unwanted(*args, **kwargs):
+        raise AssertionError("observed law computed without a reference")
+
+    monkeypatch.setattr(experiments, "monte_carlo_pmf", unwanted)
+    same, cross = Poisson(0.15), Poisson(0.05)
+    config = {
+        "spec": SbmmSpec(20, 2, (0.5, 0.5), ((same, cross), (cross, same))),
+        "pattern": pattern_from_name("cycle:5"),
+        "variant": "thm31_simple",
+        "mode": "monte_carlo",
+        "reps": 10**6,
+        "seed": 0,
+        "eps": 1e-8,
+        "c_override": 1.0,
+    }
+    assert tv_bound(
+        config["spec"], config["pattern"], "thm31_simple", c_override=1.0, eps=1e-8
+    ).params is None
+    with pytest.raises(InfeasibleError, match="clump enumeration walks more than"):
+        run_experiment(config)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -143,6 +142,28 @@ DENSE_ORACLE_SPEC = SbmmSpec(
 )
 
 
+# a pair or loop mean past 700, where exp(-mean) would underflow, is drawn
+# in parts like any block total: an edge law Poisson(800), a loop law
+# Poisson(900), weights 30 * 30 at rate 1, and three hubs among 40 vertices
+# whose hub pairs have mean 900
+LARGE_RATE_ORACLE_SPECS = {
+    "edge_law": SbmmSpec(
+        3, 2, (0.5, 0.5), ((Poisson(1), Poisson(1)), (Poisson(1), Poisson(800)))
+    ),
+    "loop_law": SbmmSpec(
+        3, 2, (0.5, 0.5), ((Poisson(1),) * 2,) * 2,
+        self_loop_laws=(Poisson(1), Poisson(900)),
+    ),
+    "weights": SbmmSpec(
+        3, 1, (1.0,), ((Poisson(1.0),),), degree_weights=(30.0, 30.0, 1.0)
+    ),
+    "hubs": SbmmSpec(
+        40, 2, (0.5, 0.5), ((Poisson(1.0),) * 2,) * 2,
+        degree_weights=(30.0, 1.0) * 3 + (1.0,) * 34,
+    ),
+}
+
+
 def _scalar_graph(spec, seed):
     """An independent scalar re-derivation of the block sampler's recipe
     (``model._sampler``), one stream key at a time: the classes, then per
@@ -254,7 +275,12 @@ def _scalar_graph(spec, seed):
     + [pytest.param(WEIGHTED_ORACLE_SPEC, s, id=f"weighted-{s}") for s in ORACLE_SEEDS]
     + [pytest.param(GEOMETRIC_ORACLE_SPEC, s, id=f"geometric-{s}") for s in ORACLE_SEEDS]
     + [pytest.param(DENSE_ORACLE_SPEC, s, id=f"dense-{s}") for s in ORACLE_SEEDS]
-    + [pytest.param(PARTS_ORACLE_SPEC, s, id=f"parts-{s}") for s in ORACLE_SEEDS[:2]],
+    + [pytest.param(PARTS_ORACLE_SPEC, s, id=f"parts-{s}") for s in ORACLE_SEEDS[:2]]
+    + [
+        pytest.param(spec, s, id=f"{name}-{s}")
+        for name, spec in LARGE_RATE_ORACLE_SPECS.items()
+        for s in ORACLE_SEEDS[:3]
+    ],
 )
 def test_sample_matches_per_key_scalar_oracle(spec, seed):
     # the scalar keys take any int seed modulo 2**64
@@ -354,31 +380,6 @@ def test_one_poisson_inversion_over_mixed_rates_equals_the_per_law_calls():
     assert got.max() > 600 and (got == 0).any()
 
 
-RATE_TOO_LARGE_SPECS = {
-    "edge_law": SbmmSpec(
-        3, 2, (0.5, 0.5), ((Poisson(1), Poisson(1)), (Poisson(1), Poisson(800)))
-    ),
-    "loop_law": SbmmSpec(
-        3, 2, (0.5, 0.5), ((Poisson(1),) * 2,) * 2,
-        self_loop_laws=(Poisson(1), Poisson(900)),
-    ),
-    "degree_weights": SbmmSpec(
-        3, 1, (1.0,), ((Poisson(1.0),),), degree_weights=(30.0, 30.0, 1.0)
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(RATE_TOO_LARGE_SPECS))
-def test_poisson_rate_limit_depends_on_the_spec_alone(case):
-    # a law no drawn class pair happens to use still refuses the model
-    spec = RATE_TOO_LARGE_SPECS[case]
-    for seed in range(12):
-        with pytest.raises(ValueError, match="too large"):
-            sample_graph(spec, seed)
-    with pytest.raises(ValueError, match="too large"):
-        monte_carlo_pmf(spec, pattern_from_name("triangle"), 5, 0)
-
-
 def test_a_block_mean_past_two_to_the_53_is_refused():
     # every pair mean is at most 1e-100, but one weight of 1e200 puts the
     # within-class block's mean (ordered pairs, the dropped diagonal too)
@@ -388,31 +389,6 @@ def test_a_block_mean_past_two_to_the_53_is_refused():
     )
     with pytest.raises(ValueError, match="block mean too large"):
         sample_graph(spec, 0)
-
-
-def test_degree_weights_decide_the_rate_limit():
-    # small weights bring a large rate's pair means under the limit
-    spec = SbmmSpec(3, 1, (1.0,), ((Poisson(800.0),),), degree_weights=(0.5,) * 3)
-    assert sample_graph(spec, 0).n == 3
-
-
-def test_rate_limit_refuses_before_any_quadratic_work():
-    # 200,000 vertices have about 2e10 pairs, whose keys alone would take
-    # 160 GB; the two largest weights put the largest pair mean at 900, so
-    # the model is refused from its weights and laws alone, in O(n) memory
-    n = 200_000
-    weights = (30.0, 1.0, 30.0) + (1.0,) * (n - 3)
-    spec = SbmmSpec(n, 1, (1.0,), ((Poisson(1.0),),), degree_weights=weights)
-    triangle = pattern_from_name("triangle")
-    for call in (lambda: sample_graph(spec, 0), lambda: monte_carlo_pmf(spec, triangle, 5, 0)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="too large"):
-                call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20_000_000, peak
 
 
 # weights spread over [0.5, 2], interleaved over the vertex labels
@@ -657,6 +633,12 @@ def test_model_extrema_takes_maxima_over_class_pairs():
     assert ext.psi == max(2 * ext.mu_star[1], 1.2)
     assert ext.q2_star == pytest.approx(1 - (1 + 1.2) * math.exp(-1.2), abs=1e-15)
     assert ext.phi_star is None
+
+
+def test_model_extrema_q2_star_past_the_tail_underflow():
+    # P(Y >= 2) under Poisson(800) is 1, though exp(-800) underflows
+    spec = SbmmSpec(5, 1, (1.0,), ((Poisson(800.0),),))
+    assert model_extrema(spec, pattern_from_name("triangle")).q2_star == 1.0
 
 
 def test_model_extrema_multigraph_pattern_orders():
