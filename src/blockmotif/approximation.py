@@ -228,6 +228,32 @@ def _check_walk(sizes, limit: int, what: str) -> None:
             )
 
 
+def _grid_key(laws, loops, runs) -> tuple:
+    """The slot laws of a sorted class assignment's grid: ``laws[c][d]``
+    for each vertex pair in ``combinations`` order, then ``loops[c]`` for
+    each vertex when ``loops`` is not None.
+
+    ``runs`` gives the assignment as ``(class, count)`` runs in class
+    order.  The pairs of a vertex in a run of class c with t more vertices
+    of c after it take ``laws[c][c]`` t times, then ``laws[c][d]`` once for
+    each vertex of every later run d, so the key is built from those runs
+    of equal laws rather than from its C(m, 2) pairs one at a time.
+    """
+    key = []
+    for i, (c, k) in enumerate(runs):
+        later = []
+        for d, count in runs[i + 1 :]:
+            later += [laws[c][d]] * count
+        same = laws[c][c]
+        for t in reversed(range(k)):
+            key += [same] * t
+            key += later
+    if loops is not None:
+        for c, k in runs:
+            key += [loops[c]] * k
+    return tuple(key)
+
+
 def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     """Law of the copy count on ``m`` random vertices, and the neglected mass.
 
@@ -319,11 +345,11 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
             shapes = grown
         by_size = [[] for _ in range(m + 1)]
         for shape, weight in shapes.items():
-            classes = [c for c, k in zip(twin_set, shape) for _ in range(k)]
-            by_size[sum(shape)].append((classes, weight))
+            runs = [(c, k) for c, k in zip(twin_set, shape) if k]
+            by_size[sum(shape)].append((runs, weight))
         by_set.append(by_size)
 
-    def canonical(i, left, classes, weight):
+    def canonical(i, left, runs, weight):
         # twin sets i on place the ``left`` vertices still unplaced, the last
         # set all of them; C(left, size) picks the vertices a set takes
         last = i == len(by_set) - 1
@@ -331,21 +357,17 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
             ways = weight * math.comb(left, size)
             for more, w in by_set[i][size]:
                 if last:
-                    yield classes + more, ways * w
+                    yield runs + more, ways * w
                 else:
-                    yield from canonical(i + 1, left - size, classes + more, ways * w)
+                    yield from canonical(i + 1, left - size, runs + more, ways * w)
 
-    pairs = list(combinations(range(m), 2))
     weights: dict[tuple, float] = {}
 
     def grid_sizes():
         # each key's configuration count when the walk first finds it; the
         # weights are summed as the walk resumes
-        for classes, weight in canonical(0, m, [], 1.0):
-            assign = sorted(classes)
-            grid = tuple(laws[assign[i]][assign[j]] for i, j in pairs)
-            if loops is not None:
-                grid += tuple(loops[c] for c in assign)
+        for runs, weight in canonical(0, m, [], 1.0):
+            grid = _grid_key(laws, loops, sorted(runs))
             if grid not in weights:
                 weights[grid] = 0.0
                 yield math.prod(len(slots[law][0]) for law in grid)

@@ -14,10 +14,11 @@ the block's hosts are one graph in compressed adjacency arrays, and the
 partial maps grow one pattern vertex at a time along host edges, as numpy
 arrays expanded in bounded chunks.  Each component starts from its host's
 edges: its root and the root's first neighbour are placed together, one
-directed adjacency entry at a time, so only a pattern vertex without
-neighbours is tried at every host vertex.  Symmetry-breaking order bounds
-on the images (``_search_plan``, from the pattern's stabilizer chain) pick
-the one map per orbit, so its sums are copy counts.  ``monte_carlo_pmf``
+directed adjacency entry at a time (only the forward ones, ``a < b``,
+when the neighbour's image must exceed the root's), so only a pattern
+vertex without neighbours is tried at every host vertex.  Symmetry-breaking
+order bounds on the images (``_search_plan``, from the pattern's stabilizer
+chain) pick the one map per orbit, so its sums are copy counts.  ``monte_carlo_pmf``
 hands it each sampled block; ``count_copies`` hands it one
 ``ObservedMultigraph`` as a block of one.
 ``count_copies_bruteforce`` independently sums the product over every
@@ -81,6 +82,14 @@ class _Plan(tuple):
     requires; ``loops`` tells whether any step requires self-loops;
     ``unchecked[i]`` lists the earlier steps whose images step ``i``'s image
     must differ from but is neither checked against nor bounded by.
+    ``seeded[i]`` tells whether step ``i`` is a component root placed
+    together with its first neighbour, the next step, as one host edge, and
+    ``forward[i]`` whether that neighbour's image must exceed the root's, so
+    that only the edges ``a < b`` seed it.  ``sibling[i]`` is the step whose
+    image is, by the bounds, the largest one step ``i``'s must exceed, when
+    it was placed from the same anchor's adjacency (else None): step ``i``
+    then tries the anchor's neighbours past that sibling's adjacency entry.
+    ``carried`` lists the steps whose entries a later step starts from.
     """
 
     def __new__(cls, steps):
@@ -93,6 +102,25 @@ class _Plan(tuple):
             [j for j in range(i) if j not in above and j not in dict(checks)]
             for i, (checks, _, above) in enumerate(plan)
         ]
+        plan.seeded = [
+            not checks and i + 1 < len(plan) and bool(plan[i + 1][0])
+            for i, (checks, _, _) in enumerate(plan)
+        ]
+        plan.forward = [s and i in plan[i + 1][2] for i, s in enumerate(plan.seeded)]
+        # the steps each step's image exceeds, by the bounds and their chains
+        below = []
+        for _, _, above in plan:
+            below.append(set(above).union(*(below[j] for j in above)))
+        plan.sibling = []
+        for checks, _, above in plan:
+            anchor = checks[0][0] if checks else None
+            siblings = [
+                s
+                for s in above
+                if set(above) <= below[s] | {s} and plan[s][0] and plan[s][0][0][0] == anchor
+            ]
+            plan.sibling.append(siblings[0] if siblings else None)
+        plan.carried = sorted({s for s in plan.sibling if s is not None})
         return plan
 
 
@@ -169,7 +197,9 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
 
     ``plan`` is the pattern's ``_search_plan``.  Host ``r`` has
     ``n = loops.shape[1]`` vertices with ``loops[r]`` self-loops, and
-    ``y[k]`` parallel edges on the pair ``a[k] < b[k]`` of host ``rows[k]``.
+    ``y[k]`` parallel edges on the pair ``a[k] < b[k]`` of host ``rows[k]``;
+    each pair of a host appears at most once (the sampler and
+    ``count_copies`` give them sorted by ``(row, a, b)``).
     Host ``r``'s vertex ``x`` is vertex ``r * n + x`` of one block graph, in
     compressed adjacency with its neighbours sorted.  The partial maps of
     all hosts grow together, one plan step at a time, as arrays: a vertex
@@ -182,7 +212,12 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     host.  A step's orbit bounds narrow its range to the images past the
     largest image of its ``above`` steps (for a seeded pair, the root's to
     the entries leaving the vertices past it; the neighbour's are
-    filters), so only one map per automorphism orbit is ever kept.
+    filters), so only one map per automorphism orbit is ever kept.  When
+    the neighbour must exceed the root (``plan.forward``), the pair tries
+    the forward entries ``a < b`` only, half the directed ones.  When a
+    step's largest bound is a sibling placed from the same anchor's
+    adjacency (``plan.sibling``), its range starts past the sibling's
+    entry, which the maps carry, rather than at a binary search.
     Partial maps are expanded in chunks of at most ``_FRONTIER_CHUNK``
     candidates, depth first, a map's range split across chunks when it
     is longer, so working memory stays bounded.  Returns one sum
@@ -207,6 +242,9 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     order = np.argsort(src * size + dst)
     heads, nbrs = src[order], dst[order]
     pair_index = np.append(np.concatenate((y_index, y_index))[order], 0)
+    # the entries of the pairs' first halves, a to b with a < b, in
+    # adjacency order: the forward edges
+    fwd = np.flatnonzero(order < len(a)) if any(plan.forward) else None
     del src, dst, order  # only the sorted entries live through the pass
     # the sentinel key size**2 exceeds every lookup, so searchsorted stays
     # in range and a miss reads count index 0
@@ -227,23 +265,33 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     table = _binomials(values, plan.max_req, worst)
     totals = np.zeros(hosts, dtype=table.dtype)
 
-    def grow(step, host, images, weight):
+    def grow(step, host, images, entries, weight):
         checks, _, above = plan[step]
         # a component root with a neighbour is placed together with it (the
         # next step, anchored at the root alone) as one directed host edge
-        seeded = not checks and step + 1 < v and bool(plan[step + 1][0])
+        seeded, forward = plan.seeded[step], plan.forward[step]
         if checks:
             u = images[:, checks[0][0]]
             first, end = indptr[u], indptr[u + 1]
         else:
             first, end = host * n, host * n + n
-        if above:
+        if plan.sibling[step] is not None:
+            # the anchor's neighbours past the sibling's entry, which are
+            # the ones past its image
+            first = entries[:, plan.carried.index(plan.sibling[step])] + 1
+        elif above:
             # the orbit bounds: only images past the largest one above
             floor = images[:, above].max(axis=1) + 1
             first = np.searchsorted(keys, u * size + floor) if checks else floor
         if seeded:
-            # the edges leaving the root's vertex range
+            # the edges leaving the root's vertex range: its forward ones
+            # when the neighbour's image must exceed the root's
             first, end = indptr[first], indptr[end]
+            if forward:
+                first, end = np.searchsorted(fwd, first), np.searchsorted(fwd, end)
+        # whether a later step starts from the entry this one places its
+        # image (or its seeded neighbour's) from
+        carry = step + seeded in plan.carried
         # the maps' ranges laid end to end: map i's candidates are the
         # positions [at[i], at[i + 1]), position t being entry
         # t - at[i] + first[i] of its range
@@ -257,6 +305,8 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
             d = np.diff(np.clip(at[lo : hi + 1], start, stop))
             owner = np.repeat(np.arange(lo, hi), d)
             cand = np.arange(start, stop) + np.repeat(first[lo:hi] - at[lo:hi], d)
+            if forward:
+                cand = fwd[cand]
             if seeded:
                 new = [heads[cand], nbrs[cand]]
             else:
@@ -276,8 +326,10 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
                 for j in plan.unchecked[s]:
                     keep &= x != image(j)
                 if s > step:
+                    # a forward seed's neighbour is past the root already
                     for j in s_above:
-                        keep &= x > image(j)
+                        if not (forward and j == step):
+                            keep &= x > image(j)
                 for k, (j, m) in enumerate(s_checks):
                     if k:
                         query = image(j) * size + x
@@ -297,11 +349,14 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
             if step + len(new) == v:
                 np.add.at(totals, host[owner], w)
             elif len(owner):
-                placed = np.column_stack((images[owner], *new))
-                grow(step + len(new), host[owner], placed, w)
+                placed_images = np.column_stack((images[owner], *new))
+                placed_entries = entries[owner]
+                if carry:
+                    placed_entries = np.column_stack((placed_entries, cand[keep]))
+                grow(step + len(new), host[owner], placed_images, placed_entries, w)
 
     no_images = np.zeros((hosts, 0), dtype=np.int64)
-    grow(0, np.arange(hosts), no_images, np.ones(hosts, dtype=table.dtype))
+    grow(0, np.arange(hosts), no_images, no_images, np.ones(hosts, dtype=table.dtype))
     # grow refers to itself: dropping it frees the block's arrays now rather
     # than at the next garbage collection, which comes rarely as numpy
     # arrays do not count towards its threshold

@@ -270,15 +270,32 @@ def model_extrema(spec: SbmmSpec, pattern: PatternGraph) -> ModelExtrema:
 # the sampler splits each Poisson block total into parts of at most this mean
 _MAX_POISSON_RATE = 700.0
 
+# table entries per round of the Poisson inversion's forward steps: bounds
+# its working memory whatever the number of elements
+_ICDF_ENTRIES = 1 << 20
+
 
 def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Elementwise smallest k with Poisson(rate) CDF(k) >= u.
 
-    Forward CDF stepping, over only the elements whose CDF is still below
-    their u; each element's result depends only on its own (u, rate), so
-    any grouping of calls yields identical values.  Valid only for rates
-    up to ``_MAX_POISSON_RATE``: past about 745 ``exp(-rate)`` underflows
-    to 0 and every element would come out 1.
+    Forward CDF stepping from ``pmf = exp(-rate)``: each step multiplies
+    the pmf by ``rate / k`` and adds it to the CDF, until the CDF reaches u
+    or the pmf underflows to 0 (then the count is that k).  The steps are
+    taken in rounds of ``width`` at a time over the elements still open:
+    a ``(width + 1, open)`` table holds their last pmf over the factors
+    ``rate / k`` of the next steps, and ``np.cumprod`` down its columns
+    gives the next pmfs; with the last CDF in the first row, ``np.cumsum``
+    gives the next CDFs.  Both accumulate left to right, the loop's own
+    order, so every pmf and CDF is the one the step-by-step loop computes,
+    bit for bit, and each element stops at its first step past u.  A round
+    is as wide as the largest open rate's mean plus four standard
+    deviations calls for (one round finishes nearly every element), but at
+    most ``_ICDF_ENTRIES // open`` steps, so the table's memory stays
+    bounded whatever the number of elements.  Each element's result
+    depends only on its own (u, rate), so any grouping of calls yields
+    identical values.  Valid only for rates up to ``_MAX_POISSON_RATE``:
+    past about 745 ``exp(-rate)`` underflows to 0 and every element would
+    come out 1.
     """
     rates = np.asarray(rates, dtype=np.float64)
     pmf = np.exp(-rates)
@@ -288,14 +305,29 @@ def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
     cdf = pmf.copy()
     k = 0
     while active.size:
-        k += 1
-        if k > 10**6:
+        top = float(rates.max())
+        width = int(max(top - k, 0.0) + 4.0 * math.sqrt(top)) + 8
+        width = max(1, min(width, _ICDF_ENTRIES // active.size))
+        if k + width > 10**6:
             raise RuntimeError("Poisson CDF inversion did not converge")
-        pmf *= rates / k
-        cdf += pmf
-        counts.reshape(-1)[active] = k
-        keep = (cdf < u) & (pmf > 0.0)
-        active, u, rates, pmf, cdf = (x[keep] for x in (active, u, rates, pmf, cdf))
+        steps = np.arange(k + 1, k + width + 1, dtype=np.float64)[:, None]
+        table = np.empty((width + 1, active.size))
+        table[0] = pmf
+        np.divide(rates, steps, out=table[1:])
+        np.cumprod(table, axis=0, out=table)
+        pmf = table[-1].copy()
+        stop = table[1:] <= 0.0
+        table[0] = cdf
+        np.cumsum(table, axis=0, out=table)
+        stop |= table[1:] >= u
+        cdf = table[-1].copy()
+        del table
+        done = stop.any(axis=0)
+        if done.any():
+            counts.reshape(-1)[active[done]] = k + 1 + stop.argmax(axis=0)[done]
+            keep = ~done
+            active, u, rates, pmf, cdf = (x[keep] for x in (active, u, rates, pmf, cdf))
+        k += width
     return counts
 
 
@@ -311,8 +343,10 @@ def _sample_counts(u: np.ndarray, law: EdgeCountDistribution) -> np.ndarray:
     """Elementwise inverse CDF of ``law``: the count of one cell drawn by
     inverting its own uniform.  The block sampler draws each cell's count
     from the same law without a uniform per cell.  A Poisson law is
-    inverted at its own rate, so this reference is valid only for rates up
-    to ``_MAX_POISSON_RATE`` (see :func:`_poisson_icdf`)."""
+    inverted at its own rate by :func:`_poisson_icdf`, so this is valid
+    only for rates up to ``_MAX_POISSON_RATE``; it is no independent
+    reference for that inversion, which the tests check against a scalar
+    per-element loop."""
     if isinstance(law, Poisson):
         return _poisson_icdf(u, np.full(u.shape, law.rate))
     if isinstance(law, Categorical):

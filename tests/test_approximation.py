@@ -551,6 +551,52 @@ def test_host_law_scores_each_grid_once_up_to_relabelling(count_law_calls):
     _assert_laws_close((got, 0.0), (pmf, 0.0))
 
 
+def _pairwise_grid_key(laws, loops, runs):
+    """A sorted class assignment's slot-law key, one law lookup per vertex
+    pair, then one per vertex loop."""
+    assign = [c for c, k in runs for _ in range(k)]
+    key = tuple(laws[assign[i]][assign[j]] for i, j in combinations(range(len(assign)), 2))
+    if loops is not None:
+        key += tuple(loops[c] for c in assign)
+    return key
+
+
+def test_grid_keys_built_from_class_runs_match_the_pairwise_keys(monkeypatch):
+    # random specs of up to three classes (twins among them when their laws
+    # agree) on up to 8 vertices, with and without loops: the walk must
+    # find the same keys in the same order as one lookup per vertex pair
+    # gives, and so score the same law.  Cap 0 makes every grid one
+    # configuration
+    rng = random.Random(314)
+    pool = [Categorical((0.5, 0.5)), Categorical((0.8, 0.2)), Categorical((0.1, 0.9))]
+    grid_key = approximation._grid_key
+    for _ in range(40):
+        Q, m, looped = rng.randint(1, 3), rng.randint(3, 8), rng.random() < 0.5
+        laws = [[None] * Q for _ in range(Q)]
+        for a, b in combinations_with_replacement(range(Q), 2):
+            laws[a][b] = laws[b][a] = rng.choice(pool)
+        loop_laws = tuple(rng.choice(pool) for _ in range(Q)) if looped else None
+        f = [rng.random() + 0.2 for _ in range(Q)]
+        spec = SbmmSpec(m, Q, [w / sum(f) for w in f], laws, self_loop_laws=loop_laws)
+        pattern = LOOP_TRIANGLE if looped else TRIANGLE
+        keys, laws_found = {}, {}
+        for name, build in (("runs", grid_key), ("pairs", _pairwise_grid_key)):
+            found = keys[name] = []
+
+            def recorded(*args, build=build, found=found):
+                found.append(build(*args))
+                return found[-1]
+
+            monkeypatch.setattr(approximation, "_grid_key", recorded)
+            pmf, neglected = approximation._host_law(
+                spec, pattern, m, lambda law: 0, 10**9, "walk"
+            )
+            laws_found[name] = (list(pmf.items()), neglected)
+        assert keys["runs"] == keys["pairs"]
+        assert {len(k) for k in keys["runs"]} == {math.comb(m, 2) + m * looped}
+        assert laws_found["runs"] == laws_found["pairs"]
+
+
 @pytest.mark.parametrize("Q", [4, 8, 12, 60])
 def test_planted_partition_scores_one_grid_per_partition_of_v(Q, count_law_calls):
     # with equal planted classes every two classes are twins, so a class

@@ -9,6 +9,7 @@ from collections import Counter
 from itertools import combinations, islice, permutations, product
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,6 +327,89 @@ def test_fast_count_matches_bruteforce_on_random_instances():
                 g.self_loop_counts,
                 pattern,
             )
+
+
+# name: (pattern, seeded roots, forward-seeded roots, {step: sibling})
+SEEDING_PATHS = {
+    "triangle": (TRIANGLE, [0], [0], {2: 1}),
+    "cycle4": (pattern_from_name("cycle:4"), [0], [0], {2: 1}),
+    "complete4": (pattern_from_name("complete:4"), [0], [0], {2: 1, 3: 2}),
+    "complete_multi3x2": (pattern_from_name("complete_multi:3:2"), [0], [0], {2: 1}),
+    # the looped pair and star of the random instances above: their
+    # neighbours have no bound, so every directed entry seeds them
+    "looped_pair": (
+        PatternGraph(3, {(0, 1): 2, (1, 2): 1}, {0: 1, 1: 2}), [0], [], {}
+    ),
+    "looped_star": (
+        PatternGraph(4, {(0, 1): 1, (0, 2): 1, (0, 3): 1}, {0: 1}), [0], [], {2: 1, 3: 2}
+    ),
+    "path3": (PATH3, [0], [], {2: 1}),
+    # the second root is bounded by the first triangle's
+    "two_triangles": (
+        PatternGraph(6, {**TRIANGLE.edge_mult, (3, 4): 1, (3, 5): 1, (4, 5): 1}),
+        [0, 3], [0, 3], {2: 1, 5: 4},
+    ),
+    # a looped vertex without neighbours tries every host vertex first
+    "looped_vertex_and_triangle": (
+        PatternGraph(4, TRIANGLE.edge_mult, {3: 1}), [1], [1], {3: 2}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SEEDING_PATHS)
+def test_plans_take_the_forward_seed_and_the_sibling_starts(name):
+    # a plan that silently fell back to trying every directed entry, or to
+    # searching each range's start, would still count right: pin the paths
+    pattern, seeded, forward, sibling = SEEDING_PATHS[name]
+    plan = counting._search_plan(pattern)
+    assert [i for i, s in enumerate(plan.seeded) if s] == seeded
+    assert [i for i, f in enumerate(plan.forward) if f] == forward
+    assert {i: s for i, s in enumerate(plan.sibling) if s is not None} == sibling
+
+
+def _as_block(graphs):
+    # the hosts as one block's arrays, pairs sorted by (row, a, b)
+    n = graphs[0].n
+    rows = [r for r, g in enumerate(graphs) for _ in g.edge_counts]
+    pairs = [p for g in graphs for p in g.edge_counts]
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    y = np.array([0, *(c for g in graphs for c in g.edge_counts.values())])[1:]
+    loops = np.array([[g.self_loop_counts.get(x, 0) for x in range(n)] for g in graphs])
+    return loops, np.array(rows, dtype=np.int64), a, b, y
+
+
+@pytest.mark.parametrize("name", SEEDING_PATHS)
+def test_block_counts_match_each_hosts_bruteforce_count(name):
+    # blocks of 1 to 9 hosts, some edgeless; every third block puts counts
+    # past 2**40 on its first host, so its sums leave int64 for Python
+    # integers
+    pattern = SEEDING_PATHS[name][0]
+    plan = counting._search_plan(pattern)
+    rng = random.Random(name)
+    found = 0
+    for trial in range(30):
+        huge = trial % 3 == 2
+        hosts, n = rng.randint(1, 9), rng.randint(2 if huge else 1, 8)
+        graphs = [
+            ObservedMultigraph(n, {})
+            if rng.random() < 0.25
+            else random_multigraph(rng, n, max_mult=3, density=rng.uniform(0.3, 0.9))
+            for _ in range(hosts)
+        ]
+        if huge:
+            g = graphs[0]
+            edges = {(0, 1): 1, **g.edge_counts}
+            graphs[0] = ObservedMultigraph(
+                n,
+                {p: c + 2**40 for p, c in edges.items()},
+                {w: c + 2**40 for w, c in g.self_loop_counts.items()},
+            )
+        got = counting._count_block(plan, *_as_block(graphs))
+        assert got.dtype == (object if huge else np.int64)
+        want = [count_copies_bruteforce(g, pattern) for g in graphs]
+        assert got.tolist() == want, (trial, [g.edge_counts for g in graphs])
+        found += sum(map(bool, want))
+    assert found > 10
 
 
 def _nx_monomorphism_count(graph, pattern):

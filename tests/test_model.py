@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -30,6 +31,7 @@ from blockmotif import (
     spec_from_json,
     spec_to_json,
 )
+from blockmotif import model
 from blockmotif._rng import key_floor, substream_key, uniform_from_key
 from blockmotif.model import _poisson_icdf, _sample_counts, _zero_cut
 
@@ -378,6 +380,95 @@ def test_one_poisson_inversion_over_mixed_rates_equals_the_per_law_calls():
         at = rate_cells == r
         assert (got[at] == _sample_counts(u_cells[at], Poisson(r))).all(), r
     assert got.max() > 600 and (got == 0).any()
+
+
+def _scalar_poisson_icdf(x, start, rate):
+    """The forward CDF stepping of ``_poisson_icdf`` for one element and
+    one step at a time, in Python floats: the same float64 operations in
+    the same order.  ``start`` is the element's ``exp(-rate)``, taken by the
+    caller from one ``np.exp`` array call as the inversion takes it, since
+    ``math.exp`` need not round alike.  Returns the count and whether the
+    pmf's underflow to 0, not the CDF, stopped it."""
+    pmf = cdf = start
+    if not pmf < x:
+        return 0, False
+    k = 0
+    while True:
+        k += 1
+        pmf *= rate / k
+        cdf += pmf
+        if not (cdf < x and pmf > 0.0):
+            return k, not pmf > 0.0
+
+
+# the block part means of the Monte Carlo workloads span 0.67 to 46.2;
+# 21.7's CDF ends below the largest uniform, 1 - 2**-53
+ORACLE_RATES = [1e-9, 1 / 60, 0.67, 5.0, 18.2, 21.7, 46.2, 300.0, 700.0]
+
+
+def _cdf_steps(start, rate):
+    # the CDF after each forward step, until the pmf underflows to 0
+    pmf = cdf = start
+    steps, k = [cdf], 0
+    while pmf > 0.0:
+        k += 1
+        pmf *= rate / k
+        cdf += pmf
+        steps.append(cdf)
+    return steps
+
+
+def test_poisson_inversion_equals_the_scalar_oracle_at_every_boundary():
+    # uniforms on both sides of CDF steps spread over each rate's support,
+    # near 1, and past the CDF's last value, where only the pmf's underflow
+    # to 0 stops the stepping; all rates in one call, mixed, so that the
+    # rounds' grouping of elements must change no value
+    starts = np.exp(-np.array(ORACLE_RATES))
+    rng = np.random.default_rng(31)
+    cells = []
+    for rate, start in zip(ORACLE_RATES, starts.tolist()):
+        steps = _cdf_steps(start, rate)
+        picks = sorted(set(np.linspace(0, len(steps) - 1, 40).astype(int).tolist()))
+        near = [steps[k] for k in picks] + [1.0, np.nextafter(steps[-1], 2.0)]
+        near += [1.0 - d for d in (1e-15, 2e-16, 1e-16)]
+        for x in near:
+            for y in (np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)):
+                if 0.0 <= y < 1.0:
+                    cells.append((float(y), rate, start))
+        cells += [(float(y), rate, start) for y in rng.random(200)]
+    order = rng.permutation(len(cells))
+    u, rates, start = (np.array(col)[order] for col in zip(*cells))
+    got = _poisson_icdf(u, rates).tolist()
+    want = [
+        _scalar_poisson_icdf(x, s, r)
+        for x, r, s in zip(u.tolist(), rates.tolist(), start.tolist())
+    ]
+    assert got == [k for k, _ in want]
+    # the pmf's stop is reached, and the counts span the largest rate's tail
+    assert any(underflow for _, underflow in want)
+    assert max(got) > 900 and min(got) == 0
+
+
+def test_poisson_inversion_memory_follows_its_round_budget():
+    # 10**5 parts of mean 700: one table over all of their ~810 forward
+    # steps would take 650 MB.  A round holds at most _ICDF_ENTRIES table
+    # entries (8 MB of floats) plus one row, and two boolean masks over
+    # them; each part keeps about ten words of its own (u, rate, pmf, CDF,
+    # its index and count, and their copies as rounds drop finished parts).
+    # Measured: 15 MB
+    parts = 10**5
+    rng = np.random.default_rng(5)
+    u, rates = rng.random(parts), np.full(parts, 700.0)
+    tracemalloc.start()
+    try:
+        got = _poisson_icdf(u, rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * model._ICDF_ENTRIES + 80 * parts, peak
+    (start,) = np.exp(-np.array([700.0])).tolist()
+    for i in rng.choice(parts, 200, replace=False).tolist():
+        assert got[i] == _scalar_poisson_icdf(float(u[i]), start, 700.0)[0], i
 
 
 def test_a_block_mean_past_two_to_the_53_is_refused():
