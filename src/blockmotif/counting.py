@@ -180,15 +180,9 @@ def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
     n, v = graph.n, pattern.vertex_count
     if v > n:
         raise ValueError(f"pattern has {v} vertices but the graph only {n}")
-    a, b = np.array(list(graph.edge_counts), dtype=np.int64).reshape(-1, 2).T
-    # counts past int64 make object arrays; the leading 0 keeps an empty
-    # list integer
-    y = np.array([0, *graph.edge_counts.values()])[1:]
-    looped = np.array([0, *graph.self_loop_counts.values()])[1:]
-    loops = np.zeros((1, n), dtype=looped.dtype)
-    loops[0, list(graph.self_loop_counts)] = looped
     plan = _search_plan(pattern)
-    (total,) = _count_block(plan, loops, np.zeros_like(a), a, b, y)
+    a, b, y = graph.a, graph.b, graph.y
+    (total,) = _count_block(plan, graph.loops[None], np.zeros_like(a), a, b, y)
     return int(total)
 
 

@@ -148,63 +148,99 @@ class SbmmSpec:
         return [self.edge_laws[a][b] for a in range(self.Q) for b in range(a, self.Q)]
 
 
+def _int_array(values) -> np.ndarray:
+    """A list or array of integers as int64 when every one fits, else as
+    an object array of Python integers."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 class ObservedMultigraph:
     """A multigraph on vertices 0..n-1 with integer pair and loop counts.
 
-    ``edge_counts`` maps unordered pairs to positive counts (zero entries
-    are dropped), ``self_loop_counts`` maps vertices to positive loop
-    counts, and ``classes`` optionally records the class label per vertex.
+    Built from ``edge_counts``, a mapping of vertex pairs to nonnegative
+    counts, ``self_loop_counts``, a mapping of vertices to nonnegative loop
+    counts, and optionally ``classes``, the class label per vertex.  It
+    stores the arrays the copy counter reads: ``y[k]`` edges on the pair
+    ``a[k] < b[k]``, one entry per pair with a positive count, sorted by
+    ``(a, b)``, and ``loops[w]`` loops on vertex ``w``.  Counts are int64
+    when every one fits, Python integers in object arrays otherwise.
+    ``edge_counts`` and ``self_loop_counts`` read them back as sorted dicts
+    of the positive counts, built on each access.
     """
 
     def __init__(self, n, edge_counts, self_loop_counts=None, classes=None):
-        n = int(n)
+        edges, loops = dict(edge_counts), dict(self_loop_counts or {})
+        a, b = _int_array(list(edges)).reshape(len(edges), 2).T
+        self._store(n, a, b, list(edges.values()), list(loops), list(loops.values()), classes)
+
+    @classmethod
+    def _from_arrays(cls, n, a, b, y, w, s, classes):
+        graph = cls.__new__(cls)
+        graph._store(n, a, b, y, w, s, classes)
+        return graph
+
+    def _store(self, n, a, b, y, w, s, classes):
+        """Check and keep ``y[k]`` edges on each pair ``(a[k], b[k])`` and
+        ``s[k]`` loops on each vertex ``w[k]``: the one validator of every
+        way a graph is made."""
+        n, y, w, s = int(n), _int_array(y), _int_array(w), _int_array(s)
         if n < 0:
             raise ValueError("n must be nonnegative")
-        counts = {}
-        for (a, b), y in dict(edge_counts).items():
-            a, b = int(a), int(b)
-            y = int(y)
-            if a == b:
-                raise ValueError("self-loops belong in self_loop_counts")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"pair ({a},{b}) outside vertex range 0..{n - 1}")
-            if y < 0:
-                raise ValueError("edge counts must be nonnegative")
-            key = (a, b) if a < b else (b, a)
-            if key in counts:
-                raise ValueError(f"pair {key} appears twice")
-            if y > 0:
-                counts[key] = y
-        loops = {}
-        for w, s in dict(self_loop_counts or {}).items():
-            w, s = int(w), int(s)
-            if not 0 <= w < n:
-                raise ValueError(f"vertex {w} outside range 0..{n - 1}")
-            if s < 0:
-                raise ValueError("self-loop counts must be nonnegative")
-            if s > 0:
-                loops[w] = s
+        if (a == b).any():
+            raise ValueError("self-loops belong in self_loop_counts")
+        out = np.flatnonzero((np.minimum(a, b) < 0) | (np.maximum(a, b) >= n))
+        if out.size:
+            raise ValueError(f"pair ({a[out[0]]},{b[out[0]]}) outside vertex range 0..{n - 1}")
+        if (y < 0).any():
+            raise ValueError("edge counts must be nonnegative")
+        out = np.flatnonzero((w < 0) | (w >= n))
+        if out.size:
+            raise ValueError(f"vertex {w[out[0]]} outside range 0..{n - 1}")
+        if (s < 0).any():
+            raise ValueError("self-loop counts must be nonnegative")
+        # pair a < b as the key a * n + b (n^2 < 2^63 whenever the n loop
+        # counts fit in memory), sorted: a pair given twice sits next to
+        # itself.  The stable sort is linear on the sampler's sorted pairs
+        key = (np.minimum(a, b) * n + np.maximum(a, b)).astype(np.int64)
+        order = np.argsort(key, kind="stable")
+        key, y, w = key[order], y[order], w.astype(np.int64)
+        twice = np.flatnonzero(key[1:] == key[:-1])
+        if twice.size:
+            raise ValueError(f"pair {divmod(int(key[twice[0]]), n)} appears twice")
+        twice = np.flatnonzero(np.bincount(w, minlength=n) > 1)
+        if twice.size:
+            raise ValueError(f"self-loop count for vertex {twice[0]} appears twice")
         if classes is not None:
-            classes = tuple(int(c) for c in classes)
+            classes = tuple(_int_array(classes).tolist())
             if len(classes) != n:
                 raise ValueError(f"classes has {len(classes)} entries, expected n={n}")
-        self.n = n
-        self.edge_counts = dict(sorted(counts.items()))
-        self.self_loop_counts = dict(sorted(loops.items()))
-        self.classes = classes
+        keep = y > 0
+        self.n, self.classes = n, classes
+        (self.a, self.b), self.y = np.divmod(key[keep], n), y[keep]
+        self.loops = np.zeros(n, dtype=s.dtype)
+        self.loops[w] = s
+
+    @property
+    def edge_counts(self) -> dict:
+        return dict(zip(zip(self.a.tolist(), self.b.tolist()), self.y.tolist()))
+
+    @property
+    def self_loop_counts(self) -> dict:
+        w = np.flatnonzero(self.loops)
+        return dict(zip(w.tolist(), self.loops[w].tolist()))
 
     def __eq__(self, other):
-        return isinstance(other, ObservedMultigraph) and (
-            self.n,
-            self.edge_counts,
-            self.self_loop_counts,
-            self.classes,
-        ) == (other.n, other.edge_counts, other.self_loop_counts, other.classes)
+        # the edge-list text is canonical: n, classes, then the positive
+        # counts in order
+        return isinstance(other, ObservedMultigraph) and graph_to_text(self) == graph_to_text(other)
 
     def __repr__(self):
         return (
-            f"ObservedMultigraph(n={self.n}, edges={len(self.edge_counts)}, "
-            f"loops={len(self.self_loop_counts)})"
+            f"ObservedMultigraph(n={self.n}, edges={len(self.y)}, "
+            f"loops={np.count_nonzero(self.loops)})"
         )
 
 
@@ -641,10 +677,8 @@ def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
     """
     key = np.array([seed & _MASK], dtype=np.uint64)
     (classes,), (_, a, b, y), (loops,) = _sampler(spec)(key)
-    edges = dict(zip(zip(a.tolist(), b.tolist()), y.tolist()))
-    nz = np.flatnonzero(loops)
-    self_loops = dict(zip(nz.tolist(), loops[nz].tolist()))
-    return ObservedMultigraph(spec.n, edges, self_loops, classes=classes.tolist())
+    w = np.flatnonzero(loops)
+    return ObservedMultigraph._from_arrays(spec.n, a, b, y, w, loops[w], classes)
 
 
 # -- serialization -----------------------------------------------------------
@@ -690,12 +724,13 @@ def graph_to_text(graph: ObservedMultigraph) -> str:
     """
     lines = [f"# n {graph.n}"]
     if graph.classes is not None:
-        lines.append("# classes " + " ".join(str(c) for c in graph.classes))
-    for (a, b), y in graph.edge_counts.items():
-        lines.append(f"{a} {b} {y}")
-    for w, s in graph.self_loop_counts.items():
-        lines.append(f"{w} {w} {s}")
-    return "\n".join(lines) + "\n"
+        lines.append("# classes " + " ".join(map(str, graph.classes)))
+    w = np.flatnonzero(graph.loops)
+    pairs = np.column_stack((graph.a, graph.b, graph.y))
+    rows = np.concatenate((pairs, np.column_stack((w, w, graph.loops[w]))))
+    # one format call over every value: faster than a call per row
+    lines.append("%d %d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
+    return "\n".join(lines)
 
 
 def graph_from_text(text: str) -> ObservedMultigraph:
@@ -704,15 +739,10 @@ def graph_from_text(text: str) -> ObservedMultigraph:
     Without a ``# n`` header the vertex count is inferred as one past the
     largest vertex mentioned; a ``# n`` header must carry one integer.
     """
-    n = None
-    classes = None
-    edges = {}
-    loops = {}
-    max_vertex = -1
+    n = classes = None
+    words = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             fields = line[1:].split()
             if fields and fields[0] == "n":
@@ -723,22 +753,16 @@ def graph_from_text(text: str) -> ObservedMultigraph:
             elif fields and fields[0] == "classes":
                 classes = [int(c) for c in fields[1:]]
             continue
-        parts = line.split()
-        if len(parts) != 3:
+        fields = line.split()
+        if len(fields) not in (0, 3):
             raise ValueError(f"bad edge-list line: {raw!r}")
-        a, b, y = int(parts[0]), int(parts[1]), int(parts[2])
-        max_vertex = max(max_vertex, a, b)
-        if a == b:
-            if a in loops:
-                raise ValueError(f"self-loop line for vertex {a} appears twice")
-            loops[a] = y
-        else:
-            key = (a, b) if a < b else (b, a)
-            if key in edges:
-                raise ValueError(f"edge line for pair {key} appears twice")
-            edges[key] = y
+        words += fields
+    a, b, y = _int_array([int(x) for x in words]).reshape(-1, 3).T
     if n is None:
-        if max_vertex < 0:
+        if not len(y):
             raise ValueError("empty edge-list text: no '# n' header and no edges")
-        n = max_vertex + 1
-    return ObservedMultigraph(n, edges, loops, classes=classes)
+        n = int(max(a.max(), b.max())) + 1
+    pair = a != b
+    return ObservedMultigraph._from_arrays(
+        n, a[pair], b[pair], y[pair], a[~pair], y[~pair], classes
+    )

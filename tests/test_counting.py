@@ -111,12 +111,30 @@ def test_bigint_fallback_matches_closed_form():
     assert got == count_copies_bruteforce(g, heavy)
 
 
-def test_host_counts_past_int64_stay_exact():
-    g = ObservedMultigraph(3, {(0, 1): 2**64, (1, 2): 5}, {1: 2**70, 2: 3})
+# the int64 edge and the counts past it up to uint64's edge
+BIG_COUNTS = {"2^63-1": 2**63 - 1, "2^63": 2**63, "2^63+1": 2**63 + 1, "2^64-1": 2**64 - 1}
+
+
+@pytest.mark.parametrize(
+    "edges, loops",
+    [pytest.param({(0, 1): 2**64, (1, 2): 5}, {1: 2**70, 2: 3}, id="pair_2^64_loop_2^70")]
+    + [pytest.param({(0, 1): v, (1, 2): 3}, {}, id=f"pair_{k}") for k, v in BIG_COUNTS.items()]
+    + [pytest.param({(0, 1): 2, (1, 2): 3}, {1: v}, id=f"loop_{k}") for k, v in BIG_COUNTS.items()],
+)
+def test_host_counts_past_int64_stay_exact(edges, loops):
+    # counts that fit int64 are stored as int64, others as Python integers:
+    # never as uint64, which numpy would mix with int64 into float64
+    g = ObservedMultigraph(3, edges, loops)
+    for counts, stored in ((edges, g.y), (loops, g.loops)):
+        assert stored.dtype == (np.int64 if max(counts.values(), default=0) < 2**63 else object)
     loop_path = PatternGraph(3, {(0, 1): 2, (1, 2): 1}, {1: 1})
-    got = count_copies(g, loop_path)
-    assert got == count_copies_bruteforce(g, loop_path)
-    assert got > 2**64
+    for pattern in (loop_path, pattern_from_name("complete:2"), PATH3):
+        assert count_copies(g, pattern) == count_copies_bruteforce(g, pattern)
+    assert count_copies(g, pattern_from_name("complete:2")) == sum(edges.values())
+    assert count_copies(g, PATH3) == math.prod(edges.values())
+    if loops:
+        # vertex 1's loops times at least the 9 ways to place the two pairs
+        assert count_copies(g, loop_path) >= 9 * loops[1] > 2**62
 
 
 def test_ten_leaf_star_count_is_quick_and_matches_closed_form():
@@ -368,14 +386,10 @@ def test_plans_take_the_forward_seed_and_the_sibling_starts(name):
 
 
 def _as_block(graphs):
-    # the hosts as one block's arrays, pairs sorted by (row, a, b)
-    n = graphs[0].n
-    rows = [r for r, g in enumerate(graphs) for _ in g.edge_counts]
-    pairs = [p for g in graphs for p in g.edge_counts]
-    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    y = np.array([0, *(c for g in graphs for c in g.edge_counts.values())])[1:]
-    loops = np.array([[g.self_loop_counts.get(x, 0) for x in range(n)] for g in graphs])
-    return loops, np.array(rows, dtype=np.int64), a, b, y
+    # the hosts' own arrays stacked as one block's, pairs sorted by (row, a, b)
+    rows = np.repeat(np.arange(len(graphs)), [len(g.y) for g in graphs])
+    a, b, y = (np.concatenate([getattr(g, x) for g in graphs]) for x in "aby")
+    return np.stack([g.loops for g in graphs]), rows, a, b, y
 
 
 @pytest.mark.parametrize("name", SEEDING_PATHS)

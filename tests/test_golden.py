@@ -1,11 +1,12 @@
 """Golden reports: CLI output bytes must not drift.
 
 Each case runs ``blockmotif experiment --config F --out R`` (the report plus
-its two pmf CSV sidecars), ``blockmotif lambda`` or ``blockmotif bound`` and
-compares the bytes with the files under ``tests/golden``.  The cases cover
-exact and Monte Carlo mode, the compound-Poisson and Poisson references,
-self-loops, two classes, and the bound variants and options no experiment
-report pins.  The golden bytes were written on x86-64 Linux; 17-digit floats may
+its two pmf CSV sidecars), ``blockmotif lambda``, ``blockmotif bound`` or
+``blockmotif sample`` and compares the bytes with the files under
+``tests/golden``.  The cases cover exact and Monte Carlo mode, the
+compound-Poisson and Poisson references, self-loops, two classes, the bound
+variants and options no experiment report pins, and the edge-list text of
+one sampled host.  The golden bytes were written on x86-64 Linux; 17-digit floats may
 differ in the last digit on another libm.
 
 To rewrite the golden files after an intended output change, run
@@ -166,6 +167,22 @@ BOUNDS = {
     ),
 }
 
+# name -> (spec, seed): two classes and self-loops, so the text carries a
+# ``# classes`` header, pair lines and loop lines
+SAMPLES = {
+    "sample_two_class_loops": (
+        _two_class(
+            12,
+            (0.4, 0.6),
+            Poisson(0.5),
+            Categorical([0.6, 0.3, 0.1]),
+            Categorical([0.5, 0.2, 0.3]),
+            loops=(Poisson(0.4), Categorical([0.6, 0.4])),
+        ),
+        3,
+    ),
+}
+
 
 def _config_json(config):
     out = dict(config, spec=spec_to_json(config["spec"]))
@@ -204,6 +221,11 @@ def _bound_argv(name):
     return ["bound", "--spec", spec, "--pattern", pattern, "--variant", variant, *extra]
 
 
+def _sample_argv(name):
+    spec, seed = SAMPLES[name]
+    return ["sample", "--spec", json.dumps(spec_to_json(spec)), "--seed", str(seed)]
+
+
 def _read_golden(fname):
     with open(os.path.join(GOLDEN, fname), "r", encoding="utf-8") as fh:
         return fh.read()
@@ -225,6 +247,13 @@ def test_lambda_output_matches_golden_bytes(name, capsys):
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_bound_output_matches_golden_bytes(name, capsys):
     assert main(_bound_argv(name)) == 0
+    out = capsys.readouterr().out
+    assert out == _read_golden(f"{name}.txt")
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_sample_output_matches_golden_bytes(name, capsys):
+    assert main(_sample_argv(name)) == 0
     out = capsys.readouterr().out
     assert out == _read_golden(f"{name}.txt")
 
@@ -293,6 +322,7 @@ def _write_golden():
                 _write(fname, text, config["reps"] if observed else None)
     stdout_cases = [(name, _lambda_argv(name)) for name in sorted(LAMBDAS)]
     stdout_cases += [(name, _bound_argv(name)) for name in sorted(BOUNDS)]
+    stdout_cases += [(name, _sample_argv(name)) for name in sorted(SAMPLES)]
     for name, argv in stdout_cases:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
