@@ -18,7 +18,12 @@ directed adjacency entry at a time (only the forward ones, ``a < b``,
 when the neighbour's image must exceed the root's), so only a pattern
 vertex without neighbours is tried at every host vertex.  Symmetry-breaking
 order bounds on the images (``_search_plan``, from the pattern's stabilizer
-chain) pick the one map per orbit, so its sums are copy counts.  ``monte_carlo_pmf``
+chain) pick the one map per orbit, so its sums are copy counts.  When
+the bounds put every vertex above the neighbours it is checked against
+(the triangle, the complete graphs), the adjacency holds each pair once,
+from its lower vertex (the forward orientation of Schank & Wagner, WEA
+2005, and Chiba & Nishizeki, SIAM J. Comput. 1985): the host's own sorted
+pairs, with no reverse half and no sort.  ``monte_carlo_pmf``
 hands it each sampled block; ``count_copies`` hands it one
 ``ObservedMultigraph`` as a block of one.
 ``count_copies_bruteforce`` independently sums the product over every
@@ -90,6 +95,9 @@ class _Plan(tuple):
     it was placed from the same anchor's adjacency (else None): step ``i``
     then tries the anchor's neighbours past that sibling's adjacency entry.
     ``carried`` lists the steps whose entries a later step starts from.
+    ``forward_only`` tells whether every step's image must exceed, by the
+    bounds and their chains, the images of all the steps it is checked
+    against, so that the counter reads the forward entries ``a < b`` only.
     """
 
     def __new__(cls, steps):
@@ -111,6 +119,9 @@ class _Plan(tuple):
         below = []
         for _, _, above in plan:
             below.append(set(above).union(*(below[j] for j in above)))
+        plan.forward_only = all(
+            j in below[i] for i, (checks, _, _) in enumerate(plan) for j, _ in checks
+        )
         plan.sibling = []
         for checks, _, above in plan:
             anchor = checks[0][0] if checks else None
@@ -195,7 +206,13 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     each pair of a host appears at most once (the sampler and
     ``count_copies`` give them sorted by ``(row, a, b)``).
     Host ``r``'s vertex ``x`` is vertex ``r * n + x`` of one block graph, in
-    compressed adjacency with its neighbours sorted.  The partial maps of
+    compressed adjacency with its neighbours sorted.  When every step's
+    image exceeds those of the steps it is checked against
+    (``plan.forward_only``: the triangle and the complete graphs among
+    others), each pair is read from its lower vertex only, the "forward"
+    orientation of Schank & Wagner (WEA 2005), so the pairs as given are
+    the whole adjacency, already sorted; other plans add each pair's
+    reverse entry and sort both.  The partial maps of
     all hosts grow together, one plan step at a time, as arrays: a vertex
     with placed neighbours tries the neighbours of the first one's image
     and looks up the pair counts to the others.  A component root is
@@ -208,7 +225,8 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     the entries leaving the vertices past it; the neighbour's are
     filters), so only one map per automorphism orbit is ever kept.  When
     the neighbour must exceed the root (``plan.forward``), the pair tries
-    the forward entries ``a < b`` only, half the directed ones.  When a
+    the forward entries ``a < b`` only, half the directed ones of a
+    two-way adjacency.  When a
     step's largest bound is a sibling placed from the same anchor's
     adjacency (``plan.sibling``), its range starts past the sibling's
     entry, which the maps carry, rather than at a binary search.
@@ -217,7 +235,9 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     is longer, so working memory stays bounded.  Returns one sum
     of binomial products per host, which is its copy count: int64 when a
     certified bound on it fits, Python integers in an object array
-    otherwise.
+    otherwise.  The bound takes each anchored step's candidates as the
+    largest degree of the adjacency read: a forward-only plan's forward
+    degrees still bound them, as such a step only reads forward entries.
     """
     hosts, n = loops.shape
     size = hosts * n
@@ -231,15 +251,18 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     y_index = np.searchsorted(values, y)
     loop_index = np.searchsorted(values, loop_counts)
-    src = np.concatenate((rows * n + a, rows * n + b))
-    dst = np.concatenate((rows * n + b, rows * n + a))
-    order = np.argsort(src * size + dst)
-    heads, nbrs = src[order], dst[order]
-    pair_index = np.append(np.concatenate((y_index, y_index))[order], 0)
-    # the entries of the pairs' first halves, a to b with a < b, in
-    # adjacency order: the forward edges
-    fwd = np.flatnonzero(order < len(a)) if any(plan.forward) else None
-    del src, dst, order  # only the sorted entries live through the pass
+    # the forward entries, a to b with a < b, are already in adjacency order
+    heads, nbrs, pair_index, fwd = rows * n + a, rows * n + b, y_index, None
+    if not plan.forward_only:
+        # the reverse entries join them, and the forward ones are found again
+        src, dst = np.concatenate((heads, nbrs)), np.concatenate((nbrs, heads))
+        order = np.argsort(src * size + dst)
+        heads, nbrs = src[order], dst[order]
+        pair_index = np.concatenate((y_index, y_index))[order]
+        fwd = np.flatnonzero(order < len(a)) if any(plan.forward) else None
+        del src, dst, order
+    pair_index = np.append(pair_index, 0)
+    del y_index  # only the sorted entries live through the pass
     # the sentinel key size**2 exceeds every lookup, so searchsorted stays
     # in range and a miss reads count index 0
     keys = np.append(heads * size + nbrs, size * size)
@@ -248,8 +271,9 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     np.cumsum(np.bincount(heads, minlength=size), out=indptr[1:])
 
     top = int(values[-1])
-    # largest sum a host can reach: every step's candidates times the top
-    # binomial of each requirement
+    # largest sum a host can reach: every step's candidates (at most the
+    # largest degree read, or n for a root) times the top binomial of each
+    # requirement
     max_deg = int(np.diff(indptr).max(initial=0))
     worst = 1
     for checks, c, _ in plan:
@@ -281,7 +305,7 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
             # the edges leaving the root's vertex range: its forward ones
             # when the neighbour's image must exceed the root's
             first, end = indptr[first], indptr[end]
-            if forward:
+            if forward and fwd is not None:
                 first, end = np.searchsorted(fwd, first), np.searchsorted(fwd, end)
         # whether a later step starts from the entry this one places its
         # image (or its seeded neighbour's) from
@@ -299,7 +323,7 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
             d = np.diff(np.clip(at[lo : hi + 1], start, stop))
             owner = np.repeat(np.arange(lo, hi), d)
             cand = np.arange(start, stop) + np.repeat(first[lo:hi] - at[lo:hi], d)
-            if forward:
+            if forward and fwd is not None:
                 cand = fwd[cand]
             if seeded:
                 new = [heads[cand], nbrs[cand]]

@@ -316,53 +316,83 @@ def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
 
     Forward CDF stepping from ``pmf = exp(-rate)``: each step multiplies
     the pmf by ``rate / k`` and adds it to the CDF, until the CDF reaches u
-    or the pmf underflows to 0 (then the count is that k).  The steps are
-    taken in rounds of ``width`` at a time over the elements still open:
+    or the pmf underflows to 0 (then the count is that k).  A CDF depends
+    on the rate alone, so it is stepped once per distinct rate (found by a
+    sort and a mask: np.unique would import numpy.ma), until the largest
+    uniform of its elements is reached or its pmf underflows.  The steps
+    are taken in rounds of ``width`` at a time over the rates still open:
     a ``(width + 1, open)`` table holds their last pmf over the factors
     ``rate / k`` of the next steps, and ``np.cumprod`` down its columns
     gives the next pmfs; with the last CDF in the first row, ``np.cumsum``
     gives the next CDFs.  Both accumulate left to right, the loop's own
     order, so every pmf and CDF is the one the step-by-step loop computes,
-    bit for bit, and each element stops at its first step past u.  A round
-    is as wide as the largest open rate's mean plus four standard
-    deviations calls for (one round finishes nearly every element), but at
-    most ``_ICDF_ENTRIES // open`` steps, so the table's memory stays
-    bounded whatever the number of elements.  Each element's result
-    depends only on its own (u, rate), so any grouping of calls yields
-    identical values.  Valid only for rates up to ``_MAX_POISSON_RATE``:
-    past about 745 ``exp(-rate)`` underflows to 0 and every element would
-    come out 1.
+    bit for bit.  An element whose uniform the round reaches, or whose
+    rate's pmf underflows in it, takes its first step past u by bisection
+    over its rate's column (CDFs never decrease).  A round is as wide as
+    the largest open rate's mean plus four standard deviations calls for
+    (one round finishes nearly every rate), but at most ``_ICDF_ENTRIES //
+    open`` steps, so the table's memory stays bounded whatever the number
+    of rates.  Each element's result depends only on its own (u, rate), so
+    any grouping of calls yields identical values.  Valid only for rates
+    up to ``_MAX_POISSON_RATE``: past about 745 ``exp(-rate)`` underflows
+    to 0 and every element would come out 1.
     """
-    rates = np.asarray(rates, dtype=np.float64)
-    pmf = np.exp(-rates)
+    rates = np.asarray(rates, dtype=np.float64).reshape(-1)
     counts = np.zeros(u.shape, dtype=np.int64)
-    active = np.flatnonzero(pmf < u)
-    u, rates, pmf = (x.reshape(-1)[active] for x in (u, rates, pmf))
+    # law[i]: element i's rate among the distinct ones, sorted
+    order = np.argsort(rates)
+    rate = rates[order]
+    new = np.ones(len(rate), dtype=bool)
+    new[1:] = rate[1:] != rate[:-1]
+    law = np.empty(len(rates), dtype=np.int64)
+    law[order] = np.cumsum(new) - 1
+    rate = rate[new]
+    pmf = np.exp(-rate)
+    active = np.flatnonzero(pmf[law] < u.reshape(-1))
+    u, law = u.reshape(-1)[active], law[active]
     cdf = pmf.copy()
     k = 0
     while active.size:
-        top = float(rates.max())
+        # the rates some open element still reads, renumbered
+        live = np.bincount(law, minlength=len(rate)) > 0
+        if not live.all():
+            law = (np.cumsum(live) - 1)[law]
+            rate, pmf, cdf = rate[live], pmf[live], cdf[live]
+        top = float(rate[-1])
         width = int(max(top - k, 0.0) + 4.0 * math.sqrt(top)) + 8
-        width = max(1, min(width, _ICDF_ENTRIES // active.size))
+        width = max(1, min(width, _ICDF_ENTRIES // rate.size))
         if k + width > 10**6:
             raise RuntimeError("Poisson CDF inversion did not converge")
         steps = np.arange(k + 1, k + width + 1, dtype=np.float64)[:, None]
-        table = np.empty((width + 1, active.size))
+        table = np.empty((width + 1, rate.size))
         table[0] = pmf
-        np.divide(rates, steps, out=table[1:])
+        np.divide(rate, steps, out=table[1:])
         np.cumprod(table, axis=0, out=table)
         pmf = table[-1].copy()
-        stop = table[1:] <= 0.0
+        # the steps before each rate's pmf underflows (once 0, it stays 0):
+        # all of the round's, but where the last pmf is 0
+        positive = np.full(rate.size, width)
+        zero = np.flatnonzero(pmf <= 0.0)
+        positive[zero] = np.count_nonzero(table[1:, zero] > 0.0, axis=0)
         table[0] = cdf
         np.cumsum(table, axis=0, out=table)
-        stop |= table[1:] >= u
         cdf = table[-1].copy()
-        del table
-        done = stop.any(axis=0)
+        done = (cdf[law] >= u) | (positive[law] < width)
         if done.any():
-            counts.reshape(-1)[active[done]] = k + 1 + stop.argmax(axis=0)[done]
+            # the steps below u before the pmf underflows, by bisection down
+            # the rate's column of the table (row 0 holds the last CDF, below
+            # u): the count is the step after them
+            at = np.flatnonzero(done)
+            col, x, last = law[at], u[at], positive[law[at]]
+            below = np.zeros(len(at), dtype=np.int64)
+            for half in (1 << s for s in reversed(range(width.bit_length()))):
+                step = below + half
+                cell = np.minimum(step, last) * rate.size + col
+                below += half * ((step <= last) & (table.reshape(-1)[cell] < x))
+            counts.reshape(-1)[active[at]] = k + 1 + below
             keep = ~done
-            active, u, rates, pmf, cdf = (x[keep] for x in (active, u, rates, pmf, cdf))
+            active, u, law = active[keep], u[keep], law[keep]
+        del table
         k += width
     return counts
 

@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 from blockmotif import (
     ObservedMultigraph,
     PatternGraph,
+    Poisson,
+    SbmmSpec,
     automorphism_count,
     clump_size,
     count_copies,
     count_copies_bruteforce,
     pattern_from_name,
     rho,
+    sample_graph,
 )
 from blockmotif import counting
 from blockmotif.counting import _count_law
@@ -385,6 +388,22 @@ def test_plans_take_the_forward_seed_and_the_sibling_starts(name):
     assert {i: s for i, s in enumerate(plan.sibling) if s is not None} == sibling
 
 
+# the plans whose steps each read pairs from their lower vertex only
+FORWARD_ONLY = {
+    "triangle", "complete4", "complete_multi3x2", "two_triangles",
+    "looped_vertex_and_triangle", "complete:5",
+}
+
+
+@pytest.mark.parametrize("name", [*SEEDING_PATHS, "complete:5", "cycle:5", "path:4"])
+def test_plans_read_the_forward_adjacency_when_their_bounds_allow(name):
+    # a forward-only plan counts on the hosts' sorted pairs alone; a plan
+    # that took them wrongly would miss every copy reached through a
+    # reverse entry, one that missed them would only sort for nothing
+    pattern = SEEDING_PATHS[name][0] if name in SEEDING_PATHS else pattern_from_name(name)
+    assert counting._search_plan(pattern).forward_only == (name in FORWARD_ONLY)
+
+
 def _as_block(graphs):
     # the hosts' own arrays stacked as one block's, pairs sorted by (row, a, b)
     rows = np.repeat(np.arange(len(graphs)), [len(g.y) for g in graphs])
@@ -494,6 +513,24 @@ def test_million_vertex_host_counts_its_edges_in_little_memory():
         tracemalloc.stop()
     assert got == 200
     assert peak < 32 * 2**20, peak
+
+
+def test_clique_count_holds_one_direction_of_the_host():
+    # a sampled host of about 2 * 10^5 edges: the triangle's plan reads each
+    # pair from its lower vertex, so the counter holds one adjacency entry
+    # per pair.  Measured: 63 bytes per edge above the held host, 128 with
+    # both directions sorted
+    n = 2 * 10**5
+    same, cross = Poisson(3 / n), Poisson(1 / n)
+    g = sample_graph(SbmmSpec(n, 2, (0.5, 0.5), ((same, cross), (cross, same))), 7)
+    tracemalloc.start()
+    try:
+        got = count_copies(g, TRIANGLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.y) > 0.9 * n and got >= 0
+    assert peak < 100 * len(g.y), peak
 
 
 def test_count_does_not_depend_on_frontier_chunk(monkeypatch):

@@ -473,6 +473,50 @@ def test_poisson_inversion_memory_follows_its_round_budget():
         assert got[i] == _scalar_poisson_icdf(float(u[i]), start, 700.0)[0], i
 
 
+def _shared_rates(rng):
+    # 3 * 10**4 parts over three block part means
+    return rng.random(3 * 10**4), rng.choice([0.67, 21.7, 700.0], 3 * 10**4)
+
+
+def _wide_and_narrow(rng):
+    # supports of a few steps and of about a thousand in one call; the CDFs
+    # of 0.1 and 21.7 end below the largest uniform, so that those rates
+    # stop on their pmf's underflow while the wide ones step on
+    rates = np.repeat([1e-9, 0.05, 0.1, 21.7, 300.0, 700.0], 400)
+    u = rng.random(len(rates))
+    u[::7] = 1.0 - 2.0**-53
+    return u, rates
+
+
+@pytest.mark.parametrize("entries", [None, 64])
+@pytest.mark.parametrize("case", [_shared_rates, _wide_and_narrow])
+def test_poisson_inversion_steps_each_distinct_rate_once(case, entries, monkeypatch):
+    # parts that share a rate read one CDF column; a column that closes
+    # drops out of the later rounds while the others step on.  A budget of
+    # 64 table entries makes rounds of a few steps, which close columns in
+    # many rounds
+    if entries:
+        monkeypatch.setattr(model, "_ICDF_ENTRIES", entries)
+    rng = np.random.default_rng(17)
+    u, rates = case(rng)
+    got = _poisson_icdf(u, rates)
+    distinct = sorted(set(rates.tolist()))
+    starts = dict(zip(distinct, np.exp(-np.array(distinct)).tolist()))
+    check = rng.choice(len(u), 400, replace=False)
+    check = np.concatenate((check, np.flatnonzero(u == u.max())[:50]))
+    underflows = 0
+    for i in check.tolist():
+        x, r = float(u[i]), float(rates[i])
+        want, underflow = _scalar_poisson_icdf(x, starts[r], r)
+        assert got[i] == want, (x, r)
+        underflows += underflow
+    assert (underflows > 0) == (case is _wide_and_narrow)
+    # grouping changes no value: the same parts, one at a time per rate
+    for r in distinct:
+        at = np.flatnonzero(rates == r)
+        assert (got[at] == _poisson_icdf(u[at], rates[at])).all(), r
+
+
 def test_a_block_mean_past_two_to_the_53_is_refused():
     # every pair mean is at most 1e-100, but one weight of 1e200 puts the
     # within-class block's mean (ordered pairs, the dropped diagonal too)
@@ -886,8 +930,9 @@ def test_graph_text_round_trips_random_hosts(big, loops, classes):
 def test_sampled_million_vertex_host_costs_follow_its_arrays():
     # about 10^6 edges on 10^6 vertices: the host is held as the sampler's
     # arrays.  Measured: sample_graph peaks at 131 MB traced and holds the
-    # host in 38 MB, count_copies peaks 122 MB above it; with a dict of the
-    # pairs in between they took 430 MB, 162 MB and 152 MB
+    # host in 38 MB, count_copies (a triangle, which reads each pair from
+    # its lower vertex only) peaks 53 MB above it; with a dict of the pairs
+    # in between they took 430 MB, 162 MB and 152 MB
     n = 10**6
     same, cross = Poisson(3 / n), Poisson(1 / n)
     spec = SbmmSpec(n, 2, (0.5, 0.5), ((same, cross), (cross, same)))
