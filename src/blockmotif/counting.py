@@ -206,7 +206,10 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     each pair of a host appears at most once (the sampler and
     ``count_copies`` give them sorted by ``(row, a, b)``).
     Host ``r``'s vertex ``x`` is vertex ``r * n + x`` of one block graph, in
-    compressed adjacency with its neighbours sorted.  When every step's
+    compressed adjacency with its neighbours sorted, each entry held as one
+    sorted key ``source * size + neighbour`` (``size`` the block's
+    vertices) with a one-byte count index on sparse hosts, so an entry's
+    images are its key's digits.  When every step's
     image exceeds those of the steps it is checked against
     (``plan.forward_only``: the triangle and the complete graphs among
     others), each pair is read from its lower vertex only, the "forward"
@@ -230,9 +233,14 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     step's largest bound is a sibling placed from the same anchor's
     adjacency (``plan.sibling``), its range starts past the sibling's
     entry, which the maps carry, rather than at a binary search.
+    A map whose next step starts past the entry it was just placed from,
+    when that entry ends its anchor's range, has no children and is
+    dropped before anything else is read for it (most seeded triangle maps
+    on sparse hosts, where most vertices have one forward neighbour).
     Partial maps are expanded in chunks of at most ``_FRONTIER_CHUNK``
     candidates, depth first, a map's range split across chunks when it
-    is longer, so working memory stays bounded.  Returns one sum
+    is longer, and a chunk's arrays are freed before its maps grow
+    further, so working memory stays bounded.  Returns one sum
     of binomial products per host, which is its copy count: int64 when a
     certified bound on it fits, Python integers in an object array
     otherwise.  The bound takes each anchored step's candidates as the
@@ -249,26 +257,34 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     loop_counts = loops.ravel()[: loops.size if plan.loops else 0]
     values = np.sort(np.concatenate(([0], y, loop_counts)))
     values = values[np.concatenate(([True], values[1:] != values[:-1]))]
-    y_index = np.searchsorted(values, y)
+    # a pair's index into them in the smallest dtype that holds it: one byte
+    # per entry unless the block has over 255 distinct counts
+    y_index = np.searchsorted(values, y).astype(np.min_scalar_type(len(values)))
     loop_index = np.searchsorted(values, loop_counts)
-    # the forward entries, a to b with a < b, are already in adjacency order
-    heads, nbrs, pair_index, fwd = rows * n + a, rows * n + b, y_index, None
+    # entry keys head * size + neighbour: the forward entries, a to b with
+    # a < b, are already in adjacency order
+    heads, nbrs = rows * n + a, rows * n + b
+    keys, pair_index, fwd = heads * size + nbrs, y_index, None
     if not plan.forward_only:
         # the reverse entries join them, and the forward ones are found again
-        src, dst = np.concatenate((heads, nbrs)), np.concatenate((nbrs, heads))
-        order = np.argsort(src * size + dst)
-        heads, nbrs = src[order], dst[order]
-        pair_index = np.concatenate((y_index, y_index))[order]
+        keys = np.concatenate((keys, nbrs * size + heads))
+        order = np.argsort(keys)
+        keys, pair_index = keys[order], np.concatenate((y_index, y_index))[order]
         fwd = np.flatnonzero(order < len(a)) if any(plan.forward) else None
-        del src, dst, order
-    pair_index = np.append(pair_index, 0)
-    del y_index  # only the sorted entries live through the pass
-    # the sentinel key size**2 exceeds every lookup, so searchsorted stays
-    # in range and a miss reads count index 0
-    keys = np.append(heads * size + nbrs, size * size)
+        del order
+    del heads, nbrs, y_index
+    # only the sorted keys and count indices live through the pass; the
+    # sentinel key size**2 exceeds every lookup, so searchsorted stays in
+    # range, and a miss reads the sentinel's count index 0
+    keys = np.append(keys, size * size)
+    pair_index = np.append(pair_index, pair_index.dtype.type(0))
     # vertex u's neighbours start past the entries of every source below u
     indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads, minlength=size), out=indptr[1:])
+    np.cumsum(np.bincount(keys[:-1] // size, minlength=size), out=indptr[1:])
+    # the last entry of each source's range (an empty range marks the last
+    # entry before it, or the sentinel)
+    ends = np.zeros(len(keys), dtype=bool)
+    ends[indptr[1:] - 1] = True
 
     top = int(values[-1])
     # largest sum a host can reach: every step's candidates (at most the
@@ -283,98 +299,128 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     table = _binomials(values, plan.max_req, worst)
     totals = np.zeros(hosts, dtype=table.dtype)
 
-    def grow(step, host, images, entries, weight):
+    def grow(step, images, entries, weight):
         checks, _, above = plan[step]
-        # a component root with a neighbour is placed together with it (the
-        # next step, anchored at the root alone) as one directed host edge
-        seeded, forward = plan.seeded[step], plan.forward[step]
+        sibling = plan.sibling[step]
         if checks:
             u = images[:, checks[0][0]]
-            first, end = indptr[u], indptr[u + 1]
+            end = indptr[u + 1]
         else:
-            first, end = host * n, host * n + n
-        if plan.sibling[step] is not None:
+            # a root tries the vertices of its map's host: the first image's,
+            # or host i for map i at the first step
+            first = images[:, 0] // n * n if step else np.arange(0, size, n)
+            end = first + n
+        if sibling is not None:
             # the anchor's neighbours past the sibling's entry, which are
             # the ones past its image
-            first = entries[:, plan.carried.index(plan.sibling[step])] + 1
+            first = entries[:, plan.carried.index(sibling)] + 1
         elif above:
             # the orbit bounds: only images past the largest one above
             floor = images[:, above].max(axis=1) + 1
             first = np.searchsorted(keys, u * size + floor) if checks else floor
-        if seeded:
-            # the edges leaving the root's vertex range: its forward ones
-            # when the neighbour's image must exceed the root's
+        elif checks:
+            first = indptr[u]
+        if plan.seeded[step]:
+            # a component root with a neighbour is placed together with it
+            # (the next step, anchored at the root alone) as one directed
+            # host edge: the edges leaving the root's vertex range, its
+            # forward ones when the neighbour's image must exceed the root's
             first, end = indptr[first], indptr[end]
-            if forward and fwd is not None:
+            if plan.forward[step] and fwd is not None:
                 first, end = np.searchsorted(fwd, first), np.searchsorted(fwd, end)
-        # whether a later step starts from the entry this one places its
-        # image (or its seeded neighbour's) from
-        carry = step + seeded in plan.carried
         # the maps' ranges laid end to end: map i's candidates are the
         # positions [at[i], at[i + 1]), position t being entry
         # t - at[i] + first[i] of its range
-        at = np.zeros(len(host) + 1, dtype=np.int64)
+        at = np.zeros(len(images) + 1, dtype=np.int64)
         np.cumsum(end - first, out=at[1:])
+        del end
         for start in range(0, int(at[-1]), _FRONTIER_CHUNK):
-            stop = min(start + _FRONTIER_CHUNK, int(at[-1]))
-            # the maps whose ranges meet the chunk, clipped to it
-            lo = int(np.searchsorted(at, start, "right")) - 1
-            hi = int(np.searchsorted(at, stop, "left"))
-            d = np.diff(np.clip(at[lo : hi + 1], start, stop))
-            owner = np.repeat(np.arange(lo, hi), d)
-            cand = np.arange(start, stop) + np.repeat(first[lo:hi] - at[lo:hi], d)
-            if forward and fwd is not None:
-                cand = fwd[cand]
-            if seeded:
-                new = [heads[cand], nbrs[cand]]
-            else:
-                new = [nbrs[cand] if checks else cand]
+            # a chunk's own arrays are gone before its maps grow further
+            placed = place(step, images, entries, weight, first, at, start)
+            if placed is not None:
+                grow(*placed)
 
-            def image(j):
-                return new[j - step] if j >= step else images[owner, j]
+    def place(step, images, entries, weight, first, at, start):
+        # checks the candidates [start, stop) of the maps' ranges: adds the
+        # sums of the maps it completes to the totals, or returns the next
+        # step and the maps it grows
+        checks = plan[step][0]
+        seeded, forward = plan.seeded[step], plan.forward[step]
+        nxt = step + 1 + seeded
+        stop = min(start + _FRONTIER_CHUNK, int(at[-1]))
+        # the maps whose ranges meet the chunk, clipped to it
+        lo = int(np.searchsorted(at, start, "right")) - 1
+        hi = int(np.searchsorted(at, stop, "left"))
+        d = np.diff(np.clip(at[lo : hi + 1], start, stop))
+        owner = np.repeat(np.arange(lo, hi), d)
+        cand = np.arange(start, stop) + np.repeat(first[lo:hi] - at[lo:hi], d)
+        if forward and fwd is not None:
+            cand = fwd[cand]
+        if nxt < v and plan.sibling[nxt] == nxt - 1:
+            # the next step tries the anchor's entries past this one: a map
+            # whose entry ends its anchor's range has no children
+            keep = ~ends[cand]
+            owner, cand = owner[keep], cand[keep]
+        # an entry's source and neighbour are its key's digits
+        if seeded:
+            new = list(np.divmod(keys[cand], size))
+        else:
+            new = [keys[cand] % size if checks else cand]
 
-            keep = np.ones(len(cand), dtype=bool)
-            factors = []
-            for s, x in enumerate(new, step):
-                s_checks, s_loops, s_above = plan[s]
-                # images of the anchor and the other checked neighbours
-                # differ from x by construction (no host pair is a loop),
-                # those above by the bounds: on the range, or here for a
-                # seeded neighbour
-                for j in plan.unchecked[s]:
-                    keep &= x != image(j)
-                if s > step:
-                    # a forward seed's neighbour is past the root already
-                    for j in s_above:
-                        if not (forward and j == step):
-                            keep &= x > image(j)
-                for k, (j, m) in enumerate(s_checks):
-                    if k:
-                        query = image(j) * size + x
-                        pos = np.searchsorted(keys, query)
-                        hit = np.where(keys[pos] == query, pair_index[pos], 0)
-                        factors.append(table[m][hit])
-                    else:
-                        factors.append(table[m][pair_index[cand]])
-                if s_loops:
-                    factors.append(table[s_loops][loop_index[x]])
-            for f in factors:
-                keep &= f != 0
-            owner, new = owner[keep], [x[keep] for x in new]
-            w = weight[owner]
-            for f in factors:
-                w = w * f[keep]
-            if step + len(new) == v:
-                np.add.at(totals, host[owner], w)
-            elif len(owner):
-                placed_images = np.column_stack((images[owner], *new))
-                placed_entries = entries[owner]
-                if carry:
-                    placed_entries = np.column_stack((placed_entries, cand[keep]))
-                grow(step + len(new), host[owner], placed_images, placed_entries, w)
+        def image(j):
+            return new[j - step] if j >= step else images[owner, j]
+
+        # the checks and the counts looked up first, the count of the pair
+        # each candidate entry is last, once the lookups' arrays are gone
+        keep = np.ones(len(cand), dtype=bool)
+        factors = []
+        for s, x in enumerate(new, step):
+            s_checks, s_loops, s_above = plan[s]
+            # images of the anchor and the other checked neighbours
+            # differ from x by construction (no host pair is a loop),
+            # those above by the bounds: on the range, or here for a
+            # seeded neighbour
+            for j in plan.unchecked[s]:
+                keep &= x != image(j)
+            if s > step:
+                # a forward seed's neighbour is past the root already
+                for j in s_above:
+                    if not (forward and j == step):
+                        keep &= x > image(j)
+            for j, m in s_checks[1:]:
+                query = image(j) * size + x
+                pos = np.searchsorted(keys, query)
+                hit = np.where(keys[pos] == query, pair_index[pos], 0)
+                del query, pos
+                factors.append(table[m][hit])
+            if s_loops:
+                factors.append(table[s_loops][loop_index[x]])
+        for s_checks, _, _ in plan[step:nxt]:
+            if s_checks:
+                factors.append(table[s_checks[0][1]][pair_index[cand]])
+        for f in factors:
+            keep &= f != 0
+        if not keep.all():
+            owner, cand = owner[keep], cand[keep]
+            new, factors = [x[keep] for x in new], [f[keep] for f in factors]
+        w = weight[owner]
+        for f in factors:
+            w = w * f
+        if nxt == v:
+            # a map's host is its first image's
+            np.add.at(totals, (images[owner, 0] if step else new[0]) // n, w)
+            return None
+        if not len(owner):
+            return None
+        placed_entries = entries[owner]
+        if nxt - 1 in plan.carried:
+            # a later step starts from the entry this one placed its image
+            # (or its seeded neighbour's) from
+            placed_entries = np.column_stack((placed_entries, cand))
+        return nxt, np.column_stack((images[owner], *new)), placed_entries, w
 
     no_images = np.zeros((hosts, 0), dtype=np.int64)
-    grow(0, np.arange(hosts), no_images, no_images, np.ones(hosts, dtype=table.dtype))
+    grow(0, no_images, no_images, np.ones(hosts, dtype=table.dtype))
     # grow refers to itself: dropping it frees the block's arrays now rather
     # than at the next garbage collection, which comes rarely as numpy
     # arrays do not count towards its threshold
@@ -493,21 +539,41 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
     slot order (the rounding of a row-by-row product, bit for bit), and its
     counts a sum over terms of outer products.  Masses are summed per count
     in row order within a chunk, and the chunk sums in chunk order: by one
-    ``np.bincount`` into a dense histogram when the counts are int64 and the
-    largest reachable count is below ``_CHUNK_ROWS``, through ``np.unique``
-    otherwise.  Configurations of probability 0.0 add nothing, so every
-    returned mass is positive.  Counts are exact: int64 when the largest
-    count the grid can reach and every binomial factor fit, Python integers
-    in object arrays otherwise.  Returns ``{count: weight * P(count)}``.
+    ``np.bincount`` into a dense histogram when the counts are not Python
+    integers and the largest reachable count is below ``_CHUNK_ROWS``,
+    through ``np.unique`` otherwise.  Configurations of probability 0.0 add nothing, so every
+    returned mass is positive.  Terms that are 0 on the whole grid, and
+    slots that are 0 with probability exactly 1.0, leave the walk first.
+    Counts are exact: the outer products run in float64 (BLAS) when the
+    largest count the grid can reach and every binomial factor are below
+    2**53, so that every product and partial sum is an integer float64
+    holds; in int64 when they fit it; in object arrays of Python integers
+    otherwise.  Returns ``{count: weight * P(count)}``.
     """
-    tables = [np.asarray(t, dtype=np.float64) for t in tables]
     radices = [len(t) for t in tables]
+    # a term with a slot whose every value is below its requirement is 0 on
+    # the whole grid; a slot whose one value 0 has probability 1.0 scales
+    # every mass by 1.0 exactly and each term left by C(0, 0) = 1.  Both
+    # leave the walk, the other slots keeping their order
+    terms = [term for term in terms if all(radices[s] > r for s, r in term)]
+    kept = [s for s, t in enumerate(tables) if len(t) > 1 or t[0] != 1.0]
+    if len(kept) < len(tables):
+        slot = {s: i for i, s in enumerate(kept)}
+        terms = [[(slot[s], r) for s, r in term if s in slot] for term in terms]
+        radices = [radices[s] for s in kept]
+    tables = [np.asarray(tables[s], dtype=np.float64) for s in kept]
     max_req = max((r for term in terms for _, r in term), default=0)
-    # largest count the grid can reach: every slot at its top value
+    # largest count the grid can reach: every slot at its top value.  Every
+    # term left reaches its own top, so each factor, product and partial sum
+    # of a count is at most this
     worst = sum(
         math.prod(math.comb(radices[s] - 1, r) for s, r in term) for term in terms
     )
     comb = _binomials(range(max(radices, default=1)), max_req, worst)
+    if comb.dtype == np.int64 and max(worst, int(comb.max(initial=0))) < 2**53:
+        # every one of them an integer float64 holds exactly: BLAS scores
+        # the grid, and the counts are read back as int64
+        comb = comb.astype(np.float64)
     dtype = comb.dtype
     # slots lead..end form the trailing sub-grid of ``span`` rows
     lead, span = len(radices), 1
@@ -521,7 +587,7 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
         for s, r in term:
             if s >= lead:
                 tails[k] *= comb[r][digits[s - lead]]
-    dense = dtype == np.int64 and worst < _CHUNK_ROWS
+    dense = dtype != object and worst < _CHUNK_ROWS
     hist = np.zeros(worst + 1 if dense else 0)
     law: dict[int, float] = {}
     size = math.prod(radices)
@@ -545,6 +611,8 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
                 if s < lead:
                     heads[:, k] *= comb[r][digits[s]]
         counts = heads @ tails
+        if dtype == np.float64:
+            counts = counts.astype(np.int64)
         rows = slice(start - first * span, stop - first * span)
         prob, counts = prob.ravel()[rows], counts.ravel()[rows]
         if dense:

@@ -79,10 +79,12 @@ EXACT_ENUMERATION_LIMIT = 10**8
 # Q^2 class blocks and expected edges: bounds the working memory of both
 # the sampler and the counter, which counts each block as drawn, whatever
 # reps and n are (a block holds at least one replicate).  Each block pays a
-# fixed set-up, so larger blocks run faster, but the counter holds about
-# 270 bytes per edge (2.05 MB of the 2.43 MB a 132-host ``mc_triangle``
-# block peaks at), so the counter sets this budget
-_BLOCK_ENTRIES = 1 << 14
+# fixed set-up, so larger blocks run faster, and the counter, the larger
+# of the two, holds about 75 bytes per edge on sparse triangle hosts (150
+# for ``cycle:4``) above the block's host arrays: a 264-host
+# ``mc_triangle`` block peaks at about 1.76 MB traced, 1.13 MB of it the
+# counter's, 0.63 MB the host arrays
+_BLOCK_ENTRIES = 1 << 15
 
 
 def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
@@ -160,7 +162,8 @@ def monte_carlo_pmf(
     hist: dict[int, int] = {}
     for start in range(0, reps, block):
         stop = min(start + block, reps)
-        _, pairs, loops = draw(replicate_keys(seed, np.arange(start, stop)))
+        # the block's classes are dropped before it is counted
+        pairs, loops = draw(replicate_keys(seed, np.arange(start, stop)))[1:]
         for w in _count_block(plan, loops, *pairs).tolist():
             hist[w] = hist.get(w, 0) + 1
     hist = dict(sorted(hist.items()))

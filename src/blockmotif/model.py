@@ -311,14 +311,17 @@ _MAX_POISSON_RATE = 700.0
 _ICDF_ENTRIES = 1 << 20
 
 
-def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _poisson_icdf(u: np.ndarray, rates: np.ndarray, law=None) -> np.ndarray:
     """Elementwise smallest k with Poisson(rate) CDF(k) >= u.
+
+    Element i's rate is ``rates[law[i]]``, or ``rates[i]`` without ``law``.
 
     Forward CDF stepping from ``pmf = exp(-rate)``: each step multiplies
     the pmf by ``rate / k`` and adds it to the CDF, until the CDF reaches u
     or the pmf underflows to 0 (then the count is that k).  A CDF depends
     on the rate alone, so it is stepped once per distinct rate (found by a
-    sort and a mask: np.unique would import numpy.ma), until the largest
+    sort and a mask over ``rates``, which with ``law`` hold each shared
+    rate once: np.unique would import numpy.ma), until the largest
     uniform of its elements is reached or its pmf underflows.  The steps
     are taken in rounds of ``width`` at a time over the rates still open:
     a ``(width + 1, open)`` table holds their last pmf over the factors
@@ -344,8 +347,9 @@ def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
     rate = rates[order]
     new = np.ones(len(rate), dtype=bool)
     new[1:] = rate[1:] != rate[:-1]
-    law = np.empty(len(rates), dtype=np.int64)
-    law[order] = np.cumsum(new) - 1
+    distinct = np.empty(len(rates), dtype=np.int64)
+    distinct[order] = np.cumsum(new) - 1
+    law = distinct if law is None else distinct[law]
     rate = rate[new]
     pmf = np.exp(-rate)
     active = np.flatnonzero(pmf[law] < u.reshape(-1))
@@ -496,7 +500,8 @@ def _sampler(spec: SbmmSpec):
     one graph per uint64 key, all in one pass.
 
     Row r of ``draw(keys)`` is the graph ``sample_graph(spec, keys[r])``, a
-    pure function of its key.  ``draw`` returns the classes ``(R, n)``; the
+    pure function of its key.  ``draw`` returns the classes ``(R, n)``, in
+    the smallest unsigned dtype that holds them; the
     nonzero pair counts as ``(rows, a, b, y)``, pair ``a < b`` of row
     ``rows`` carrying ``y`` edges, sorted by ``(row, a, b)``; and the
     self-loop counts ``(R, n)`` (zero without self-loop laws).  A host costs
@@ -538,7 +543,10 @@ def _sampler(spec: SbmmSpec):
       ``_positive_icdf`` of ``u(n + 1 + b, 3 j + 1)`` (Batagelj & Brandes).
 
     Gaps are drawn in rounds, gap j keyed by j alone, so the rounds' sizes
-    change no draw, and every inversion works elementwise.
+    change no draw, and every inversion works elementwise.  A Poisson event
+    adds one edge, so its pair codes are sorted and each run's length is
+    the pair's count; a walked cell is drawn once, in one block, so its
+    count is written at its code's place among them.
     """
     n, Q = spec.n, spec.Q
     weighted = spec.degree_weights is not None
@@ -559,45 +567,60 @@ def _sampler(spec: SbmmSpec):
     hit = -np.expm1(log_p0)  # 1 - P(0): the share of cells that carry an event
     walk_laws = list(dict.fromkeys(laws[b] for b in walked))
     walk_law = np.array([walk_laws.index(laws[b]) for b in walked], dtype=np.int64)
-    poisson, walked = np.array(poisson, dtype=np.int64), np.array(walked, dtype=np.int64)
+    # each kind's blocks: classes, kinds and label words
+    p_c, p_d, p_kind, p_words = block_c[poisson], block_d[poisson], kind[poisson], block_words[poisson]
+    w_c, w_d, w_kind, w_words = block_c[walked], block_d[walked], kind[walked], block_words[walked]
     vertex_words = label_words(np.arange(1, n + 1))
-    cum_f = np.cumsum(np.asarray(spec.f, dtype=np.float64))
-    theta = np.asarray(spec.degree_weights if weighted else np.ones(n), dtype=np.float64)
+    # vertex i's class is the number of running class weights f_0 + ... + f_a,
+    # a < Q - 1, at or below its uniform; classes fit a byte up to Q = 256,
+    # where a stable argsort is a radix sort
+    class_cuts = np.cumsum(np.asarray(spec.f, dtype=np.float64))[:-1]
+    class_dtype = np.min_scalar_type(Q - 1)
+    theta = np.asarray(spec.degree_weights, dtype=np.float64) if weighted else None
 
     def draw(keys: np.ndarray):
         R = len(keys)
         if R * n * n >= 2**63:
             raise ValueError(f"{R} hosts of {n} vertices are too many for one draw")
         chain = key_chains(keys)
-        classes = np.zeros((R, n), dtype=np.int64)
+        classes = np.zeros((R, n), dtype=class_dtype)
         if Q > 1:
             u = uniforms_from_keys(_mix64_np(fold_labels(chain, 0)[:, None] ^ vertex_words))
-            classes = np.minimum(np.searchsorted(cum_f, u, side="right"), Q - 1)
+            classes = np.searchsorted(class_cuts, u, side="right").astype(class_dtype)
             del u
         # flat position r * n + k holds row r's k-th vertex in (class, vertex)
         # order, as the flat vertex r * n + v; class c of row r takes the
         # positions [start, start + size)
         row = n * np.arange(R)[:, None]
         member = np.argsort(classes, axis=1, kind="stable")
-        cum = np.cumsum(theta[member], axis=1).reshape(-1)
-        member += row
-        member = member.reshape(-1)
         size = np.bincount((classes + Q * np.arange(R)[:, None]).reshape(-1), minlength=R * Q)
         size = size.reshape(R, Q)
         start = np.cumsum(size, axis=1) - size + row
-        lo = np.where(start % n == 0, 0.0, cum[start - 1])
-        S = np.where(size > 0, cum[start + size - 1] - lo, 0.0)
-        # (pair code (row * n + a) * n + b, count) and (flat vertex, count)
-        # per event
+        if weighted:
+            cum = np.cumsum(theta[member], axis=1).reshape(-1)
+            lo = np.where(start % n == 0, 0.0, cum[start - 1])
+            S = np.where(size > 0, cum[start + size - 1] - lo, 0.0)
+        else:
+            # unit weights: each class's running weight is its size
+            S = size.astype(np.float64)
+        member += row
+        member = member.reshape(-1)
+        # pair codes (row * n + a) * n + b: the Poisson events' (one edge
+        # each, a pair's events adding up) and the walked cells' (one per
+        # pair, with its count); (flat vertex, count) per loop event
         empty = np.zeros(0, dtype=np.int64)
-        pieces, loop_pieces = [(empty, empty)], [(empty, empty)]
+        unit_codes, cell_pieces, loop_pieces = [empty], [(empty, empty)], [(empty, empty)]
 
         def pick(u, s, r, c, weigh):
             # the position of event s's endpoint in class c[s] of row r[s]
             g, width = start[r, c][s], size[r, c][s]
             if not weigh:
                 # unit weights: the search below lands on floor(u * size)
-                return g + np.minimum((u * width).astype(np.int64), width - 1)
+                at = (u * width).astype(np.int64)
+                width -= 1
+                np.minimum(at, width, out=at)
+                at += g
+                return at
             # the least position whose running weight past lo exceeds u * S
             target, base = u * S[r, c][s], lo[r, c][s]
             left, right = g, g + width - 1
@@ -608,12 +631,13 @@ def _sampler(spec: SbmmSpec):
                 right[open_] = np.where(up, right[open_], mid)
             return left
 
-        def add(a, b, y):
+        def code(a, b):
+            # the pair code of the flat positions a and b
             a, b = member[a], member[b]
-            pieces.append((np.minimum(a, b) * n + np.maximum(a, b) % n, y))
+            return np.minimum(a, b) * n + np.maximum(a, b) % n
 
         def poisson_events():
-            c, d, pk = block_c[poisson], block_d[poisson], kind[poisson]
+            c, d, pk = p_c, p_d, p_kind
             with np.errstate(over="ignore", invalid="ignore"):
                 mean = rate * np.where(pk == 2, size[:, c], S[:, c])
                 mean *= np.where(pk == 2, 1.0, S[:, d])
@@ -622,27 +646,31 @@ def _sampler(spec: SbmmSpec):
             if not (mean < 2.0**53).all():
                 raise ValueError("Poisson block mean too large to draw")
             r, k = np.divmod(np.flatnonzero(mean), len(poisson))
-            mean, prefix = mean[r, k], _mix64_np(chain[r] ^ block_words[poisson[k]])
+            mean, prefix = mean[r, k], _mix64_np(chain[r] ^ p_words[k])
             parts = np.ceil(mean / _MAX_POISSON_RATE).astype(np.int64)
             s, i = _runs(parts)
-            drawn = _poisson_icdf(_uniforms(prefix[s], 3 * i + 2), (mean / parts)[s])
+            # every part of a block shares its mean
+            drawn = _poisson_icdf(_uniforms(prefix[s], 3 * i + 2), mean / parts, s)
             s, j = _runs(np.bincount(s, weights=drawn, minlength=len(parts)).astype(np.int64))
+            del drawn
             u = _uniforms(prefix[s], 3 * j)
             loop = (pk[k] == 2)[s]
             at = np.flatnonzero(loop)
             loop_pieces.append((member[pick(u[at], s[at], r, c[k], False)], np.ones(len(at))))
             s, j, u = s[~loop], j[~loop], u[~loop]
             a = pick(u, s, r, c[k], weighted)
+            del u
             b = pick(_uniforms(prefix[s], 3 * j + 1), s, r, d[k], weighted)
+            del s, j
             at = np.flatnonzero(a != b)
-            add(a[at], b[at], np.ones(len(at), dtype=np.int64))
+            unit_codes.append(code(a[at], b[at]))
 
         def walk_events():
-            c, d, wk = block_c[walked], block_d[walked], kind[walked]
+            c, d, wk = w_c, w_d, w_kind
             sc, sd = size[:, c], size[:, d]
             cells = np.where(wk == 0, sc * sd, np.where(wk == 1, sc * (sc - 1) // 2, sc))
             r, k = np.divmod(np.flatnonzero(cells), len(walked))
-            cells, prefix = cells[r, k], _mix64_np(chain[r] ^ block_words[walked[k]])
+            cells, prefix = cells[r, k], _mix64_np(chain[r] ^ w_words[k])
             pos, nxt = np.zeros(len(r), dtype=np.int64), np.zeros(len(r), dtype=np.int64)
             open_, found = np.arange(len(r)), [(np.zeros(0, dtype=np.int64),) * 3]
             while open_.size:
@@ -678,7 +706,7 @@ def _sampler(spec: SbmmSpec):
             at = np.flatnonzero(wk == 2)
             loop_pieces.append((member[a[at]], y[at]))
             at = np.flatnonzero(wk != 2)
-            add(a[at], b[at], y[at])
+            cell_pieces.append((code(a[at], b[at]), y[at]))
 
         # the blocks' work arrays are freed as each kind returns
         if len(poisson):
@@ -687,15 +715,23 @@ def _sampler(spec: SbmmSpec):
             walk_events()
         v, y = (np.concatenate(x) for x in zip(*loop_pieces))
         loops = np.bincount(v, weights=y, minlength=R * n).astype(np.int64)
-
-        code, y = (np.concatenate(x) for x in zip(*pieces))
-        order = np.argsort(code)
-        code, y = code[order], y[order]
-        first = np.flatnonzero(np.diff(code, prepend=-1))
-        rows, pair = np.divmod(code[first], n * n)
-        a, b = np.divmod(pair, n)
-        y = np.add.reduceat(y, first) if len(y) else y
-        return classes, (rows, a, b, y), loops.reshape(R, n)
+        # the codes sorted, each pair's events one run: its count is the
+        # run's length, or the cell's count for a walked pair (a pair is in
+        # one block, a walked cell drawn once)
+        cell_code, cell_y = (np.concatenate(x) for x in zip(*cell_pieces))
+        pair = np.concatenate((*unit_codes, cell_code))
+        pair.sort()
+        head = np.ones(len(pair), dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=head[1:])
+        y = np.diff(np.flatnonzero(head), append=len(pair))
+        pair = pair[head]
+        del head
+        y[np.searchsorted(pair, cell_code)] = cell_y
+        b = pair % n
+        pair //= n
+        a = pair % n
+        pair //= n
+        return classes, (pair, a, b, y), loops.reshape(R, n)
 
     return draw
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmotif import (
+    Categorical,
     ObservedMultigraph,
     PatternGraph,
     Poisson,
@@ -29,6 +30,7 @@ from blockmotif import (
 )
 from blockmotif import counting
 from blockmotif.counting import _count_law
+from blockmotif.experiments import exact_count_pmf
 from conftest import random_connected_pattern, random_multigraph
 
 TRIANGLE = PatternGraph(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
@@ -249,6 +251,84 @@ def test_count_law_matches_row_by_row_oracle_bit_for_bit(chunk, monkeypatch):
         law = _count_law(tables, terms, weight)
         assert law == _count_law_oracle(tables, terms, weight, chunk)
         assert all(type(c) is int and m > 0.0 for c, m in law.items())
+
+
+def _terms_reaching(target):
+    # terms on slot 0 (values 0..56) and slot 1 (values 0 and 1) whose
+    # counts at the top value, C(56, r) and 1, sum to ``target``: the
+    # largest count of the grid.  Every binomial factor is at most
+    # C(56, 28), about 7.6e15, below 2**53
+    terms = []
+    for r in range(28, 0, -1):
+        q, target = divmod(target, math.comb(56, r))
+        terms += [[(0, r)]] * q
+    return terms + [[(1, 1)]] * target
+
+
+@pytest.mark.parametrize("chunk", [7, counting._CHUNK_ROWS])
+@pytest.mark.parametrize("worst", [2**53 - 1, 2**53, 2**53 + 1])
+def test_count_law_stays_exact_at_the_float64_edge(worst, chunk, monkeypatch):
+    # below 2**53 the grid is scored in float64, from 2**53 on in int64:
+    # either way every count equals the row-by-row oracle's, the largest
+    # one included (2**53 + 1 has no float64).  Chunks of 7 rows split the
+    # grid into leading and trailing slots
+    monkeypatch.setattr(counting, "_CHUNK_ROWS", chunk)
+    rng = random.Random(worst)
+    tables = [[rng.random() for _ in range(57)], [0.25, 0.75]]
+    terms = _terms_reaching(worst)
+    law = _count_law(tables, terms, 1.0)
+    assert law == _count_law_oracle(tables, terms, 1.0, chunk)
+    assert max(law) == worst
+    assert all(type(c) is int for c in law)
+
+
+@pytest.mark.parametrize("chunk", [7, counting._CHUNK_ROWS])
+def test_count_law_drops_terms_always_0_and_slots_certain_to_be_0(chunk, monkeypatch):
+    # the first term needs 30 of slot 0's at most 60 edges, C(60, 30) being
+    # about 1.2e17, past 2**53, but 2 of slot 1's at most 1: it is 0 on
+    # the whole grid.  Slots 3 and 5 are 0 with probability 1.0 and leave
+    # the walk; slot 4 has one value of probability 0.3 and keeps its
+    # place in each mass's product.  The masses equal the oracle's bit for
+    # bit
+    monkeypatch.setattr(counting, "_CHUNK_ROWS", chunk)
+    rng = random.Random(chunk)
+    tables = [
+        [rng.random() for _ in range(61)],
+        [0.4, 0.6],
+        [rng.random() for _ in range(4)],
+        [1.0],
+        [0.3],
+        [1.0],
+        [rng.random() for _ in range(3)],
+    ]
+    terms = [
+        [(0, 30), (1, 2)],
+        [(0, 1), (2, 1)],
+        [(2, 2), (3, 1)],
+        [(4, 1)],
+        [(6, 1), (2, 1)],
+    ]
+    assert math.comb(60, 30) >= 2**53
+    law = _count_law(tables, terms, 0.375)
+    assert law == _count_law_oracle(tables, terms, 0.375, chunk)
+    assert len(law) > 1
+
+
+def test_exact_law_of_hosts_certain_to_be_edgeless_takes_no_digits(monkeypatch):
+    # n = 180, two twin classes whose pairs are 0 with probability 1.0: the
+    # grid's 16,110 pair slots all leave the walk, so no slot takes a digit
+    digits = []
+    take = counting._digits
+
+    def counted(index, radices):
+        digits.append(len(radices))
+        return take(index, radices)
+
+    monkeypatch.setattr(counting, "_digits", counted)
+    never = Categorical([1.0])
+    spec = SbmmSpec(180, 2, (0.5, 0.5), ((never, never), (never, never)))
+    assert exact_count_pmf(spec, pattern_from_name("complete:2")) == {0: 1.0}
+    assert digits and sum(digits) == 0
 
 
 def test_clump_size_frozen_values():
@@ -518,7 +598,7 @@ def test_million_vertex_host_counts_its_edges_in_little_memory():
 def test_clique_count_holds_one_direction_of_the_host():
     # a sampled host of about 2 * 10^5 edges: the triangle's plan reads each
     # pair from its lower vertex, so the counter holds one adjacency entry
-    # per pair.  Measured: 63 bytes per edge above the held host, 128 with
+    # per pair.  Measured: 41 bytes per edge above the held host, 128 with
     # both directions sorted
     n = 2 * 10**5
     same, cross = Poisson(3 / n), Poisson(1 / n)

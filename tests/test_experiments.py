@@ -353,6 +353,17 @@ MC_ORACLE_CASES = {
         one_class_spec(7, bernoulli(0.3), Categorical([0.6, 0.3, 0.1])),
         PatternGraph(3, {(0, 1): 1}, {2: 1}),
     ),
+    # Poisson laws within the classes and a categorical one across them:
+    # each host's unit Poisson events and walked cells merge into one sorted
+    # array of pairs
+    "mixed": (
+        SbmmSpec(
+            9, 2, (0.5, 0.5),
+            ((Poisson(0.8), Categorical([0.6, 0.25, 0.15])),
+             (Categorical([0.6, 0.25, 0.15]), Poisson(0.5))),
+        ),
+        TRIANGLE,
+    ),
     # a pair carries 0 or 200 edges: C(200, 3)**3 per placement is past int64
     "past_int64": (
         one_class_spec(5, Categorical([0.3] + [0.0] * 199 + [0.7])),
@@ -415,7 +426,7 @@ def test_block_counts_stay_exact_past_int64():
 
 
 @pytest.mark.parametrize(
-    "case", ["categorical", "degree_weighted", "geometric", "self_loops"]
+    "case", ["categorical", "degree_weighted", "geometric", "self_loops", "mixed"]
 )
 def test_block_sampler_returns_sorted_nonzero_triples(case):
     # the counter reads a block's pair counts as (row, a, b, y): sorted
@@ -889,13 +900,12 @@ def test_enumeration_memory_stays_bounded(enumeration):
 def test_one_monte_carlo_block_works_in_little_memory():
     # one block of the sparse n = 60 triangle experiment: 124 sampler
     # entries per host (60 vertices, 4 class blocks, 60 expected edges), so
-    # 132 replicates.  The sampler's arrays follow the block's 7,920
-    # vertices and about 7,600 edges, and the counter works on the edges:
-    # about 2.43 MB traced, 2.05 MB of it the counter's (blocks of 264
-    # replicates, at 2^15 entries, take 4.5 MB)
+    # 264 replicates.  The sampler's arrays follow the block's 15,840
+    # vertices and about 15,200 edges, and the counter works on the edges:
+    # about 1.76 MB traced, 1.13 MB of it the counter's
     spec = _mc_triangle_spec()
     block = int(experiments._BLOCK_ENTRIES // experiments._host_entries(spec))
-    assert block == 132
+    assert block == 264
     draw, plan = _sampler(spec), counting._search_plan(TRIANGLE)
     keys = replicate_keys(1, np.arange(block))
     tracemalloc.start()
@@ -910,12 +920,34 @@ def test_one_monte_carlo_block_works_in_little_memory():
 
 
 def test_monte_carlo_counts_sparse_hosts_in_few_batches(monkeypatch):
-    # the sparse n = 60 triangle experiment samples 8 blocks of at most
-    # 132 replicates, and the counter takes one pass per block
+    # the sparse n = 60 triangle experiment samples 4 blocks of at most
+    # 264 replicates, and the counter takes one pass per block
     passes = _record_passes(monkeypatch)
     _, hist = monte_carlo_pmf(_mc_triangle_spec(), TRIANGLE, 1000, 1)
     assert sum(passes) == sum(hist.values()) == 1000
-    assert passes == [132] * 7 + [76], passes
+    assert passes == [264] * 3 + [208], passes
+
+
+def test_monte_carlo_blocks_of_264_hosts_peak_below_1_95_mb():
+    # every block of a 1,000-replicate sparse triangle call, drawn and
+    # counted as monte_carlo_pmf does (its classes dropped), within the
+    # 1.86-1.91 MB that blocks of half as many hosts once took.  Measured:
+    # 1.72-1.77 MB
+    spec = _mc_triangle_spec()
+    draw, plan = _sampler(spec), counting._search_plan(TRIANGLE)
+    block = int(experiments._BLOCK_ENTRIES // experiments._host_entries(spec))
+    assert block == 264
+    draw(replicate_keys(1, np.arange(block)))
+    for start in range(0, 1000, block):
+        keys = replicate_keys(1, np.arange(start, min(start + block, 1000)))
+        tracemalloc.start()
+        try:
+            pairs, loops = draw(keys)[1:]
+            counting._count_block(plan, loops, *pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_950_000, (start, peak)
 
 
 def test_one_large_host_costs_follow_its_edges():
@@ -937,8 +969,8 @@ def test_one_large_host_costs_follow_its_edges():
 
 
 def test_monte_carlo_call_works_in_little_memory():
-    # a whole 1,000-replicate call holds one sampled block of 132 hosts and
-    # counts it at once: about 2.51 MB traced.  A short call first fills
+    # a whole 1,000-replicate call holds one sampled block of 264 hosts and
+    # counts it at once: about 1.87 MB traced.  A short call first fills
     # the pattern's caches
     spec = _mc_triangle_spec()
     monte_carlo_pmf(spec, TRIANGLE, 20, 1)

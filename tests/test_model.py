@@ -929,9 +929,9 @@ def test_graph_text_round_trips_random_hosts(big, loops, classes):
 
 def test_sampled_million_vertex_host_costs_follow_its_arrays():
     # about 10^6 edges on 10^6 vertices: the host is held as the sampler's
-    # arrays.  Measured: sample_graph peaks at 131 MB traced and holds the
+    # arrays.  Measured: sample_graph peaks at 101 MB traced and holds the
     # host in 38 MB, count_copies (a triangle, which reads each pair from
-    # its lower vertex only) peaks 53 MB above it; with a dict of the pairs
+    # its lower vertex only) peaks 39 MB above it; with a dict of the pairs
     # in between they took 430 MB, 162 MB and 152 MB
     n = 10**6
     same, cross = Poisson(3 / n), Poisson(1 / n)
