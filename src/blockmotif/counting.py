@@ -539,16 +539,14 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
     slot order (the rounding of a row-by-row product, bit for bit), and its
     counts a sum over terms of outer products.  Masses are summed per count
     in row order within a chunk, and the chunk sums in chunk order: by one
-    ``np.bincount`` into a dense histogram when the counts are not Python
-    integers and the largest reachable count is below ``_CHUNK_ROWS``,
-    through ``np.unique`` otherwise.  Configurations of probability 0.0 add nothing, so every
+    ``np.bincount`` into a dense histogram when the counts are int64 and the
+    largest reachable count is below ``_CHUNK_ROWS``, through ``np.unique``
+    otherwise.  Configurations of probability 0.0 add nothing, so every
     returned mass is positive.  Terms that are 0 on the whole grid, and
     slots that are 0 with probability exactly 1.0, leave the walk first.
-    Counts are exact: the outer products run in float64 (BLAS) when the
-    largest count the grid can reach and every binomial factor are below
-    2**53, so that every product and partial sum is an integer float64
-    holds; in int64 when they fit it; in object arrays of Python integers
-    otherwise.  Returns ``{count: weight * P(count)}``.
+    Counts are exact: int64 when the largest count the grid can reach and
+    every binomial factor fit, Python integers in object arrays otherwise.
+    Returns ``{count: weight * P(count)}``.
     """
     radices = [len(t) for t in tables]
     # a term with a slot whose every value is below its requirement is 0 on
@@ -563,17 +561,11 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
         radices = [radices[s] for s in kept]
     tables = [np.asarray(tables[s], dtype=np.float64) for s in kept]
     max_req = max((r for term in terms for _, r in term), default=0)
-    # largest count the grid can reach: every slot at its top value.  Every
-    # term left reaches its own top, so each factor, product and partial sum
-    # of a count is at most this
+    # largest count the grid can reach: every slot at its top value
     worst = sum(
         math.prod(math.comb(radices[s] - 1, r) for s, r in term) for term in terms
     )
     comb = _binomials(range(max(radices, default=1)), max_req, worst)
-    if comb.dtype == np.int64 and max(worst, int(comb.max(initial=0))) < 2**53:
-        # every one of them an integer float64 holds exactly: BLAS scores
-        # the grid, and the counts are read back as int64
-        comb = comb.astype(np.float64)
     dtype = comb.dtype
     # slots lead..end form the trailing sub-grid of ``span`` rows
     lead, span = len(radices), 1
@@ -587,7 +579,7 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
         for s, r in term:
             if s >= lead:
                 tails[k] *= comb[r][digits[s - lead]]
-    dense = dtype != object and worst < _CHUNK_ROWS
+    dense = dtype == np.int64 and worst < _CHUNK_ROWS
     hist = np.zeros(worst + 1 if dense else 0)
     law: dict[int, float] = {}
     size = math.prod(radices)
@@ -611,8 +603,6 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
                 if s < lead:
                     heads[:, k] *= comb[r][digits[s]]
         counts = heads @ tails
-        if dtype == np.float64:
-            counts = counts.astype(np.int64)
         rows = slice(start - first * span, stop - first * span)
         prob, counts = prob.ravel()[rows], counts.ravel()[rows]
         if dense:

@@ -311,17 +311,14 @@ _MAX_POISSON_RATE = 700.0
 _ICDF_ENTRIES = 1 << 20
 
 
-def _poisson_icdf(u: np.ndarray, rates: np.ndarray, law=None) -> np.ndarray:
+def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Elementwise smallest k with Poisson(rate) CDF(k) >= u.
-
-    Element i's rate is ``rates[law[i]]``, or ``rates[i]`` without ``law``.
 
     Forward CDF stepping from ``pmf = exp(-rate)``: each step multiplies
     the pmf by ``rate / k`` and adds it to the CDF, until the CDF reaches u
     or the pmf underflows to 0 (then the count is that k).  A CDF depends
     on the rate alone, so it is stepped once per distinct rate (found by a
-    sort and a mask over ``rates``, which with ``law`` hold each shared
-    rate once: np.unique would import numpy.ma), until the largest
+    sort and a mask: np.unique would import numpy.ma), until the largest
     uniform of its elements is reached or its pmf underflows.  The steps
     are taken in rounds of ``width`` at a time over the rates still open:
     a ``(width + 1, open)`` table holds their last pmf over the factors
@@ -347,9 +344,8 @@ def _poisson_icdf(u: np.ndarray, rates: np.ndarray, law=None) -> np.ndarray:
     rate = rates[order]
     new = np.ones(len(rate), dtype=bool)
     new[1:] = rate[1:] != rate[:-1]
-    distinct = np.empty(len(rates), dtype=np.int64)
-    distinct[order] = np.cumsum(new) - 1
-    law = distinct if law is None else distinct[law]
+    law = np.empty(len(rates), dtype=np.int64)
+    law[order] = np.cumsum(new) - 1
     rate = rate[new]
     pmf = np.exp(-rate)
     active = np.flatnonzero(pmf[law] < u.reshape(-1))
@@ -649,8 +645,7 @@ def _sampler(spec: SbmmSpec):
             mean, prefix = mean[r, k], _mix64_np(chain[r] ^ p_words[k])
             parts = np.ceil(mean / _MAX_POISSON_RATE).astype(np.int64)
             s, i = _runs(parts)
-            # every part of a block shares its mean
-            drawn = _poisson_icdf(_uniforms(prefix[s], 3 * i + 2), mean / parts, s)
+            drawn = _poisson_icdf(_uniforms(prefix[s], 3 * i + 2), (mean / parts)[s])
             s, j = _runs(np.bincount(s, weights=drawn, minlength=len(parts)).astype(np.int64))
             del drawn
             u = _uniforms(prefix[s], 3 * j)

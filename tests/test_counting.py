@@ -267,11 +267,11 @@ def _terms_reaching(target):
 
 @pytest.mark.parametrize("chunk", [7, counting._CHUNK_ROWS])
 @pytest.mark.parametrize("worst", [2**53 - 1, 2**53, 2**53 + 1])
-def test_count_law_stays_exact_at_the_float64_edge(worst, chunk, monkeypatch):
-    # below 2**53 the grid is scored in float64, from 2**53 on in int64:
-    # either way every count equals the row-by-row oracle's, the largest
-    # one included (2**53 + 1 has no float64).  Chunks of 7 rows split the
-    # grid into leading and trailing slots
+def test_count_law_stays_exact_around_2_53(worst, chunk, monkeypatch):
+    # counts about the last integers float64 holds exactly: every count
+    # equals the row-by-row oracle's, the largest one included (2**53 + 1
+    # has no float64).  Chunks of 7 rows split the grid into leading and
+    # trailing slots
     monkeypatch.setattr(counting, "_CHUNK_ROWS", chunk)
     rng = random.Random(worst)
     tables = [[rng.random() for _ in range(57)], [0.25, 0.75]]
