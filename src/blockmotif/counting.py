@@ -22,9 +22,10 @@ chain) pick the one map per orbit, so its sums are copy counts.  When
 the bounds put every vertex above the neighbours it is checked against
 (the triangle, the complete graphs), the adjacency holds each pair once,
 from its lower vertex (the forward orientation of Schank & Wagner, WEA
-2005, and Chiba & Nishizeki, SIAM J. Comput. 1985): the host's own sorted
-pairs, with no reverse half and no sort.  ``monte_carlo_pmf``
-hands it each sampled block; ``count_copies`` hands it one
+2005, and Chiba & Nishizeki, SIAM J. Comput. 1985): the pairs' sorted
+forward entry keys as given, with no reverse half and no sort.  The
+sampler draws each block's pairs in that key form, ``monte_carlo_pmf``
+hands them over as they are, and ``count_copies`` hands over one
 ``ObservedMultigraph`` as a block of one.
 ``count_copies_bruteforce`` independently sums the product over every
 injective vertex map and divides by the automorphism count.  All return
@@ -192,30 +193,31 @@ def count_copies(graph: ObservedMultigraph, pattern: PatternGraph) -> int:
     if v > n:
         raise ValueError(f"pattern has {v} vertices but the graph only {n}")
     plan = _search_plan(pattern)
-    a, b, y = graph.a, graph.b, graph.y
-    (total,) = _count_block(plan, graph.loops[None], np.zeros_like(a), a, b, y)
+    (total,) = _count_block(plan, graph.loops[None], graph.a * n + graph.b, graph.y)
     return int(total)
 
 
-def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
+def _count_block(plan, loops, keys, y) -> np.ndarray:
     """Copy counts of a planned pattern in every host of a block at once.
 
     ``plan`` is the pattern's ``_search_plan``.  Host ``r`` has
-    ``n = loops.shape[1]`` vertices with ``loops[r]`` self-loops, and
-    ``y[k]`` parallel edges on the pair ``a[k] < b[k]`` of host ``rows[k]``;
-    each pair of a host appears at most once (the sampler and
-    ``count_copies`` give them sorted by ``(row, a, b)``).
-    Host ``r``'s vertex ``x`` is vertex ``r * n + x`` of one block graph, in
-    compressed adjacency with its neighbours sorted, each entry held as one
-    sorted key ``source * size + neighbour`` (``size`` the block's
-    vertices) with a one-byte count index on sparse hosts, so an entry's
-    images are its key's digits.  When every step's
-    image exceeds those of the steps it is checked against
+    ``n = loops.shape[1]`` vertices with ``loops[r]`` self-loops; its
+    vertex ``x`` is vertex ``r * n + x`` of one block graph of ``size =
+    hosts * n`` vertices.  The block's pairs come as their forward entry
+    keys: ``y[k]`` parallel edges on the pair ``x < z`` of block vertices
+    (both of one host) whose key ``keys[k]`` is ``x * size + z``, strictly
+    increasing, as the sampler draws them and ``count_copies`` passes
+    ``a * n + b`` for a block of one.  The block graph is held in
+    compressed adjacency with its neighbours sorted, each entry one sorted
+    key ``source * size + neighbour`` with a one-byte count index on
+    sparse hosts, so an entry's images are its key's digits.  When every
+    step's image exceeds those of the steps it is checked against
     (``plan.forward_only``: the triangle and the complete graphs among
     others), each pair is read from its lower vertex only, the "forward"
-    orientation of Schank & Wagner (WEA 2005), so the pairs as given are
-    the whole adjacency, already sorted; other plans add each pair's
-    reverse entry and sort both.  The partial maps of
+    orientation of Schank & Wagner (WEA 2005), so the keys as given are
+    the whole adjacency, read as they are; other plans add each pair's
+    reverse entry, its key's digits swapped by one ``np.divmod``, and sort
+    both.  The partial maps of
     all hosts grow together, one plan step at a time, as arrays: a vertex
     with placed neighbours tries the neighbours of the first one's image
     and looks up the pair counts to the others.  A component root is
@@ -261,18 +263,19 @@ def _count_block(plan, loops, rows, a, b, y) -> np.ndarray:
     # per entry unless the block has over 255 distinct counts
     y_index = np.searchsorted(values, y).astype(np.min_scalar_type(len(values)))
     loop_index = np.searchsorted(values, loop_counts)
-    # entry keys head * size + neighbour: the forward entries, a to b with
-    # a < b, are already in adjacency order
-    heads, nbrs = rows * n + a, rows * n + b
-    keys, pair_index, fwd = heads * size + nbrs, y_index, None
+    # entry keys head * size + neighbour: the forward entries, x to z with
+    # x < z, are the keys as given, already in adjacency order
+    pair_index, fwd = y_index, None
     if not plan.forward_only:
         # the reverse entries join them, and the forward ones are found again
+        heads, nbrs = np.divmod(keys, size)
         keys = np.concatenate((keys, nbrs * size + heads))
+        del heads, nbrs
         order = np.argsort(keys)
         keys, pair_index = keys[order], np.concatenate((y_index, y_index))[order]
-        fwd = np.flatnonzero(order < len(a)) if any(plan.forward) else None
+        fwd = np.flatnonzero(order < len(y)) if any(plan.forward) else None
         del order
-    del heads, nbrs, y_index
+    del y_index
     # only the sorted keys and count indices live through the pass; the
     # sentinel key size**2 exceeds every lookup, so searchsorted stays in
     # range, and a miss reads the sentinel's count index 0
@@ -583,16 +586,24 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
     hist = np.zeros(worst + 1 if dense else 0)
     law: dict[int, float] = {}
     size = math.prod(radices)
+    # one probability and one count buffer serve every chunk (a chunk's
+    # leading rows are at most this many), and a shorter chunk reads their
+    # first rows: freed and allocated again per chunk, they would fault
+    # their pages in anew whenever the allocator hands them back
+    most = min(-(-_CHUNK_ROWS // span) + 1, -(-size // span))
+    prob_buffer = np.empty((most, span))
+    count_buffer = np.empty((most, span), dtype=dtype)
     for start in range(0, size, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, size)
         # leading-grid rows [first, last) cover the chunk; their product with
         # the sub-grid is trimmed to grid rows [start, stop) once flattened
         first, last = start // span, -(-stop // span)
         digits = _digits(np.arange(first, last), radices[:lead])
-        prob = np.full(last - first, float(weight))
+        head_prob = np.full(last - first, float(weight))
         for t, d in zip(tables[:lead], digits):
-            prob *= t[d]
-        prob = np.repeat(prob, span).reshape(-1, span)
+            head_prob *= t[d]
+        prob = prob_buffer[: last - first]
+        np.copyto(prob, head_prob[:, None])
         for column in columns:
             prob *= column
         # the sum over terms of the outer products of the leading rows' and
@@ -602,7 +613,7 @@ def _count_law(tables, terms, weight: float) -> dict[int, float]:
             for s, r in term:
                 if s < lead:
                     heads[:, k] *= comb[r][digits[s]]
-        counts = heads @ tails
+        counts = np.matmul(heads, tails, out=count_buffer[: last - first])
         rows = slice(start - first * span, stop - first * span)
         prob, counts = prob.ravel()[rows], counts.ravel()[rows]
         if dense:

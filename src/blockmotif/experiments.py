@@ -81,9 +81,10 @@ EXACT_ENUMERATION_LIMIT = 10**8
 # reps and n are (a block holds at least one replicate).  Each block pays a
 # fixed set-up, so larger blocks run faster, and the counter, the larger
 # of the two, holds about 75 bytes per edge on sparse triangle hosts (150
-# for ``cycle:4``) above the block's host arrays: a 264-host
-# ``mc_triangle`` block peaks at about 1.76 MB traced, 1.13 MB of it the
-# counter's, 0.63 MB the host arrays
+# for ``cycle:4``) above the block's host arrays, which are its pair keys,
+# pair counts and loop counts: a 264-host ``mc_triangle`` block peaks at
+# about 1.50 MB traced, 1.13 MB of it the counter's, 0.37 MB the host
+# arrays
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -147,11 +148,11 @@ def monte_carlo_pmf(
     (``_sampler``), as many per block as fit in ``_BLOCK_ENTRIES`` sampler
     entries (``_host_entries``: per host its n vertices, Q^2 class blocks
     and expected edges; at least one host), and each block comes back as
-    its nonzero pair counts, ``(row, a, b, count)`` arrays, which
-    ``_count_block`` counts with the loop counts in the pass that draws
-    them, all of the block's hosts at once.  The result does not depend on
-    the block size.  Returns the empirical pmf and the exact integer
-    histogram.
+    its nonzero pair counts, ``(keys, y)``: the counter's own sorted
+    forward entry keys and their counts, which ``_count_block`` reads as
+    they are, with the loop counts, in the pass that draws them, all of the
+    block's hosts at once.  The result does not depend on the block size.
+    Returns the empirical pmf and the exact integer histogram.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -163,8 +164,8 @@ def monte_carlo_pmf(
     for start in range(0, reps, block):
         stop = min(start + block, reps)
         # the block's classes are dropped before it is counted
-        pairs, loops = draw(replicate_keys(seed, np.arange(start, stop)))[1:]
-        for w in _count_block(plan, loops, *pairs).tolist():
+        (keys, y), loops = draw(replicate_keys(seed, np.arange(start, stop)))[1:]
+        for w in _count_block(plan, loops, keys, y).tolist():
             hist[w] = hist.get(w, 0) + 1
     hist = dict(sorted(hist.items()))
     pmf = {w: c / reps for w, c in hist.items()}

@@ -464,11 +464,43 @@ def _log_p0(law: EdgeCountDistribution) -> float:
     return math.log(p0) if p0 > 0.0 else -math.inf
 
 
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """For runs of ``counts`` elements laid end to end: each element's
+    index in its run."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _runs(counts: np.ndarray):
     """For runs of ``counts`` elements laid end to end: each element's run
     and its index in the run."""
-    run = np.repeat(np.arange(len(counts)), counts)
-    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
+    return np.repeat(np.arange(len(counts)), counts), _ranks(counts)
+
+
+def _padded_cuts(cuts: np.ndarray) -> np.ndarray:
+    """The sorted ``cuts`` padded with ``+inf`` to ``2**bits`` entries, for
+    the least ``bits`` that leaves at least one pad: the table
+    :func:`_bisect_right` reads."""
+    table = np.full(1 << len(cuts).bit_length(), np.inf)
+    table[: len(cuts)] = cuts
+    return table
+
+
+def _bisect_right(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Elementwise ``np.searchsorted(table, u, side="right")``: the number
+    of entries at or below u of a :func:`_padded_cuts` table.
+
+    A branchless bisection in powers of two: each round halves the span
+    with one ``take`` of every element's probe and one ``<=`` against it,
+    so it makes the comparisons ``cut <= u`` that the search makes and
+    agrees with it bit for bit, ties included.
+    """
+    half = len(table) // 2
+    pos = (table[half - 1] <= u) * half
+    half //= 2
+    while half:
+        pos += (table.take(pos + (half - 1)) <= u) * half
+        half //= 2
+    return pos
 
 
 def _uniforms(prefix: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -497,18 +529,24 @@ def _sampler(spec: SbmmSpec):
 
     Row r of ``draw(keys)`` is the graph ``sample_graph(spec, keys[r])``, a
     pure function of its key.  ``draw`` returns the classes ``(R, n)``, in
-    the smallest unsigned dtype that holds them; the
-    nonzero pair counts as ``(rows, a, b, y)``, pair ``a < b`` of row
-    ``rows`` carrying ``y`` edges, sorted by ``(row, a, b)``; and the
-    self-loop counts ``(R, n)`` (zero without self-loop laws).  A host costs
-    O(n + Q^2 + E) time and memory for E edges: no array of the C(n, 2)
-    pairs is made.
+    the smallest unsigned dtype that holds them; the nonzero pair counts as
+    ``(keys, y)``; and the self-loop counts ``(R, n)`` (zero without
+    self-loop laws).  Vertex v of row r is the flat vertex ``r * n + v`` of
+    ``size = R * n``, and the pair ``x < z`` of flat vertices carrying ``y``
+    edges has the key ``x * size + z``: the keys are strictly increasing,
+    so they are sorted by ``(row, a, b)`` and are the copy counter's own
+    forward adjacency entries (``counting._count_block``).  ``R * n``
+    squared must stay below 2^63.  A host costs O(n + Q^2 + E) time and
+    memory for E edges: no array of the C(n, 2) pairs is made.
 
     The recipe, one variate per stream, ``u(*labels)`` being the uniform
     of ``substream_key(key, *labels)``:
 
     * Vertex i (0-based) takes the least class a with ``u(0, i + 1) < f_0 +
-      ... + f_a``, else the last class; one class draws nothing.
+      ... + f_a``, else the last class; one class draws nothing.  The
+      count of running sums at or below the uniform is found by a
+      branchless bisection (``_bisect_right``), the comparisons of
+      ``np.searchsorted``.
     * Blocks: the class pairs ``c <= d`` in row-major order, then, with
       self-loop laws, one loop block per class.  Block b's streams are
       ``(n + 1 + b, label)``, never a class, pair or loop stream.  A
@@ -539,10 +577,13 @@ def _sampler(spec: SbmmSpec):
       ``_positive_icdf`` of ``u(n + 1 + b, 3 j + 1)`` (Batagelj & Brandes).
 
     Gaps are drawn in rounds, gap j keyed by j alone, so the rounds' sizes
-    change no draw, and every inversion works elementwise.  A Poisson event
-    adds one edge, so its pair codes are sorted and each run's length is
-    the pair's count; a walked cell is drawn once, in one block, so its
-    count is written at its code's place among them.
+    change no draw, and every inversion works elementwise.  A Poisson
+    block's parts, and then its events, lie in one run of the block's
+    (row, block) entry, so each entry's fields reach its events by
+    ``np.repeat``; loop blocks and pair blocks split at that level.  A
+    Poisson event adds one edge, so its pair keys are sorted and each
+    run's length is the pair's count; a walked cell is drawn once, in one
+    block, so its count is written at its key's place among them.
     """
     n, Q = spec.n, spec.Q
     weighted = spec.degree_weights is not None
@@ -565,24 +606,26 @@ def _sampler(spec: SbmmSpec):
     walk_law = np.array([walk_laws.index(laws[b]) for b in walked], dtype=np.int64)
     # each kind's blocks: classes, kinds and label words
     p_c, p_d, p_kind, p_words = block_c[poisson], block_d[poisson], kind[poisson], block_words[poisson]
+    p_loop = p_kind == 2
     w_c, w_d, w_kind, w_words = block_c[walked], block_d[walked], kind[walked], block_words[walked]
     vertex_words = label_words(np.arange(1, n + 1))
     # vertex i's class is the number of running class weights f_0 + ... + f_a,
     # a < Q - 1, at or below its uniform; classes fit a byte up to Q = 256,
     # where a stable argsort is a radix sort
-    class_cuts = np.cumsum(np.asarray(spec.f, dtype=np.float64))[:-1]
+    class_cuts = _padded_cuts(np.cumsum(np.asarray(spec.f, dtype=np.float64))[:-1])
     class_dtype = np.min_scalar_type(Q - 1)
     theta = np.asarray(spec.degree_weights, dtype=np.float64) if weighted else None
 
     def draw(keys: np.ndarray):
         R = len(keys)
-        if R * n * n >= 2**63:
+        vertices = R * n
+        if vertices * vertices >= 2**63:
             raise ValueError(f"{R} hosts of {n} vertices are too many for one draw")
         chain = key_chains(keys)
         classes = np.zeros((R, n), dtype=class_dtype)
         if Q > 1:
             u = uniforms_from_keys(_mix64_np(fold_labels(chain, 0)[:, None] ^ vertex_words))
-            classes = np.searchsorted(class_cuts, u, side="right").astype(class_dtype)
+            classes = _bisect_right(class_cuts, u).astype(class_dtype)
             del u
         # flat position r * n + k holds row r's k-th vertex in (class, vertex)
         # order, as the flat vertex r * n + v; class c of row r takes the
@@ -601,15 +644,17 @@ def _sampler(spec: SbmmSpec):
             S = size.astype(np.float64)
         member += row
         member = member.reshape(-1)
-        # pair codes (row * n + a) * n + b: the Poisson events' (one edge
-        # each, a pair's events adding up) and the walked cells' (one per
-        # pair, with its count); (flat vertex, count) per loop event
+        # pair keys x * vertices + z of the flat vertices x < z: the Poisson
+        # events' (one edge each, a pair's events adding up) and the walked
+        # cells' (one per pair, with its count); (flat vertex, count) per
+        # loop event
         empty = np.zeros(0, dtype=np.int64)
-        unit_codes, cell_pieces, loop_pieces = [empty], [(empty, empty)], [(empty, empty)]
+        unit_keys, cell_pieces, loop_pieces = [empty], [(empty, empty)], [(empty, empty)]
 
-        def pick(u, s, r, c, weigh):
-            # the position of event s's endpoint in class c[s] of row r[s]
-            g, width = start[r, c][s], size[r, c][s]
+        def pick(u, runs, r, c, weigh):
+            # the position of each event's endpoint: the events lie in runs,
+            # ``runs[i]`` of them with their endpoint in class c[i] of row r[i]
+            g, width = np.repeat(start[r, c], runs), np.repeat(size[r, c], runs)
             if not weigh:
                 # unit weights: the search below lands on floor(u * size)
                 at = (u * width).astype(np.int64)
@@ -618,7 +663,7 @@ def _sampler(spec: SbmmSpec):
                 at += g
                 return at
             # the least position whose running weight past lo exceeds u * S
-            target, base = u * S[r, c][s], lo[r, c][s]
+            target, base = u * np.repeat(S[r, c], runs), np.repeat(lo[r, c], runs)
             left, right = g, g + width - 1
             while (open_ := np.flatnonzero(left < right)).size:
                 mid = (left[open_] + right[open_]) // 2
@@ -627,38 +672,45 @@ def _sampler(spec: SbmmSpec):
                 right[open_] = np.where(up, right[open_], mid)
             return left
 
-        def code(a, b):
-            # the pair code of the flat positions a and b
+        def pair_key(a, b):
+            # the pair key of the flat positions a and b
             a, b = member[a], member[b]
-            return np.minimum(a, b) * n + np.maximum(a, b) % n
+            return np.minimum(a, b) * vertices + np.maximum(a, b)
 
         def poisson_events():
-            c, d, pk = p_c, p_d, p_kind
+            c, d = p_c, p_d
             with np.errstate(over="ignore", invalid="ignore"):
-                mean = rate * np.where(pk == 2, size[:, c], S[:, c])
-                mean *= np.where(pk == 2, 1.0, S[:, d])
-                mean = np.where(pk == 1, mean / 2.0, mean)
+                mean = rate * np.where(p_loop, size[:, c], S[:, c])
+                mean *= np.where(p_loop, 1.0, S[:, d])
+                mean = np.where(p_kind == 1, mean / 2.0, mean)
             # past 2^53 (or not finite) no host of that many edges is drawn
             if not (mean < 2.0**53).all():
                 raise ValueError("Poisson block mean too large to draw")
             r, k = np.divmod(np.flatnonzero(mean), len(poisson))
             mean, prefix = mean[r, k], _mix64_np(chain[r] ^ p_words[k])
+            # each block's parts, then each block's events, lie in one run
             parts = np.ceil(mean / _MAX_POISSON_RATE).astype(np.int64)
-            s, i = _runs(parts)
-            drawn = _poisson_icdf(_uniforms(prefix[s], 3 * i + 2), (mean / parts)[s])
-            s, j = _runs(np.bincount(s, weights=drawn, minlength=len(parts)).astype(np.int64))
+            drawn = _poisson_icdf(
+                _uniforms(np.repeat(prefix, parts), 3 * _ranks(parts) + 2),
+                np.repeat(mean / parts, parts),
+            )
+            total = np.add.reduceat(drawn, np.cumsum(parts) - parts)
             del drawn
-            u = _uniforms(prefix[s], 3 * j)
-            loop = (pk[k] == 2)[s]
-            at = np.flatnonzero(loop)
-            loop_pieces.append((member[pick(u[at], s[at], r, c[k], False)], np.ones(len(at))))
-            s, j, u = s[~loop], j[~loop], u[~loop]
-            a = pick(u, s, r, c[k], weighted)
-            del u
-            b = pick(_uniforms(prefix[s], 3 * j + 1), s, r, d[k], weighted)
-            del s, j
+            loop = p_loop[k]
+            if loop.any():
+                at = np.flatnonzero(loop)
+                runs = total[at]
+                u = _uniforms(np.repeat(prefix[at], runs), 3 * _ranks(runs))
+                v = member[pick(u, runs, r[at], c[k[at]], False)]
+                loop_pieces.append((v, np.ones(len(v))))
+                at = np.flatnonzero(~loop)
+                total, r, k, prefix = total[at], r[at], k[at], prefix[at]
+            prefix, j = np.repeat(prefix, total), _ranks(total)
+            a = pick(_uniforms(prefix, 3 * j), total, r, c[k], weighted)
+            b = pick(_uniforms(prefix, 3 * j + 1), total, r, d[k], weighted)
+            del prefix, j
             at = np.flatnonzero(a != b)
-            unit_codes.append(code(a[at], b[at]))
+            unit_keys.append(pair_key(a[at], b[at]))
 
         def walk_events():
             c, d, wk = w_c, w_d, w_kind
@@ -701,7 +753,7 @@ def _sampler(spec: SbmmSpec):
             at = np.flatnonzero(wk == 2)
             loop_pieces.append((member[a[at]], y[at]))
             at = np.flatnonzero(wk != 2)
-            cell_pieces.append((code(a[at], b[at]), y[at]))
+            cell_pieces.append((pair_key(a[at], b[at]), y[at]))
 
         # the blocks' work arrays are freed as each kind returns
         if len(poisson):
@@ -710,23 +762,19 @@ def _sampler(spec: SbmmSpec):
             walk_events()
         v, y = (np.concatenate(x) for x in zip(*loop_pieces))
         loops = np.bincount(v, weights=y, minlength=R * n).astype(np.int64)
-        # the codes sorted, each pair's events one run: its count is the
+        # the keys sorted, each pair's events one run: its count is the
         # run's length, or the cell's count for a walked pair (a pair is in
         # one block, a walked cell drawn once)
-        cell_code, cell_y = (np.concatenate(x) for x in zip(*cell_pieces))
-        pair = np.concatenate((*unit_codes, cell_code))
+        cell_key, cell_y = (np.concatenate(x) for x in zip(*cell_pieces))
+        pair = np.concatenate((*unit_keys, cell_key))
         pair.sort()
         head = np.ones(len(pair), dtype=bool)
         np.not_equal(pair[1:], pair[:-1], out=head[1:])
         y = np.diff(np.flatnonzero(head), append=len(pair))
         pair = pair[head]
         del head
-        y[np.searchsorted(pair, cell_code)] = cell_y
-        b = pair % n
-        pair //= n
-        a = pair % n
-        pair //= n
-        return classes, (pair, a, b, y), loops.reshape(R, n)
+        y[np.searchsorted(pair, cell_key)] = cell_y
+        return classes, (pair, y), loops.reshape(R, n)
 
     return draw
 
@@ -737,7 +785,8 @@ def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
     ``seed`` is taken modulo 2**64, like every stream key.
     """
     key = np.array([seed & _MASK], dtype=np.uint64)
-    (classes,), (_, a, b, y), (loops,) = _sampler(spec)(key)
+    (classes,), (keys, y), (loops,) = _sampler(spec)(key)
+    a, b = np.divmod(keys, spec.n)
     w = np.flatnonzero(loops)
     return ObservedMultigraph._from_arrays(spec.n, a, b, y, w, loops[w], classes)
 

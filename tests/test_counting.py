@@ -485,10 +485,17 @@ def test_plans_read_the_forward_adjacency_when_their_bounds_allow(name):
 
 
 def _as_block(graphs):
-    # the hosts' own arrays stacked as one block's, pairs sorted by (row, a, b)
+    # the hosts' own arrays stacked as one block's: pair a < b of host r as
+    # the forward entry key x * size + z of its block vertices x = r * n + a
+    # and z = r * n + b, increasing
+    loops = np.stack([g.loops for g in graphs])
+    size = loops.size
     rows = np.repeat(np.arange(len(graphs)), [len(g.y) for g in graphs])
     a, b, y = (np.concatenate([getattr(g, x) for g in graphs]) for x in "aby")
-    return np.stack([g.loops for g in graphs]), rows, a, b, y
+    n = loops.shape[1]
+    keys = (rows * n + a) * size + rows * n + b
+    assert (np.diff(keys) > 0).all()
+    return loops, keys, y
 
 
 @pytest.mark.parametrize("name", SEEDING_PATHS)

@@ -337,6 +337,9 @@ MC_ORACLE_CASES = {
         one_class_spec(7, bernoulli(0.5), Categorical([0.5, 0.3, 0.2])),
         LOOP_TRIANGLE,
     ),
+    # Poisson pairs and Poisson loops: each host's loop events and pair
+    # events are drawn as separate runs of the same blocks' totals
+    "poisson_loops": (one_class_spec(7, Poisson(0.6), Poisson(0.4)), LOOP_TRIANGLE),
     # second component roots: a root that strays into another replicate's
     # vertices changes these counts
     "disjoint_edges": (
@@ -378,9 +381,9 @@ def _record_passes(monkeypatch) -> list[int]:
     passes = []
     count_block = experiments._count_block
 
-    def counted(plan, loops, *pairs):
+    def counted(plan, loops, keys, y):
         passes.append(len(loops))
-        return count_block(plan, loops, *pairs)
+        return count_block(plan, loops, keys, y)
 
     monkeypatch.setattr(experiments, "_count_block", counted)
     return passes
@@ -413,8 +416,8 @@ def test_block_counts_stay_exact_past_int64():
     # brute-force count, and the counts are Python integers past int64
     spec, pattern = MC_ORACLE_CASES["past_int64"]
     reps, seed = 12, 3
-    _, (rows, a, b, y), loops = _sampler(spec)(replicate_keys(seed, np.arange(reps)))
-    totals = counting._count_block(counting._search_plan(pattern), loops, rows, a, b, y)
+    _, (keys, y), loops = _sampler(spec)(replicate_keys(seed, np.arange(reps)))
+    totals = counting._count_block(counting._search_plan(pattern), loops, keys, y)
     got = totals.tolist()
     want = [
         count_copies_bruteforce(sample_graph(spec, substream_key(seed, r)), pattern)
@@ -426,19 +429,25 @@ def test_block_counts_stay_exact_past_int64():
 
 
 @pytest.mark.parametrize(
-    "case", ["categorical", "degree_weighted", "geometric", "self_loops", "mixed"]
+    "case",
+    ["categorical", "degree_weighted", "geometric", "self_loops", "poisson_loops", "mixed"],
 )
 def test_block_sampler_returns_sorted_nonzero_triples(case):
-    # the counter reads a block's pair counts as (row, a, b, y): sorted
-    # by (row, a, b), one per nonzero pair a < b, rebuilding each
-    # replicate's graph
+    # the counter reads a block's pair counts as (keys, y): the forward
+    # entry key x * size + z of the block vertices x = row * n + a and
+    # z = row * n + b (size = reps * n), strictly increasing, one per
+    # nonzero pair a < b, rebuilding each replicate's graph
     spec, _ = MC_ORACLE_CASES[case]
     reps, seed, n = 12, 4, spec.n
-    keys = replicate_keys(seed, np.arange(reps))
-    classes, (rows, a, b, y), loops = _sampler(spec)(keys)
+    size = reps * n
+    classes, (keys, y), loops = _sampler(spec)(replicate_keys(seed, np.arange(reps)))
+    assert keys.dtype == np.int64
     assert (y > 0).all()
+    assert (np.diff(keys) > 0).all()
+    (rows, a), (rows_b, b) = (np.divmod(x, n) for x in np.divmod(keys, size))
+    assert (rows_b == rows).all()
+    assert ((0 <= rows) & (rows < reps)).all()
     assert ((0 <= a) & (a < b) & (b < n)).all()
-    assert (np.diff((rows * n + a) * n + b) > 0).all()
     for r in range(reps):
         graph = sample_graph(spec, substream_key(seed, r))
         at = rows == r
@@ -902,7 +911,7 @@ def test_one_monte_carlo_block_works_in_little_memory():
     # entries per host (60 vertices, 4 class blocks, 60 expected edges), so
     # 264 replicates.  The sampler's arrays follow the block's 15,840
     # vertices and about 15,200 edges, and the counter works on the edges:
-    # about 1.76 MB traced, 1.13 MB of it the counter's
+    # about 1.50 MB traced, 1.13 MB of it the counter's
     spec = _mc_triangle_spec()
     block = int(experiments._BLOCK_ENTRIES // experiments._host_entries(spec))
     assert block == 264
@@ -910,12 +919,12 @@ def test_one_monte_carlo_block_works_in_little_memory():
     keys = replicate_keys(1, np.arange(block))
     tracemalloc.start()
     try:
-        _, pairs, loops = draw(keys)
-        counting._count_block(plan, loops, *pairs)
+        _, (pair_keys, y), loops = draw(keys)
+        counting._count_block(plan, loops, pair_keys, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(pairs[0]) > 0
+    assert len(pair_keys) > 0
     assert peak < 3_000_000, peak
 
 
@@ -932,7 +941,7 @@ def test_monte_carlo_blocks_of_264_hosts_peak_below_1_95_mb():
     # every block of a 1,000-replicate sparse triangle call, drawn and
     # counted as monte_carlo_pmf does (its classes dropped), within the
     # 1.86-1.91 MB that blocks of half as many hosts once took.  Measured:
-    # 1.72-1.77 MB
+    # 1.48-1.51 MB on the full blocks
     spec = _mc_triangle_spec()
     draw, plan = _sampler(spec), counting._search_plan(TRIANGLE)
     block = int(experiments._BLOCK_ENTRIES // experiments._host_entries(spec))
@@ -942,12 +951,31 @@ def test_monte_carlo_blocks_of_264_hosts_peak_below_1_95_mb():
         keys = replicate_keys(1, np.arange(start, min(start + block, 1000)))
         tracemalloc.start()
         try:
-            pairs, loops = draw(keys)[1:]
-            counting._count_block(plan, loops, *pairs)
+            (pair_keys, y), loops = draw(keys)[1:]
+            counting._count_block(plan, loops, pair_keys, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1_950_000, (start, peak)
+
+
+def test_one_monte_carlo_block_peaks_below_1_65_mb():
+    # the first 264-host block of the sparse triangle experiment, drawn as
+    # the counter's own sorted entry keys and counted as they are, classes
+    # dropped.  Measured: 1.50 MB, where four (row, a, b, y) arrays that
+    # the counter encoded again took 1.74 MB
+    spec = _mc_triangle_spec()
+    draw, plan = _sampler(spec), counting._search_plan(TRIANGLE)
+    keys = replicate_keys(1, np.arange(264))
+    draw(keys)
+    tracemalloc.start()
+    try:
+        (pair_keys, y), loops = draw(keys)[1:]
+        counting._count_block(plan, loops, pair_keys, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_650_000, peak
 
 
 def test_one_large_host_costs_follow_its_edges():

@@ -577,6 +577,42 @@ def test_class_frequencies_match_f():
     assert res.pvalue > 1e-3, (counts, res)
 
 
+@pytest.mark.parametrize("Q", [1, 2, 3, 5, 8, 9, 17, 256, 257])
+def test_class_bisection_equals_searchsorted(Q):
+    # the class draw's branchless bisection over the running class weights
+    # counts the cuts at or below each uniform, as searchsorted does: on
+    # random uniforms, on every cut and its neighbouring floats, and on
+    # runs of cuts tied because a weight of 1e-18 does not move the sum
+    rng = np.random.default_rng(Q)
+    f = rng.random(Q)
+    f[1::4] = 1e-18
+    cuts = np.cumsum(f / f.sum())[:-1]
+    assert Q < 5 or (np.diff(cuts) == 0.0).any()
+    edge = np.concatenate((cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)))
+    u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], edge, rng.random(5000)))
+    table = model._padded_cuts(cuts)
+    assert len(table) & (len(table) - 1) == 0 and len(table) > len(cuts)
+    got = model._bisect_right(table, u)
+    assert np.array_equal(got, np.searchsorted(cuts, u, side="right"))
+
+
+def test_classes_past_a_byte_follow_their_uniforms():
+    # 257 classes take uint16; each vertex's class is the number of running
+    # class weights at or below its own uniform u(0, i + 1).  Half the
+    # weight on the last class puts vertices past a byte
+    Q, n, seeds = 257, 300, (3, 4)
+    f = (0.5 / 256,) * 256 + (0.5,)
+    spec = SbmmSpec(n, Q, f, ((Poisson(0.0),) * Q,) * Q)
+    cuts = np.cumsum(f)[:-1]
+    keys = np.array(seeds, dtype=np.uint64)
+    classes = model._sampler(spec)(keys)[0]
+    assert classes.dtype == np.uint16
+    for row, seed in zip(classes, seeds):
+        u = [uniform_from_key(substream_key(seed, 0, i + 1)) for i in range(n)]
+        assert np.array_equal(row, np.searchsorted(cuts, u, side="right"))
+        assert row.max() == 256 and row.min() < 255
+
+
 @pytest.mark.parametrize(
     "law",
     [Poisson(0.7), Geometric(0.45), Categorical((0.5, 0.3, 0.15, 0.05))],
