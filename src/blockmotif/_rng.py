@@ -20,8 +20,6 @@ in place, with one scratch array).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -97,17 +95,6 @@ def replicate_keys(seed: int, indices: np.ndarray) -> np.ndarray:
 def uniform_from_key(key: int) -> float:
     """The single double in [0, 1) carried by a stream key."""
     return (key >> 11) * _INV53
-
-
-def key_floor(cut: float) -> int:
-    """The least 64-bit key whose uniform exceeds ``cut``.
-
-    A key's uniform is ``m / 2**53`` with ``m = key >> 11``, and ``m / 2**53
-    > cut`` exactly when ``m > floor(cut * 2**53)``, the scaling being exact.
-    So ``key >= key_floor(cut)`` exactly when ``uniform_from_key(key) >
-    cut``; from 2**64 on, no key does.
-    """
-    return max(math.floor(cut * 2.0**53) + 1, 0) << 11
 
 
 def uniforms_from_keys(keys: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ supports) plus the reference law's truncation deficit.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from itertools import islice
 
@@ -50,7 +51,9 @@ from .approximation import (
     lambda_params,
     tv_bound,
 )
-from .counting import (  # noqa: F401 -- count_copies is re-exported for callers
+# experiments.count_copies has one reader, perfbench/test_checks.py::
+# test_tracer_counts_and_restores_bindings; ROADMAP item 1 retires this re-export
+from .counting import (  # noqa: F401
     _count_block,
     _search_plan,
     count_copies,
@@ -258,6 +261,15 @@ def _reference_pmf(terms, min_support: int) -> list[float]:
         kmax = min(kmax * 4, 100_000)
 
 
+def _config_int(config: dict, key: str) -> int:
+    """``config[key]`` as an int, 0 when absent or null.  A bool, or a
+    number with a fractional part, is refused rather than truncated."""
+    value = config.get(key)
+    if isinstance(value, bool) or (isinstance(value, numbers.Real) and value % 1 != 0):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value or 0)
+
+
 def parse_experiment_config(config: dict) -> dict:
     """Normalize an experiment config: build spec/pattern, fill defaults."""
     spec = (
@@ -280,8 +292,8 @@ def parse_experiment_config(config: dict) -> dict:
         "pattern": pattern,
         "variant": config["variant"],
         "mode": mode,
-        "reps": int(config.get("reps", 0) or 0),
-        "seed": int(config.get("seed", 0) or 0),
+        "reps": _config_int(config, "reps"),
+        "seed": _config_int(config, "seed"),
         "eps": float(config.get("eps", 1e-10)),
         "c_override": config.get("c_override"),
         "regime_c": config.get("regime_c"),

@@ -397,60 +397,19 @@ def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _geometric_icdf(u: np.ndarray, law: Geometric) -> np.ndarray:
-    if law.ratio == 0.0:
-        return np.zeros(u.shape, dtype=np.int64)
-    # CDF(k) = 1 - ratio^(k+1); invert and round up to the crossover integer
-    raw = np.ceil(np.log1p(-u) / math.log(law.ratio)) - 1.0
-    return np.maximum(raw, 0.0).astype(np.int64)
-
-
-def _sample_counts(u: np.ndarray, law: EdgeCountDistribution) -> np.ndarray:
-    """Elementwise inverse CDF of ``law``: the count of one cell drawn by
-    inverting its own uniform.  The block sampler draws each cell's count
-    from the same law without a uniform per cell.  A Poisson law is
-    inverted at its own rate by :func:`_poisson_icdf`, so this is valid
-    only for rates up to ``_MAX_POISSON_RATE``; it is no independent
-    reference for that inversion, which the tests check against a scalar
-    per-element loop."""
-    if isinstance(law, Poisson):
-        return _poisson_icdf(u, np.full(u.shape, law.rate))
-    if isinstance(law, Categorical):
-        cum = np.cumsum(np.asarray(law.probabilities, dtype=np.float64))
-        return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    if isinstance(law, Geometric):
-        return _geometric_icdf(u, law)
-    raise TypeError(f"not an edge-count law: {law!r}")
-
-
-def _zero_cut(law: EdgeCountDistribution) -> float:
-    """A uniform ``u <= cut`` inverts to 0 under ``law`` (:func:`_sample_counts`).
-
-    The cut reads the same floats as the inversion, so for Poisson and
-    categorical laws ``u > cut`` holds exactly when the count is positive;
-    every geometric uniform stays a candidate.
-    """
-    if isinstance(law, Poisson):
-        # _poisson_icdf's first test, pmf < u, at k = 0
-        return float(np.exp(-np.full(1, law.rate))[0])
-    if isinstance(law, Categorical):
-        # searchsorted(cum, u, "right") is 0 exactly when u < cum[0]
-        cum0 = np.cumsum(np.asarray(law.probabilities, dtype=np.float64))[0]
-        return float(np.nextafter(cum0, -np.inf))
-    return -1.0
-
-
 def _positive_icdf(u: np.ndarray, law: EdgeCountDistribution) -> np.ndarray:
     """Elementwise inverse CDF of a categorical or geometric ``law`` given
     a positive count.
 
     Categorical: the least k >= 1 with ``u * T < T_k``, for the running
     sums ``T_k = p_1 + ... + p_k`` and their last ``T``, else the last k.
-    Geometric: 1 plus the geometric inversion (past 0 the law is ``1 +
-    Geometric(ratio)``).
+    Geometric: past 0 the law is ``1 + Geometric(ratio)``, so 1 plus the
+    least k with ``CDF(k) = 1 - ratio^(k+1) >= u``; the ratio is positive,
+    as ``P(0) < 1`` for every walked law.
     """
     if isinstance(law, Geometric):
-        return _geometric_icdf(u, law) + 1
+        raw = np.ceil(np.log1p(-u) / math.log(law.ratio)) - 1.0
+        return np.maximum(raw, 0.0).astype(np.int64) + 1
     tail = np.cumsum(np.asarray(law.probabilities[1:], dtype=np.float64))
     return np.minimum(np.searchsorted(tail, u * tail[-1], side="right"), len(tail) - 1) + 1
 
@@ -468,12 +427,6 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     """For runs of ``counts`` elements laid end to end: each element's
     index in its run."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _runs(counts: np.ndarray):
-    """For runs of ``counts`` elements laid end to end: each element's run
-    and its index in the run."""
-    return np.repeat(np.arange(len(counts)), counts), _ranks(counts)
 
 
 def _padded_cuts(cuts: np.ndarray) -> np.ndarray:
@@ -505,7 +458,7 @@ def _bisect_right(table: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _uniforms(prefix: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The uniform of stream ``(*prefix, label)``, elementwise."""
-    return uniforms_from_keys(_mix64_np(prefix ^ label_words(labels)))
+    return uniforms_from_keys(fold_labels(prefix, labels))
 
 
 def _pair_at(t: np.ndarray, size: np.ndarray):
@@ -725,7 +678,7 @@ def _sampler(spec: SbmmSpec):
                 left = cells[open_] - pos[open_]
                 hits = hit[k[open_]] * left
                 take = np.minimum(np.ceil(hits + 2.0 * np.sqrt(hits)).astype(np.int64) + 1, left)
-                run, i = _runs(take)
+                run, i = np.repeat(np.arange(len(take)), take), _ranks(take)
                 s = open_[run]
                 j = nxt[s] + i
                 gap = np.floor(np.log1p(-_uniforms(prefix[s], 3 * j)) / log_p0[k[s]])

@@ -304,6 +304,14 @@ def test_exit_codes(capsys, tmp_path):
             args = ("--spec", json.dumps(spec_obj), "--pattern", "triangle", *extra)
             rc, out, err = run(capsys, cmd, *args)
             assert rc == 2 and out == "" and f"{msg} sum to nan, not 1" in err
+    # 2: an experiment's reps or seed that is not a whole number
+    config = {
+        "spec": good, "pattern": "triangle", "variant": "thm31_simple",
+        "mode": "monte_carlo", "reps": 3, "seed": 1,
+    }
+    for key, value in (("reps", 3.7), ("reps", True), ("seed", 2.5), ("seed", False)):
+        rc, out, err = run(capsys, "experiment", "--config", json.dumps({**config, key: value}))
+        assert rc == 2 and out == "" and f"{key} must be an integer" in err
     # 1: missing file
     rc, _, err = run(
         capsys, "count", "--graph", str(tmp_path / "nope.txt"), "--pattern", "triangle"

@@ -566,14 +566,22 @@ def test_parse_config_defaults_and_routes():
 
 def test_parse_config_rejects_bad_modes_and_missing_reps():
     spec = one_class_spec(4, bernoulli(0.35))
+    base = {"spec": spec, "pattern": "triangle", "variant": "x", "mode": "monte_carlo"}
     with pytest.raises(ValueError, match="unknown mode"):
-        parse_experiment_config(
-            {"spec": spec, "pattern": "triangle", "variant": "x", "mode": "approx"}
-        )
+        parse_experiment_config({**base, "mode": "approx"})
     with pytest.raises(ValueError, match="reps"):
-        parse_experiment_config(
-            {"spec": spec, "pattern": "triangle", "variant": "x", "mode": "monte_carlo"}
-        )
+        parse_experiment_config(base)
+    # reps and seed are whole numbers: a bool or a fraction is refused, not
+    # truncated; an integral float reads as its integer
+    for key, value in (
+        ("reps", 3.7), ("reps", True), ("reps", Fraction(7, 2)), ("reps", math.inf),
+        ("seed", 0.5), ("seed", False), ("seed", math.nan),
+    ):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            parse_experiment_config({**base, "reps": 3, key: value})
+    cfg = parse_experiment_config({**base, "reps": 4.0, "seed": -7})
+    assert (cfg["reps"], cfg["seed"]) == (4, -7)
+    assert type(cfg["reps"]) is int
 
 
 # -- the experiment runner -----------------------------------------------------

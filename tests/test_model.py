@@ -34,8 +34,8 @@ from blockmotif import (
     spec_to_json,
 )
 from blockmotif import model
-from blockmotif._rng import key_floor, substream_key, uniform_from_key
-from blockmotif.model import _poisson_icdf, _sample_counts, _zero_cut
+from blockmotif._rng import substream_key, uniform_from_key
+from blockmotif.model import _poisson_icdf
 
 PLAIN_LAWS = ((Poisson(0.8), Poisson(0.3)), (Poisson(0.3), Poisson(1.2)))
 
@@ -118,7 +118,7 @@ TWO_CLASS_ORACLE_SPEC = SbmmSpec(
      (Poisson(0.9), Categorical((0.2, 0.5, 0.3)))),
     self_loop_laws=(Categorical((0.7, 0.3)), Categorical((0.9, 0.1))),
 )
-# one class draws no class uniform; a loop law with P(0) = 0 has a cut below 0
+# one class draws no class uniform; a loop law with P(0) = 0 puts a loop on every vertex
 ONE_CLASS_ORACLE_SPEC = SbmmSpec(
     7, 1, (1.0,), ((Poisson(0.3),),),
     self_loop_laws=(Categorical((0.0, 0.4, 0.6)),),
@@ -295,51 +295,6 @@ def test_sample_matches_per_key_scalar_oracle(spec, seed):
     assert got.self_loop_counts == loops
 
 
-CUT_LAWS = [
-    Poisson(0.0), Poisson(1 / 60), Poisson(2.0), Poisson(600.0),
-    Categorical((0.0, 0.3, 0.7)), Categorical((1.0,)),
-    Categorical((F(1, 3), F(1, 6), F(1, 2))),
-    Geometric(0.0), Geometric(0.45),
-]
-
-
-@pytest.mark.parametrize("law", CUT_LAWS, ids=repr)
-def test_zero_cut_bounds_the_positive_counts(law):
-    # inverting a uniform at or below its law's cut gives 0; for Poisson
-    # and categorical laws every uniform above the cut gives a positive count
-    cut = _zero_cut(law)
-    edge = [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
-    u = np.concatenate((edge, np.random.default_rng(7).random(10**4)))
-    u = u[(u >= 0.0) & (u < 1.0)]  # the range of a keyed uniform
-    positive = _sample_counts(u, law) > 0
-    assert not (positive & (u <= cut)).any()
-    if not isinstance(law, Geometric):
-        assert (positive == (u > cut)).all()
-
-
-@pytest.mark.parametrize("law", CUT_LAWS, ids=repr)
-def test_raw_key_floor_selects_the_uniforms_above_the_cut(law):
-    # key >= key_floor(cut) on the raw 64-bit keys, before any uniform is
-    # formed, holds for exactly the keys whose uniform exceeds the cut,
-    # also where the floor passes every key
-    cut = _zero_cut(law)
-    floor = key_floor(cut)
-    assert (floor >= 2**64) == (law in (Poisson(0.0), Categorical((1.0,))))
-    # the last key of the boundary's 53-bit integer, the floor, and around
-    m = max(math.floor(cut * 2.0**53), 0) << 11
-    near = [m + d for d in (-1, 0, 2047, 2048)] + [floor + d for d in (-1, 0, 1)]
-    near += [0, 1, 2**64 - 2048, 2**64 - 1]
-    drawn = np.random.default_rng(3).integers(0, 2**64, 2000, dtype=np.uint64)
-    keys = [k for k in near if 0 <= k < 2**64] + drawn.tolist()
-    want = [uniform_from_key(k) > cut for k in keys]
-    assert [k >= floor for k in keys] == want
-    if floor < 2**64:
-        picked = np.array(keys, dtype=np.uint64) >= np.uint64(floor)
-        assert picked.tolist() == want
-    else:
-        assert not any(want)
-
-
 def test_laws_that_never_draw_an_edge_give_empty_hosts():
     # Poisson(0) and Categorical((1.0,)) blocks draw no event, so nothing
     # is drawn
@@ -370,7 +325,8 @@ def test_one_poisson_inversion_over_mixed_rates_equals_the_per_law_calls():
     rates = [0.0, 1 / 60, 0.05, 2.0, 35.0, 600.0]
     rng = np.random.default_rng(11)
     offsets = (-1e-15, -1e-16, 0.0, 1e-16, 1e-15)
-    near = [_zero_cut(Poisson(r)) + d for r in rates for d in offsets]
+    # exp(-rate) from numpy's exp, as the inversion takes it
+    near = [np.exp(-np.full(1, r))[0] + d for r in rates for d in offsets]
     near += [1.0 - d for d in (1e-15, 5e-16, 2e-16, 1e-16)]
     u = np.concatenate((rng.random(2000), near))
     u = u[(u >= 0.0) & (u < 1.0)]  # the range of a keyed uniform
@@ -380,7 +336,7 @@ def test_one_poisson_inversion_over_mixed_rates_equals_the_per_law_calls():
     got = _poisson_icdf(u_cells, rate_cells)
     for r in rates:
         at = rate_cells == r
-        assert (got[at] == _sample_counts(u_cells[at], Poisson(r))).all(), r
+        assert (got[at] == _poisson_icdf(u_cells[at], np.full(at.sum(), r))).all(), r
     assert got.max() > 600 and (got == 0).any()
 
 
