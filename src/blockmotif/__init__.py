@@ -20,7 +20,6 @@ from .approximation import (
     lambda_params,
     occurrence_mean,
     poisson_c_factor,
-    poisson_tail_q2,
     tv_bound,
 )
 from .counting import clump_size, count_copies, count_copies_bruteforce
@@ -115,7 +114,6 @@ __all__ = [
     "pmf_tail",
     "pmf_to_csv",
     "poisson_c_factor",
-    "poisson_tail_q2",
     "rho",
     "run_experiment",
     "sample_graph",

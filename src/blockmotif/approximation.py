@@ -84,7 +84,6 @@ __all__ = [
     "cp_pmf",
     "c_lambda_upper",
     "poisson_c_factor",
-    "poisson_tail_q2",
     "tv_bound",
 ]
 
@@ -102,6 +101,9 @@ BOUND_VARIANTS = (
 POISSON_REFERENCE_VARIANTS = ("thm52_poisson_approx", "cor55_poisson_sbm")
 
 CLUMP_ENUMERATION_LIMIT = 5_000_000
+
+# default truncation tolerance of the clump-rate enumeration
+DEFAULT_EPS = 1e-10
 
 
 class PreconditionError(ValueError):
@@ -388,7 +390,7 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
 def lambda_params(
     spec: SbmmSpec,
     pattern: PatternGraph,
-    eps: float = 1e-10,
+    eps: float = DEFAULT_EPS,
     exact: bool = False,
 ) -> CompoundPoissonParams:
     """Exact clump rates lambda_i = C(n, v) * P(Z = i).
@@ -559,17 +561,6 @@ def poisson_c_factor(nu: float) -> float:
     return -math.expm1(-nu) / nu
 
 
-def poisson_tail_q2(omega: float) -> float:
-    """P(Y >= 2) = 1 - (1 + omega) exp(-omega) for Y ~ Poisson(omega).
-
-    Always at most omega^2 / 2.
-    """
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
-    # exp(-w) * (exp(w) - 1 - w), stable for small w
-    return math.exp(-omega) * (math.expm1(omega) - omega)
-
-
 # -- total-variation bounds ---------------------------------------------------
 
 
@@ -668,7 +659,7 @@ def tv_bound(
     pattern: PatternGraph,
     variant: str,
     c_override: float | None = None,
-    eps: float = 1e-10,
+    eps: float = DEFAULT_EPS,
     regime_c: float | None = None,
     regime_C: float | None = None,
 ) -> BoundReport:

@@ -24,6 +24,7 @@ import sys
 from itertools import combinations
 
 from .approximation import (
+    DEFAULT_EPS,
     InfeasibleError,
     PreconditionError,
     _cp_terms,
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--variant", required=True)
     p.add_argument("--c-override", type=float, default=None)
-    p.add_argument("--eps", type=float, default=1e-10)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--regime-c", type=float, default=None)
     p.add_argument("--regime-C", type=float, default=None)
     p.set_defaults(func=_cmd_bound)
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="clump rates and compound Poisson pmf")
     p.add_argument("--spec", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--eps", type=float, default=1e-10)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.set_defaults(func=_cmd_lambda)
 
     p = sub.add_parser("sample", help="draw one graph as edge-list text")

@@ -102,8 +102,9 @@ def _stirling2(r: int, k: int) -> int:
     return k * _stirling2(r - 1, k) + _stirling2(r - 1, k - 1)
 
 
-def _poisson_tail(rate: float, k: int) -> float:
-    """P(Y >= k) for Poisson(rate), by forward summation from k.
+def _poisson_tail(rate: float, k: int, term: float) -> float:
+    """P(Y >= k) for Poisson(rate), rate > 0, by forward summation from the
+    pmf term ``P(Y = k)`` that :func:`pmf_tail` computes.
 
     The terms beyond the stopping index are bounded by a geometric series,
     so the neglected remainder is below relative machine precision.  At or
@@ -111,12 +112,8 @@ def _poisson_tail(rate: float, k: int) -> float:
     that term is under the least normal float, ``P(Y < k) < k * 2.3e-308``
     and the tail is 1.
     """
-    if k <= 0:
+    if k == 0:
         return 1.0
-    if rate == 0.0:
-        return 0.0
-    log_term = -rate + k * math.log(rate) - math.lgamma(k + 1)
-    term = math.exp(log_term)
     if k <= rate and term < sys.float_info.min:
         return 1.0
     if term == 0.0:
@@ -148,8 +145,8 @@ def pmf_tail(dist: EdgeCountDistribution, k: int) -> tuple[float, float]:
     if isinstance(dist, Poisson):
         if dist.rate == 0.0:
             return (1.0, 1.0) if k == 0 else (0.0, 0.0)
-        log_pmf = -dist.rate + k * math.log(dist.rate) - math.lgamma(k + 1)
-        return math.exp(log_pmf), _poisson_tail(dist.rate, k)
+        pmf = math.exp(-dist.rate + k * math.log(dist.rate) - math.lgamma(k + 1))
+        return pmf, _poisson_tail(dist.rate, k, pmf)
     if isinstance(dist, Geometric):
         p = dist.ratio
         return (1.0 - p) * p**k, p**k
@@ -193,33 +190,18 @@ def binomial_moment(dist: EdgeCountDistribution, r: int) -> float:
 
 
 def truncation_bound(dist: EdgeCountDistribution, eps: float) -> int:
-    """Smallest m with P(Y > m) <= eps, for finite enumeration of supports."""
+    """Smallest m with P(Y > m) <= eps, the tail read from :func:`pmf_tail`."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    if isinstance(dist, Categorical):
-        m = len(dist.probabilities) - 1
-        while m > 0 and math.fsum(dist.probabilities[m:]) <= eps:
-            m -= 1
-        return m
-    if isinstance(dist, Poisson):
-        if dist.rate == 0.0:
-            return 0
-        m = 0
-        while _poisson_tail(dist.rate, m + 1) > eps:
-            m += 1
-        return m
-    if isinstance(dist, Geometric):
-        if dist.ratio == 0.0:
-            return 0
-        # tail(m+1) = ratio^(m+1); start from the closed-form solution and
-        # nudge to the exact floating-point crossover
-        m = max(0, math.ceil(math.log(eps) / math.log(dist.ratio)) - 1)
-        while m > 0 and dist.ratio ** m <= eps:
-            m -= 1
-        while dist.ratio ** (m + 1) > eps:
-            m += 1
-        return m
-    raise TypeError(f"not an edge-count law: {dist!r}")
+    m = 0
+    if isinstance(dist, Geometric) and dist.ratio > 0.0:
+        # ratio^(m+1) <= eps from m = log(eps)/log(ratio) - 1 on; start one
+        # step below for the rounding of the logarithms, as ratios near 1
+        # would otherwise walk millions of steps
+        m = max(0, math.ceil(math.log(eps) / math.log(dist.ratio)) - 2)
+    while pmf_tail(dist, m + 1)[1] > eps:
+        m += 1
+    return m
 
 
 def law_from_json(obj: dict) -> EdgeCountDistribution:

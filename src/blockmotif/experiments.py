@@ -38,6 +38,7 @@ import numpy as np
 
 from ._rng import replicate_keys
 from .approximation import (
+    DEFAULT_EPS,
     POISSON_REFERENCE_VARIANTS,
     BoundReport,
     CompoundPoissonParams,
@@ -270,6 +271,17 @@ def _config_int(config: dict, key: str) -> int:
     return int(value or 0)
 
 
+def _config_real(config: dict, key: str, default: float | None = None) -> float | None:
+    """``config[key]`` as a float, ``default`` when absent or null.  A bool,
+    or a value that is not a number, is refused rather than coerced."""
+    value = config.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_experiment_config(config: dict) -> dict:
     """Normalize an experiment config: build spec/pattern, fill defaults."""
     spec = (
@@ -294,10 +306,10 @@ def parse_experiment_config(config: dict) -> dict:
         "mode": mode,
         "reps": _config_int(config, "reps"),
         "seed": _config_int(config, "seed"),
-        "eps": float(config.get("eps", 1e-10)),
-        "c_override": config.get("c_override"),
-        "regime_c": config.get("regime_c"),
-        "regime_C": config.get("regime_C"),
+        "eps": _config_real(config, "eps", DEFAULT_EPS),
+        "c_override": _config_real(config, "c_override"),
+        "regime_c": _config_real(config, "regime_c"),
+        "regime_C": _config_real(config, "regime_C"),
     }
     if mode == "monte_carlo" and out["reps"] < 1:
         raise ValueError("monte_carlo mode needs reps >= 1")

@@ -9,6 +9,7 @@ same input therefore always produces byte-identical output.
 from __future__ import annotations
 
 import math
+from json.encoder import encode_basestring
 
 __all__ = ["dumps_stable", "format_float", "pmf_to_csv", "rows_to_csv"]
 
@@ -36,11 +37,7 @@ def _encode(obj, pieces: list) -> None:
     elif isinstance(obj, float):
         pieces.append(_float_json(obj))
     elif isinstance(obj, str):
-        pieces.append(
-            '"'
-            + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-            + '"'
-        )
+        pieces.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         pieces.append("{")
         for k, key in enumerate(obj):

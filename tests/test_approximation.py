@@ -33,7 +33,6 @@ from blockmotif import (
     pattern_from_name,
     pmf_tail,
     poisson_c_factor,
-    poisson_tail_q2,
     rho,
     truncation_bound,
     tv_bound,
@@ -828,17 +827,18 @@ def test_poisson_factor_and_tail():
     # decreasing in nu
     values = [poisson_c_factor(x) for x in (0.1, 0.5, 1.0, 3.0, 10.0)]
     assert values == sorted(values, reverse=True)
-    assert poisson_tail_q2(0.0) == 0.0
-    assert poisson_tail_q2(0.5) == pytest.approx(1 - 1.5 * math.exp(-0.5), rel=1e-12)
-    for w in (0.01, 0.2, 1.0, 4.0):
-        assert poisson_tail_q2(w) == pytest.approx(
-            float(1 - stats.poisson.cdf(1, w)), rel=1e-10
-        )
-        assert poisson_tail_q2(w) <= w * w / 2
     with pytest.raises(ValueError):
         poisson_c_factor(-1.0)
-    with pytest.raises(ValueError):
-        poisson_tail_q2(-0.1)
+    # P(Y >= 2) for Y ~ Poisson(w) is at most w^2 / 2, the fact cor55's
+    # q2_bound rests on
+    def q2(w):
+        return pmf_tail(Poisson(w), 2)[1]
+
+    assert q2(0.0) == 0.0
+    assert q2(0.5) == pytest.approx(1 - 1.5 * math.exp(-0.5), rel=1e-12)
+    for w in (0.01, 0.2, 1.0, 4.0):
+        assert q2(w) == pytest.approx(float(1 - stats.poisson.cdf(1, w)), rel=1e-10)
+        assert q2(w) <= w * w / 2
 
 
 # -- bound variants ------------------------------------------------------------

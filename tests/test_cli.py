@@ -312,6 +312,11 @@ def test_exit_codes(capsys, tmp_path):
     for key, value in (("reps", 3.7), ("reps", True), ("seed", 2.5), ("seed", False)):
         rc, out, err = run(capsys, "experiment", "--config", json.dumps({**config, key: value}))
         assert rc == 2 and out == "" and f"{key} must be an integer" in err
+    # 2: an experiment's c override that is a bool rather than a number
+    rc, out, err = run(
+        capsys, "experiment", "--config", json.dumps({**config, "c_override": True})
+    )
+    assert rc == 2 and out == "" and "c_override must be a number" in err
     # 1: missing file
     rc, _, err = run(
         capsys, "count", "--graph", str(tmp_path / "nope.txt"), "--pattern", "triangle"

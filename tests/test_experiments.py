@@ -582,6 +582,20 @@ def test_parse_config_rejects_bad_modes_and_missing_reps():
     cfg = parse_experiment_config({**base, "reps": 4.0, "seed": -7})
     assert (cfg["reps"], cfg["seed"]) == (4, -7)
     assert type(cfg["reps"]) is int
+    # eps, c_override and the regime envelope are numbers: a bool or a string
+    # is refused rather than read as 1.0 or left to fail in a comparison
+    for key, value in (
+        ("eps", True), ("eps", "1e-8"), ("c_override", True), ("c_override", "2"),
+        ("regime_c", True), ("regime_c", "0.5"), ("regime_C", False), ("regime_C", [2]),
+    ):
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            parse_experiment_config({**base, "reps": 3, key: value})
+    cfg = parse_experiment_config(
+        {**base, "reps": 3, "eps": None, "c_override": 2, "regime_c": Fraction(1, 2)}
+    )
+    assert (cfg["eps"], cfg["c_override"], cfg["regime_c"], cfg["regime_C"]) == (
+        1e-10, 2.0, 0.5, None
+    )
 
 
 # -- the experiment runner -----------------------------------------------------

@@ -24,13 +24,18 @@ def test_format_float_round_trips_exactly(x):
 
 
 def test_dumps_stable_is_valid_json_with_insertion_order():
-    payload = {"b": [1, 2.5, None, True], "a": {"nested": "line\nbreak"}}
+    payload = {
+        "b": [1, 2.5, None, True],
+        "a": {"nested": "line\nbreak", "tab\t": "cr\r nul\x00"},
+    }
     text = dumps_stable(payload)
     assert text.index('"b"') < text.index('"a"')
     assert json.loads(text) == {
         "b": [1, 2.5, None, True],
-        "a": {"nested": "line\nbreak"},
+        "a": {"nested": "line\nbreak", "tab\t": "cr\r nul\x00"},
     }
+    # quotes, backslashes and newlines are escaped; other text is kept as is
+    assert dumps_stable('say "é"\\\n') == '"say \\"é\\"\\\\\\n"'
 
 
 def test_dumps_stable_encodes_nonfinite_floats_as_strings():
