@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._checks import as_real, reals
+
 __all__ = [
     "Categorical",
     "Poisson",
@@ -50,9 +52,8 @@ class Categorical:
     probabilities: tuple[float | Fraction, ...]
 
     def __init__(self, probabilities):
-        probs = tuple(
-            p if isinstance(p, float) else Fraction(p) for p in probabilities
-        )
+        probs = reals(probabilities, "probabilities")
+        probs = tuple(p if isinstance(p, float) else Fraction(p) for p in probs)
         if not probs:
             raise ValueError("categorical law needs at least one probability")
         if any(p < 0 for p in probs):
@@ -70,7 +71,7 @@ class Poisson:
     rate: float
 
     def __init__(self, rate):
-        rate = float(rate)
+        rate = float(as_real(rate, "rate"))
         if rate < 0 or not math.isfinite(rate):
             raise ValueError("rate must be finite and nonnegative")
         object.__setattr__(self, "rate", rate)
@@ -83,7 +84,7 @@ class Geometric:
     ratio: float
 
     def __init__(self, ratio):
-        ratio = float(ratio)
+        ratio = float(as_real(ratio, "ratio"))
         if not 0 <= ratio < 1:
             raise ValueError("ratio must lie in [0, 1)")
         object.__setattr__(self, "ratio", ratio)

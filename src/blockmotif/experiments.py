@@ -30,12 +30,12 @@ supports) plus the reference law's truncation deficit.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 
+from ._checks import as_int, as_real
 from ._rng import replicate_keys
 from .approximation import (
     DEFAULT_EPS,
@@ -263,23 +263,18 @@ def _reference_pmf(terms, min_support: int) -> list[float]:
 
 
 def _config_int(config: dict, key: str) -> int:
-    """``config[key]`` as an int, 0 when absent or null.  A bool, or a
-    number with a fractional part, is refused rather than truncated."""
+    """``config[key]`` as an int, 0 when absent or null.  A bool, a value
+    that is not a number, or a number with a fractional part is refused
+    rather than truncated."""
     value = config.get(key)
-    if isinstance(value, bool) or (isinstance(value, numbers.Real) and value % 1 != 0):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value or 0)
+    return 0 if value is None else as_int(value, key)
 
 
 def _config_real(config: dict, key: str, default: float | None = None) -> float | None:
     """``config[key]`` as a float, ``default`` when absent or null.  A bool,
     or a value that is not a number, is refused rather than coerced."""
     value = config.get(key)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return default if value is None else float(as_real(value, key))
 
 
 def parse_experiment_config(config: dict) -> dict:

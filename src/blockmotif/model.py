@@ -32,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._checks import as_int, int_array, reals
 from ._rng import (
     _MASK,
     _mix64_np,
@@ -81,15 +82,14 @@ class SbmmSpec:
     """
 
     def __init__(self, n, Q, f, edge_laws, degree_weights=None, self_loop_laws=None):
-        n = int(n)
-        Q = int(Q)
+        n, Q = as_int(n, "n"), as_int(Q, "Q")
         if n < 1:
             raise ValueError("n must be at least 1")
         if Q < 1:
             raise ValueError("Q must be at least 1")
         # exact entries (Fraction/int/Decimal) are preserved for the
         # exact-rational computation path; floats stay floats
-        f = tuple(x if isinstance(x, float) else Fraction(x) for x in f)
+        f = tuple(x if isinstance(x, float) else Fraction(x) for x in reals(f, "f"))
         if len(f) != Q:
             raise ValueError(f"f has {len(f)} entries, expected Q={Q}")
         if any(x <= 0 for x in f):
@@ -107,7 +107,7 @@ class SbmmSpec:
                     raise ValueError(f"edge_laws not symmetric at ({a},{b})")
         weights = None
         if degree_weights is not None:
-            weights = tuple(float(w) for w in degree_weights)
+            weights = tuple(float(w) for w in reals(degree_weights, "degree weights"))
             if len(weights) != n:
                 raise ValueError(f"degree_weights has {len(weights)} entries, expected n={n}")
             if any(w <= 0 or not math.isfinite(w) for w in weights):
@@ -148,15 +148,6 @@ class SbmmSpec:
         return [self.edge_laws[a][b] for a in range(self.Q) for b in range(a, self.Q)]
 
 
-def _int_array(values) -> np.ndarray:
-    """A list or array of integers as int64 when every one fits, else as
-    an object array of Python integers."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 class ObservedMultigraph:
     """A multigraph on vertices 0..n-1 with integer pair and loop counts.
 
@@ -173,7 +164,7 @@ class ObservedMultigraph:
 
     def __init__(self, n, edge_counts, self_loop_counts=None, classes=None):
         edges, loops = dict(edge_counts), dict(self_loop_counts or {})
-        a, b = _int_array(list(edges)).reshape(len(edges), 2).T
+        a, b = int_array(list(edges), "pair ends").reshape(len(edges), 2).T
         self._store(n, a, b, list(edges.values()), list(loops), list(loops.values()), classes)
 
     @classmethod
@@ -186,7 +177,8 @@ class ObservedMultigraph:
         """Check and keep ``y[k]`` edges on each pair ``(a[k], b[k])`` and
         ``s[k]`` loops on each vertex ``w[k]``: the one validator of every
         way a graph is made."""
-        n, y, w, s = int(n), _int_array(y), _int_array(w), _int_array(s)
+        n, y = as_int(n, "n"), int_array(y, "edge counts")
+        w, s = int_array(w, "self-loop vertices"), int_array(s, "self-loop counts")
         if n < 0:
             raise ValueError("n must be nonnegative")
         if (a == b).any():
@@ -214,7 +206,7 @@ class ObservedMultigraph:
         if twice.size:
             raise ValueError(f"self-loop count for vertex {twice[0]} appears twice")
         if classes is not None:
-            classes = tuple(_int_array(classes).tolist())
+            classes = tuple(int_array(classes, "classes").tolist())
             if len(classes) != n:
                 raise ValueError(f"classes has {len(classes)} entries, expected n={n}")
         keep = y > 0
@@ -311,6 +303,19 @@ _MAX_POISSON_RATE = 700.0
 _ICDF_ENTRIES = 1 << 20
 
 
+def _bisect_steps(last: np.ndarray, values: np.ndarray, index, test) -> np.ndarray:
+    """Elementwise count of the steps ``s = 1, ..., last`` that pass
+    ``test(values[index(s)])``, a test that fails from some step on: a
+    branchless bisection in powers of two whose rounds depend on no
+    element's data, and whose count is a scan's, ties included."""
+    below = np.zeros(len(last), dtype=np.int64)
+    for half in (1 << s for s in reversed(range(int(last.max(initial=0)).bit_length()))):
+        step = below + half
+        cell = index(np.minimum(step, last))
+        below += half * ((step <= last) & test(values[cell]))
+    return below
+
+
 def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Elementwise smallest k with Poisson(rate) CDF(k) >= u.
 
@@ -383,12 +388,8 @@ def _poisson_icdf(u: np.ndarray, rates: np.ndarray) -> np.ndarray:
             # the rate's column of the table (row 0 holds the last CDF, below
             # u): the count is the step after them
             at = np.flatnonzero(done)
-            col, x, last = law[at], u[at], positive[law[at]]
-            below = np.zeros(len(at), dtype=np.int64)
-            for half in (1 << s for s in reversed(range(width.bit_length()))):
-                step = below + half
-                cell = np.minimum(step, last) * rate.size + col
-                below += half * ((step <= last) & (table.reshape(-1)[cell] < x))
+            c, x, flat = law[at], u[at], table.reshape(-1)
+            below = _bisect_steps(positive[c], flat, lambda s: s * rate.size + c, lambda v: v < x)
             counts.reshape(-1)[active[at]] = k + 1 + below
             keep = ~done
             active, u, law = active[keep], u[keep], law[keep]
@@ -617,13 +618,8 @@ def _sampler(spec: SbmmSpec):
                 return at
             # the least position whose running weight past lo exceeds u * S
             target, base = u * np.repeat(S[r, c], runs), np.repeat(lo[r, c], runs)
-            left, right = g, g + width - 1
-            while (open_ := np.flatnonzero(left < right)).size:
-                mid = (left[open_] + right[open_]) // 2
-                up = cum[mid] - base[open_] <= target[open_]
-                left[open_] = np.where(up, mid + 1, left[open_])
-                right[open_] = np.where(up, right[open_], mid)
-            return left
+            steps = _bisect_steps(width - 1, cum, lambda s: g + s - 1, lambda v: v - base <= target)
+            return g + steps
 
         def pair_key(a, b):
             # the pair key of the flat positions a and b
@@ -820,7 +816,7 @@ def graph_from_text(text: str) -> ObservedMultigraph:
         if len(fields) not in (0, 3):
             raise ValueError(f"bad edge-list line: {raw!r}")
         words += fields
-    a, b, y = _int_array([int(x) for x in words]).reshape(-1, 3).T
+    a, b, y = int_array([int(x) for x in words], "edge-list fields").reshape(-1, 3).T
     if n is None:
         if not len(y):
             raise ValueError("empty edge-list text: no '# n' header and no edges")

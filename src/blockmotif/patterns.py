@@ -45,6 +45,8 @@ from itertools import combinations
 
 import numpy as np
 
+from ._checks import as_int
+
 __all__ = [
     "PatternGraph",
     "BalancednessProfile",
@@ -77,13 +79,13 @@ class PatternGraph:
     """
 
     def __init__(self, vertex_count, edge_mult, self_loops=None):
-        v = int(vertex_count)
+        v = as_int(vertex_count, "vertex count")
         if v < 1:
             raise ValueError("pattern needs at least one vertex")
         edges = {}
         for (a, b), m in dict(edge_mult).items():
-            a, b = int(a), int(b)
-            m = int(m)
+            a, b = as_int(a, "pair ends"), as_int(b, "pair ends")
+            m = as_int(m, "edge multiplicity")
             if m < 0:
                 raise ValueError("edge multiplicity must be nonnegative")
             if a == b:
@@ -97,7 +99,7 @@ class PatternGraph:
                 edges[key] = m
         loops = {}
         for w, c in dict(self_loops or {}).items():
-            w, c = int(w), int(c)
+            w, c = as_int(w, "self-loop vertex"), as_int(c, "self-loop count")
             if c < 0:
                 raise ValueError("self-loop count must be nonnegative")
             if not 0 <= w < v:
@@ -471,11 +473,8 @@ def pattern_from_json(obj: dict) -> PatternGraph:
     Expected shape: ``{"vertices": v, "edges": [[u, v, mult], ...],
     "self_loops": [[w, count], ...]}`` with 0-based vertex indices.
     """
-    edges = {}
-    for u, w, m in obj.get("edges", []):
-        edges[(int(u), int(w))] = int(m)
-    loops = {int(w): int(c) for w, c in obj.get("self_loops", [])}
-    return PatternGraph(int(obj["vertices"]), edges, loops)
+    edges = {(u, w): m for u, w, m in obj.get("edges", [])}
+    return PatternGraph(obj["vertices"], edges, dict(obj.get("self_loops", [])))
 
 
 def pattern_to_json(pattern: PatternGraph) -> dict:

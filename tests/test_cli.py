@@ -317,6 +317,19 @@ def test_exit_codes(capsys, tmp_path):
         capsys, "experiment", "--config", json.dumps({**config, "c_override": True})
     )
     assert rc == 2 and out == "" and "c_override must be a number" in err
+    # 2: a pattern or spec count with a fractional part, or a bool for a
+    # number, is refused rather than truncated or read as 1
+    pattern = {"vertices": 3.9, "edges": [[0, 1.5, 1], [1, 2, 1.9], [0, 2, 1]]}
+    rc, out, err = run(capsys, "analyze", json.dumps(pattern))
+    assert rc == 2 and out == "" and "vertex count must be an integer, got 3.9" in err
+    bad_spec = {
+        "n": 4.9, "Q": 1, "f": [True], "edge_laws": [[{"type": "poisson", "omega": True}]]
+    }
+    rc, out, err = run(capsys, "sample", "--seed", "1", "--spec", json.dumps(bad_spec))
+    assert rc == 2 and out == "" and "rate must be a number, got True" in err
+    bad_spec["edge_laws"] = [[{"type": "poisson", "omega": 1.0}]]
+    rc, out, err = run(capsys, "sample", "--seed", "1", "--spec", json.dumps(bad_spec))
+    assert rc == 2 and out == "" and "n must be an integer, got 4.9" in err
     # 1: missing file
     rc, _, err = run(
         capsys, "count", "--graph", str(tmp_path / "nope.txt"), "--pattern", "triangle"

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -50,6 +51,22 @@ def test_law_validation():
         Geometric(1.0)
     with pytest.raises(ValueError):
         Geometric(-0.2)
+    # parameters and entries are numbers: a bool or a string is refused
+    # rather than read as 1.0 or parsed
+    for build, message in (
+        (lambda: Poisson(True), "rate must be a number, got True"),
+        (lambda: Poisson("2"), "rate must be a number, got '2'"),
+        (lambda: law_from_json({"type": "poisson", "omega": "2"}), "rate must be a number"),
+        (lambda: Geometric(False), "ratio must be a number, got False"),
+        (lambda: Geometric("0.5"), "ratio must be a number"),
+        (lambda: Categorical((0.5, True)), "probabilities must be a number, got True"),
+        (lambda: Categorical(("0.5", 0.5)), "probabilities must be a number, got '0.5'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    # exact numbers still pass, for the exact-rational path
+    assert Poisson(F(1, 2)).rate == 0.5 and Geometric(Decimal("0.25")).ratio == 0.25
+    assert Categorical((Decimal("0.5"), 0, F(1, 2))).probabilities == (F(1, 2), 0, F(1, 2))
 
 
 def test_categorical_preserves_exact_rational_entries():

@@ -571,11 +571,11 @@ def test_parse_config_rejects_bad_modes_and_missing_reps():
         parse_experiment_config({**base, "mode": "approx"})
     with pytest.raises(ValueError, match="reps"):
         parse_experiment_config(base)
-    # reps and seed are whole numbers: a bool or a fraction is refused, not
-    # truncated; an integral float reads as its integer
+    # reps and seed are whole numbers: a bool, a string or a fraction is
+    # refused, not truncated or parsed; an integral float reads as its integer
     for key, value in (
         ("reps", 3.7), ("reps", True), ("reps", Fraction(7, 2)), ("reps", math.inf),
-        ("seed", 0.5), ("seed", False), ("seed", math.nan),
+        ("seed", 0.5), ("seed", False), ("seed", math.nan), ("reps", "3"),
     ):
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             parse_experiment_config({**base, "reps": 3, key: value})

@@ -6,6 +6,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -75,6 +76,27 @@ def test_spec_validation():
         SbmmSpec(3, 1, (1.0,), ((Poisson(1.0),),), degree_weights=(1.0, 1.0))
     with pytest.raises(ValueError):
         SbmmSpec(3, 1, (1.0,), ((Poisson(1.0),),), self_loop_laws=())
+    # n and Q are counts, f entries and weights numbers: a bool, a string or
+    # a fraction of a vertex is refused rather than truncated or coerced
+    laws = ((Poisson(1.0),),)
+    for args, weights, message in (
+        ((10.9, 1, (1.0,), laws), None, "n must be an integer, got 10.9"),
+        ((True, 1, (1.0,), laws), None, "n must be an integer, got True"),
+        ((3, 1.5, (1.0,), laws), None, "Q must be an integer, got 1.5"),
+        ((3, 1, (True,), laws), None, "f must be a number, got True"),
+        ((3, 1, ("1",), laws), None, "f must be a number, got '1'"),
+        ((3, 1, (1.0,), laws), (1.0, True, 1.0), "degree weights must be a number, got True"),
+        ((3, 1, (1.0,), laws), (1.0, "2", 1.0), "degree weights must be a number, got '2'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SbmmSpec(*args, degree_weights=weights)
+    obj = {"n": True, "Q": 1, "f": [1.0], "edge_laws": [[{"type": "poisson", "omega": 1.0}]]}
+    with pytest.raises(ValueError, match="n must be an integer, got True"):
+        spec_from_json(obj)
+    # integral floats read as integers; exact numbers stay exact
+    spec = SbmmSpec(5.0, 1.0, (Decimal(1),), laws, degree_weights=(1, F(1, 2), 2.0, 1, 1))
+    assert (spec.n, spec.Q, spec.f, spec.degree_weights) == (5, 1, (1,), (1.0, 0.5, 2.0, 1.0, 1.0))
+    assert type(spec.n) is int and type(spec.f[0]) is F
 
 
 def test_spec_preserves_exact_class_probabilities():
@@ -93,6 +115,10 @@ def test_observed_multigraph_normalizes_and_drops_zeros():
         ObservedMultigraph(3, {(0, 3): 1})
     with pytest.raises(ValueError):
         ObservedMultigraph(3, {(0, 1): -2})
+    # integral floats read as integers
+    g = ObservedMultigraph(3.0, {(0.0, 1): 2.0}, {2: 1.0}, classes=[0, 1.0, np.int8(0)])
+    assert g == ObservedMultigraph(3, {(0, 1): 2}, {2: 1}, classes=[0, 1, 0])
+    assert g.y.dtype == np.int64 and type(g.n) is int
 
 
 # -- sampling --------------------------------------------------------------------
@@ -166,6 +192,17 @@ LARGE_RATE_ORACLE_SPECS = {
         degree_weights=(30.0, 1.0) * 3 + (1.0,) * 34,
     ),
 }
+
+
+# a hub-heavy Karrer–Newman host: weights proportional to (x + 1)^(-1/2)
+# with mean 1, two classes, Poisson pairs and loops
+_HUB_THETA = (np.arange(300) + 1.0) ** -0.5
+HUB_ORACLE_SPEC = SbmmSpec(
+    300, 2, (0.5, 0.5),
+    ((Poisson(0.02), Poisson(0.01)), (Poisson(0.01), Poisson(0.03))),
+    degree_weights=(300.0 * _HUB_THETA / _HUB_THETA.sum()).tolist(),
+    self_loop_laws=(Poisson(0.2), Poisson(0.4)),
+)
 
 
 def _scalar_graph(spec, seed):
@@ -280,6 +317,7 @@ def _scalar_graph(spec, seed):
     + [pytest.param(GEOMETRIC_ORACLE_SPEC, s, id=f"geometric-{s}") for s in ORACLE_SEEDS]
     + [pytest.param(DENSE_ORACLE_SPEC, s, id=f"dense-{s}") for s in ORACLE_SEEDS]
     + [pytest.param(PARTS_ORACLE_SPEC, s, id=f"parts-{s}") for s in ORACLE_SEEDS[:2]]
+    + [pytest.param(HUB_ORACLE_SPEC, s, id=f"hub_heavy-{s}") for s in ORACLE_SEEDS[:3]]
     + [
         pytest.param(spec, s, id=f"{name}-{s}")
         for name, spec in LARGE_RATE_ORACLE_SPECS.items()
@@ -550,6 +588,52 @@ def test_class_bisection_equals_searchsorted(Q):
     assert len(table) & (len(table) - 1) == 0 and len(table) > len(cuts)
     got = model._bisect_right(table, u)
     assert np.array_equal(got, np.searchsorted(cuts, u, side="right"))
+
+
+def _while_loop_search(cum, g, width, base, target):
+    """The weighted endpoint search as a data-dependent loop of numpy rounds
+    over the elements whose range is still open: the least k in ``[g, g +
+    width - 1)`` with ``cum[k] - base > target``, else ``g + width - 1``."""
+    left, right = g.copy(), g + width - 1
+    while (open_ := np.flatnonzero(left < right)).size:
+        mid = (left[open_] + right[open_]) // 2
+        up = cum[mid] - base[open_] <= target[open_]
+        left[open_] = np.where(up, mid + 1, left[open_])
+        right[open_] = np.where(up, right[open_], mid)
+    return left
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_bisection_equals_the_while_loop_search(seed):
+    # the sampler's weighted endpoint search, model._bisect_steps called as
+    # pick calls it, against the loop it replaced: running sums with ties
+    # (weights too small to move the sum), ranges of length 0 and 1, targets
+    # equal to an entry of their range, and an empty input
+    rng = np.random.default_rng(seed)
+    weights = rng.pareto(1.0, 400) + 1e-3
+    weights[rng.random(400) < 0.2] = 1e-18
+    cum = np.cumsum(weights)
+    assert (np.diff(cum) == 0.0).any()
+
+    def shared(g, width, base, target):
+        def test(v):
+            return v - base <= target
+
+        return g + model._bisect_steps(width - 1, cum, lambda s: g + s - 1, test)
+
+    g = rng.integers(0, 400, 4000)
+    width = rng.integers(0, 401 - g)
+    width[:100], width[100:200] = 0, 1
+    base = np.where(g > 0, cum[g - 1], 0.0)
+    target = rng.random(len(g)) * np.where(width > 0, cum[g + width - 1] - base, 0.0)
+    at = np.flatnonzero(width > 1)[:1000]
+    target[at] = cum[g[at] + rng.integers(0, width[at])] - base[at]
+    got = shared(g, width, base, target)
+    assert np.array_equal(got, _while_loop_search(cum, g, width, base, target))
+    assert (got[:200] == g[:200]).all()
+    empty, none = np.zeros(0, dtype=np.int64), np.zeros(0)
+    assert shared(empty, empty, none, none).size == 0
+    assert _while_loop_search(cum, empty, empty, none, none).size == 0
 
 
 def test_classes_past_a_byte_follow_their_uniforms():
@@ -870,6 +954,39 @@ REFUSALS = {
         "# n 3\n# classes 0 1\n0 1 1\n",
     ),
     "bad line": ("bad edge-list line: '0 1'", None, "0 2 1\n0 1\n"),
+    # counts are integers: a bool, a string or a fractional part is refused
+    # rather than truncated
+    "fractional n": ("n must be an integer, got 3.5", lambda: ObservedMultigraph(3.5, {}), None),
+    "fractional count": (
+        "edge counts must be integers, got 2.9",
+        lambda: ObservedMultigraph(3, {(0, 1): 2.9}),
+        None,
+    ),
+    "bool count": (
+        "edge counts must be integers, got True",
+        lambda: ObservedMultigraph(3, {(0, 1): 1, (1, 2): True}),
+        None,
+    ),
+    "fractional pair end": (
+        "pair ends must be integers, got 1.5",
+        lambda: ObservedMultigraph(3, {(0, 1.5): 1}),
+        None,
+    ),
+    "bool loop vertex": (
+        "self-loop vertices must be integers, got True",
+        lambda: ObservedMultigraph(3, {}, {True: 1}),
+        None,
+    ),
+    "fractional loop count": (
+        "self-loop counts must be integers, got 0.5",
+        lambda: ObservedMultigraph(3, {}, {1: 0.5}),
+        None,
+    ),
+    "string class": (
+        "classes must be integers, got '1'",
+        lambda: ObservedMultigraph(2, {}, classes=(0, "1")),
+        None,
+    ),
 }
 
 

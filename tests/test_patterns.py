@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -65,6 +66,25 @@ def test_pattern_rejects_bad_inputs():
         PatternGraph(2, {(0, 1): 0})
     with pytest.raises(ValueError):
         PatternGraph(2, {(0, 2): 1})  # out of range
+    # counts are integers: a bool or a number with a fractional part is
+    # refused rather than truncated; an integral float reads as its integer
+    triangle = {(0, 1): 1, (1, 2): 1, (0, 2): 1}
+    for args, message in (
+        ((3.9, triangle), "vertex count must be an integer, got 3.9"),
+        ((True, {}, {0: 1}), "vertex count must be an integer, got True"),
+        ((3, {**triangle, (0, 1.5): 1}), "pair ends must be an integer, got 1.5"),
+        ((2, {(False, 1): 1}), "pair ends must be an integer, got False"),
+        ((3, {**triangle, (1, 2): 1.9}), "edge multiplicity must be an integer, got 1.9"),
+        ((2, {(0, 1): True}), "edge multiplicity must be an integer, got True"),
+        ((1, {}, {0.5: 1}), "self-loop vertex must be an integer, got 0.5"),
+        ((1, {}, {0: 2.5}), "self-loop count must be an integer, got 2.5"),
+        ((1, {}, {0: "2"}), "self-loop count must be an integer, got '2'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PatternGraph(*args)
+    with pytest.raises(ValueError, match="vertex count must be an integer, got 3.9"):
+        pattern_from_json({"vertices": 3.9, "edges": [[0, 1.5, 1], [1, 2, 1.9], [0, 2, 1]]})
+    assert PatternGraph(3.0, {(1.0, 0): 2.0, (2, 1): 1, (0, 2): 1}) == DOUBLED_TRIANGLE
 
 
 def test_pattern_normalizes_pair_order_and_hashes():
