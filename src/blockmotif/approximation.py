@@ -62,8 +62,6 @@ import numpy as np
 from .counting import _copy_terms, _count_law, clump_size
 from .distributions import (
     Categorical,
-    Geometric,
-    Poisson,
     binomial_moment,
     moment,
     pmf_tail,
@@ -256,6 +254,13 @@ def _grid_key(laws, loops, runs) -> tuple:
     return tuple(key)
 
 
+def _whole_support(law) -> int:
+    """A categorical law's largest value: the cap that neglects nothing."""
+    if not isinstance(law, Categorical):
+        raise PreconditionError(f"exact enumeration requires categorical laws, not {law!r}")
+    return len(law.probabilities) - 1
+
+
 def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     """Law of the copy count on ``m`` random vertices, and the neglected mass.
 
@@ -272,24 +277,20 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     The neglected mass is the union bound, over slots, on some slot
     exceeding its cap.
 
-    Refuses, before any shape is tabulated, more than ``limit`` canonical
-    assignments (counted as partitions per twin set) and a walk whose
-    smallest grid, ``s^C(m, 2)`` for the smallest truncated pair support s,
-    alone passes ``limit``; then grids of more than ``limit``
-    configurations in all (``_check_walk``), each key's grid counted when
-    the walk first finds it, so the count is what is scored.
+    Refuses, before any shape is tabulated or any pmf table built, more
+    than ``limit`` canonical assignments (counted as partitions per twin
+    set) and a walk whose smallest grid, ``s^C(m, 2)`` for the smallest
+    truncated pair support s, alone passes ``limit``; then grids of more
+    than ``limit`` configurations in all (``_check_walk``), each key's grid
+    counted when the walk first finds it, so the count is what is scored.
     """
-    # (pmf up to the cap, P(Y > cap)) per distinct law, laws named by their
-    # index here; the tail is summed forward, with no cancellation, so the
-    # neglected mass stays certified even after the C(n, v) blow-up
-    slots, ids = [], {}
+    # each distinct law's support size, cap + 1, the law named by its index
+    sizes, ids = [], {}
 
     def law_id(law):
         if law not in ids:
-            ids[law] = len(slots)
-            top = cap(law)
-            table = [pmf_tail(law, k)[0] for k in range(top + 1)]
-            slots.append((table, pmf_tail(law, top + 1)[1]))
+            ids[law] = len(sizes)
+            sizes.append(cap(law) + 1)
         return ids[law]
 
     Q = spec.Q
@@ -324,7 +325,7 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     # every grid has C(m, 2) pair slots of at least the smallest support, so
     # a walk whose one grid would pass the limit is refused before any twin
     # set's shapes are tabulated
-    least, grid = min(len(slots[law][0]) for row in laws for law in row), math.comb(m, 2)
+    least, grid = min(sizes[law] for row in laws for law in row), math.comb(m, 2)
     if least > 1 and (grid >= limit.bit_length() or least**grid > limit):
         raise InfeasibleError(
             f"{what} walks more than {limit} configurations (limit {limit})"
@@ -372,10 +373,17 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
             grid = _grid_key(laws, loops, sorted(runs))
             if grid not in weights:
                 weights[grid] = 0.0
-                yield math.prod(len(slots[law][0]) for law in grid)
+                yield math.prod(sizes[law] for law in grid)
             weights[grid] += weight
 
     _check_walk(grid_sizes(), limit, what)
+    # (pmf up to the cap, P(Y > cap)) per law of a scored grid; the tail is
+    # summed forward, with no cancellation, so the neglected mass stays
+    # certified even after the C(n, v) blow-up
+    found, slots = list(ids), {}
+    for law in {law for grid in weights for law in grid}:
+        table = [pmf_tail(found[law], k)[0] for k in range(sizes[law])]
+        slots[law] = table, pmf_tail(found[law], sizes[law])[1]
     terms = _copy_terms(pattern, m)
     pmf: dict[int, float] = {}
     neglected = 0.0
@@ -420,22 +428,20 @@ def lambda_params(
         # the model never produces self-loops, so no copies ever occur
         return CompoundPoissonParams(lam=(), imax=0, truncation_mass=0.0, total=0.0)
 
-    def cap(law):
-        # the exact path keeps the whole (finite) support so that nothing is
-        # neglected; the float path truncates where the tail drops below eps
-        if exact:
-            if not isinstance(law, Categorical):
-                raise PreconditionError(
-                    "the exact-rational path requires categorical laws only"
-                )
-            return len(law.probabilities) - 1
-        return truncation_bound(law, eps)
-
-    # largest clump any truncated configuration can reach
-    top_config = [max(map(cap, spec.distinct_laws()))] * (v * (v - 1) // 2)
+    # each distinct law's cap, searched once: the float path truncates
+    # where the tail drops below eps, the exact path neglects nothing
+    loop_laws = spec.self_loop_laws if with_loops else ()
+    caps = {
+        law: _whole_support(law) if exact else truncation_bound(law, eps)
+        for law in dict.fromkeys([*spec.distinct_laws(), *loop_laws])
+    }
+    # largest clump any truncated configuration can reach: each placement
+    # puts every pattern pair (loop) on a slot at the largest pair (loop) cap
+    top = max(caps[law] for law in spec.distinct_laws())
+    imax = rho(pattern) * math.prod(math.comb(top, k) for k in pattern.edge_mult.values())
     if with_loops:
-        top_config += [max(map(cap, spec.self_loop_laws))] * v
-    imax = clump_size(top_config, pattern)
+        top = max(caps[law] for law in loop_laws)
+        imax *= math.prod(math.comb(top, c) for c in pattern.self_loops.values())
 
     zero = Fraction(0) if exact else 0.0
     if exact:
@@ -476,7 +482,7 @@ def lambda_params(
                     size_prob[z] = size_prob.get(z, zero) + p
     else:
         law, neglected = _host_law(
-            spec, pattern, v, cap, CLUMP_ENUMERATION_LIMIT, "clump enumeration"
+            spec, pattern, v, caps.get, CLUMP_ENUMERATION_LIMIT, "clump enumeration"
         )
         size_prob = {z: p for z, p in law.items() if z > 0}
 

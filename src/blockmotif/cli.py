@@ -25,8 +25,6 @@ from itertools import combinations
 
 from .approximation import (
     DEFAULT_EPS,
-    InfeasibleError,
-    PreconditionError,
     _cp_terms,
     lambda_params,
     tv_bound,
@@ -228,9 +226,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PreconditionError, InfeasibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 1

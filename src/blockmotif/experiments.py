@@ -43,11 +43,11 @@ from .approximation import (
     BoundReport,
     CompoundPoissonParams,
     InfeasibleError,
-    PreconditionError,
     _cp_terms,
     _host_law,
     _require_fit,
     _require_plain,
+    _whole_support,
     expected_count,
     lambda_params,
     tv_bound,
@@ -59,7 +59,7 @@ from .counting import (  # noqa: F401
     _search_plan,
     count_copies,
 )
-from .distributions import Categorical, Poisson, pmf_tail
+from .distributions import Poisson, pmf_tail
 from .model import ModelExtrema, SbmmSpec, _sampler, spec_from_json, spec_to_json
 from .patterns import (
     PatternGraph,
@@ -98,27 +98,18 @@ def exact_count_pmf(spec: SbmmSpec, pattern: PatternGraph) -> dict[int, float]:
     Requires categorical (finite-support) edge laws, no degree weights, and
     a walk of at most ``EXACT_ENUMERATION_LIMIT`` configurations (counted
     over the grids it scores, one per key) and at most as many canonical
-    class assignments; self-loop slots are enumerated only when the
-    pattern actually has self-loops.  Hosts of probability 0.0 leave no atom.
+    class assignments; self-loop slots are enumerated (and their laws
+    required categorical) only when the pattern actually has self-loops.
+    A pattern with self-loops on a model without self-loop laws has W = 0,
+    whatever its edge laws.  Hosts of probability 0.0 leave no atom.
     """
     _require_plain(spec, "exact enumeration")
-    for law in spec.distinct_laws():
-        if not isinstance(law, Categorical):
-            raise PreconditionError("exact enumeration requires categorical edge laws")
     _require_fit(spec, pattern)
-    if pattern.self_loops:
-        if spec.self_loop_laws is None:
-            return {0: 1.0}
-        for law in spec.self_loop_laws:
-            if not isinstance(law, Categorical):
-                raise PreconditionError(
-                    "exact enumeration requires categorical self-loop laws"
-                )
-
+    if pattern.self_loops and spec.self_loop_laws is None:
+        return {0: 1.0}
     # every slot keeps its whole finite support, so nothing is neglected
     pmf, _ = _host_law(
-        spec, pattern, spec.n, lambda law: len(law.probabilities) - 1,
-        EXACT_ENUMERATION_LIMIT, "exact enumeration",
+        spec, pattern, spec.n, _whole_support, EXACT_ENUMERATION_LIMIT, "exact enumeration"
     )
     total = math.fsum(pmf.values())
     assert abs(total - 1.0) <= 1e-10, f"enumerated probabilities sum to {total}"

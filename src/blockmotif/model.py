@@ -796,7 +796,8 @@ def graph_from_text(text: str) -> ObservedMultigraph:
     """Parse the edge-list text form (inverse of :func:`graph_to_text`).
 
     Without a ``# n`` header the vertex count is inferred as one past the
-    largest vertex mentioned; a ``# n`` header must carry one integer.
+    largest vertex mentioned; a ``# n`` header must carry one integer, a
+    ``# classes`` header integers, and an edge-list line three integers.
     """
     n = classes = None
     words = []
@@ -810,13 +811,19 @@ def graph_from_text(text: str) -> ObservedMultigraph:
                 except ValueError:
                     raise ValueError(f"bad '# n' header, not one integer: {raw!r}") from None
             elif fields and fields[0] == "classes":
-                classes = [int(c) for c in fields[1:]]
+                try:
+                    classes = [int(c) for c in fields[1:]]
+                except ValueError:
+                    raise ValueError(f"bad '# classes' header, not integers: {raw!r}") from None
             continue
         fields = line.split()
-        if len(fields) not in (0, 3):
-            raise ValueError(f"bad edge-list line: {raw!r}")
-        words += fields
-    a, b, y = int_array([int(x) for x in words], "edge-list fields").reshape(-1, 3).T
+        try:
+            if len(fields) not in (0, 3):
+                raise ValueError
+            words += map(int, fields)
+        except ValueError:
+            raise ValueError(f"bad edge-list line: {raw!r}") from None
+    a, b, y = int_array(words, "edge-list fields").reshape(-1, 3).T
     if n is None:
         if not len(y):
             raise ValueError("empty edge-list text: no '# n' header and no edges")

@@ -114,8 +114,6 @@ class PatternGraph:
         if covered != set(range(v)):
             missing = sorted(set(range(v)) - covered)
             raise ValueError(f"isolated vertices not allowed: {missing}")
-        if not edges and not loops:
-            raise ValueError("pattern has no edges and no self-loops")
         self.vertex_count = v
         self.edge_mult = dict(sorted(edges.items()))
         self.self_loops = dict(sorted(loops.items()))

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -18,6 +19,7 @@ from blockmotif import (
     BOUND_VARIANTS,
     Categorical,
     CompoundPoissonParams,
+    Geometric,
     InfeasibleError,
     PatternGraph,
     Poisson,
@@ -291,6 +293,33 @@ def test_exact_path_requires_categorical_laws():
         lambda_params(spec, EDGE, exact=True)
 
 
+def test_each_law_cap_is_searched_once_and_bounds_imax(monkeypatch):
+    # Poisson(0.5) is both a within-class and a loop law, so the call has
+    # three distinct laws among its five law entries
+    searched = []
+
+    def counted(law, eps):
+        searched.append(law)
+        return truncation_bound(law, eps)
+
+    monkeypatch.setattr(approximation, "truncation_bound", counted)
+    same, cross, loop = Poisson(0.5), Poisson(0.2), Geometric(0.2)
+    laws = ((same, cross), (cross, same))
+    spec = SbmmSpec(8, 2, (0.5, 0.5), laws, self_loop_laws=(loop, same))
+    for pattern in (LOOP_TRIANGLE, PatternGraph(1, {}, {0: 2}), DOUBLED_EDGE_TRIANGLE):
+        searched.clear()
+        params = lambda_params(spec, pattern, 1e-8)
+        laws = [same, cross, loop] if pattern.self_loops else [same, cross]
+        assert sorted(map(repr, searched)) == sorted(map(repr, laws))
+        # imax is the clump size of the configuration with every pair at the
+        # largest pair cap and every loop at the largest loop cap
+        v = pattern.vertex_count
+        pair_top, loop_top = truncation_bound(same, 1e-8), truncation_bound(loop, 1e-8)
+        assert pair_top > truncation_bound(cross, 1e-8) and loop_top > pair_top
+        config = [pair_top] * math.comb(v, 2) + [loop_top] * v * bool(pattern.self_loops)
+        assert params.imax == counting.clump_size(config, pattern)
+
+
 def test_poisson_law_rates_match_closed_form():
     law = Poisson(0.7)
     spec = one_class_spec(10, law)
@@ -409,6 +438,30 @@ def test_lambda_enumeration_size_guard(monkeypatch):
     with pytest.raises(InfeasibleError, match="walks more than 5000000 configurations"):
         tv_bound(many, cycle6, "thm31_simple")
     assert time.perf_counter() - start < 2.0
+
+
+def test_an_oversized_law_is_refused_before_its_table_is_built():
+    # Geometric(0.99999) truncates at 2,302,573 edges per pair at eps 1e-10,
+    # so one triangle grid alone passes the limit; building that law's pmf
+    # table first took 0.7–0.8 s and about 90 MB before the refusal
+    spec = one_class_spec(10, Geometric(0.99999))
+    message = "walks more than 5000000 configurations"
+    for call in (
+        lambda: lambda_params(spec, TRIANGLE),
+        lambda: tv_bound(spec, TRIANGLE, "thm31_simple"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleError, match=message):
+            call()
+        assert time.perf_counter() - start < 0.1
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleError, match=message):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 def test_lambda_refuses_too_many_class_multisets_up_front(monkeypatch):

@@ -330,6 +330,11 @@ def test_exit_codes(capsys, tmp_path):
     bad_spec["edge_laws"] = [[{"type": "poisson", "omega": 1.0}]]
     rc, out, err = run(capsys, "sample", "--seed", "1", "--spec", json.dumps(bad_spec))
     assert rc == 2 and out == "" and "n must be an integer, got 4.9" in err
+    # 2: a clump-rate walk past its limit (Geometric(0.99999) truncates at
+    # about 2.3 million edges per pair)
+    heavy = dict(good, edge_laws=[[{"type": "geometric", "p": 0.99999}]])
+    rc, out, err = run(capsys, "lambda", "--spec", json.dumps(heavy), "--pattern", "triangle")
+    assert rc == 2 and out == "" and "walks more than 5000000 configurations" in err
     # 1: missing file
     rc, _, err = run(
         capsys, "count", "--graph", str(tmp_path / "nope.txt"), "--pattern", "triangle"

@@ -134,6 +134,9 @@ def test_moment_rejects_bad_order():
         moment(Poisson(1.0), 0)
     with pytest.raises(ValueError):
         binomial_moment(Poisson(1.0), 0)
+    for functional in (moment, binomial_moment):
+        with pytest.raises(TypeError, match="not an edge-count law: 'x'"):
+            functional("x", 1)
 
 
 # -- pmf and tails ----------------------------------------------------------------
@@ -175,6 +178,8 @@ def test_poisson_pmf_tail_matches_scipy_where_exp_minus_rate_underflows(rate):
 def test_pmf_tail_rejects_negative_k():
     with pytest.raises(ValueError):
         pmf_tail(Poisson(1.0), -1)
+    with pytest.raises(TypeError, match="not an edge-count law: 'x'"):
+        pmf_tail("x", 1)
 
 
 # -- truncation ------------------------------------------------------------------
@@ -217,6 +222,8 @@ def test_law_json_round_trip():
         law_from_json({"type": "mystery"})
     with pytest.raises(ValueError, match="poisson law needs key 'omega'"):
         law_from_json({"type": "poisson", "rate": 0.4})
+    with pytest.raises(TypeError, match="not an edge-count law: 'x'"):
+        law_to_json("x")
 
 
 def test_law_json_emits_plain_floats():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import blockmotif
 
@@ -32,3 +33,35 @@ def test_package_exports_exactly_its_public_imports():
     assert sorted(blockmotif.__all__) == sorted(
         name for name in imported if not name.startswith("_")
     )
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; ``from __future__``, names in
+    ``__all__`` and statements marked ``# noqa: F401`` are exempt."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    roots = (Path(blockmotif.__file__).parent, Path(__file__).parent)
+    unused = [name for root in roots for path in sorted(root.glob("*.py"))
+              for name in _unused_imports(path)]
+    assert not unused

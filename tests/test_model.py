@@ -16,7 +16,6 @@ from scipy import stats
 from blockmotif import (
     Categorical,
     Geometric,
-    ModelExtrema,
     ObservedMultigraph,
     PatternGraph,
     Poisson,
@@ -51,6 +50,8 @@ def _plain_spec(n=12):
 def test_spec_validation():
     with pytest.raises(ValueError):
         SbmmSpec(0, 1, (1.0,), ((Poisson(1.0),),))
+    with pytest.raises(ValueError, match="Q must be at least 1"):
+        SbmmSpec(3, 0, (), ())
     with pytest.raises(ValueError):
         SbmmSpec(3, 2, (1.0,), ((Poisson(1.0),),))  # f length != Q
     with pytest.raises(ValueError):
@@ -68,6 +69,8 @@ def test_spec_validation():
         )  # asymmetric
     with pytest.raises(TypeError):
         SbmmSpec(3, 1, (1.0,), ((0.5,),))
+    with pytest.raises(TypeError, match=re.escape("self_loop_laws[0] is not an edge-count law")):
+        SbmmSpec(3, 1, (1.0,), ((Poisson(1.0),),), self_loop_laws=(0.5,))
     with pytest.raises(ValueError):
         SbmmSpec(3, 1, (1.0,), ((Categorical((0.5, 0.5)),),), degree_weights=(1, 1, 1))
     with pytest.raises(ValueError):
@@ -879,6 +882,10 @@ def test_model_extrema_self_loops_and_degree_weights():
     dc = SbmmSpec(6, 1, (1.0,), ((Poisson(0.3),),), degree_weights=(3.0, 1.0, 2.0, 1.0, 1.0, 0.5))
     ext = model_extrema(dc, tri)
     assert ext.inhom_max == pytest.approx(3.0 * 2.0 * 0.3, rel=1e-12)
+    # one weighted vertex has no pair to take a maximum over
+    lone = SbmmSpec(1, 1, (1.0,), ((Poisson(0.3),),), degree_weights=(2.0,))
+    with pytest.raises(ValueError, match="degree weights need at least two vertices"):
+        model_extrema(lone, PatternGraph(1, {}, {0: 1}))
 
 
 # -- serialization ------------------------------------------------------------------
@@ -954,9 +961,17 @@ REFUSALS = {
         "# n 3\n# classes 0 1\n0 1 1\n",
     ),
     "bad line": ("bad edge-list line: '0 1'", None, "0 2 1\n0 1\n"),
+    "fractional text count": ("bad edge-list line: '0 1 2.5'", None, "0 2 1\n0 1 2.5\n"),
+    "word in a text line": ("bad edge-list line: '0 1 x'", None, "0 1 x\n"),
+    "word in the classes header": (
+        "bad '# classes' header, not integers: '# classes 0 x'",
+        None,
+        "# n 2\n# classes 0 x\n0 1 1\n",
+    ),
     # counts are integers: a bool, a string or a fractional part is refused
     # rather than truncated
     "fractional n": ("n must be an integer, got 3.5", lambda: ObservedMultigraph(3.5, {}), None),
+    "negative n": ("n must be nonnegative", lambda: ObservedMultigraph(-1, {}), None),
     "fractional count": (
         "edge counts must be integers, got 2.9",
         lambda: ObservedMultigraph(3, {(0, 1): 2.9}),

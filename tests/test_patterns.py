@@ -49,6 +49,8 @@ def test_pattern_reduction_lowers_multiplicities_to_one():
     r = DOUBLED_TRIANGLE.reduction()
     assert r == TRIANGLE
     assert TRIANGLE.reduction() == TRIANGLE
+    with pytest.raises(ValueError, match="reduction undefined for a pattern with no edges"):
+        PatternGraph(1, {}, {0: 1}).reduction()
 
 
 def test_pattern_rejects_bad_inputs():
@@ -66,6 +68,15 @@ def test_pattern_rejects_bad_inputs():
         PatternGraph(2, {(0, 1): 0})
     with pytest.raises(ValueError):
         PatternGraph(2, {(0, 2): 1})  # out of range
+    for args, message in (
+        # a pattern with no edges and no loops has an isolated vertex
+        ((1, {}, {}), "isolated vertices not allowed: [0]"),
+        ((2, {(0, 1): -1}), "edge multiplicity must be nonnegative"),
+        ((2, {(0, 1): 1}, {0: -1}), "self-loop count must be nonnegative"),
+        ((2, {(0, 1): 1}, {2: 1}), "self-loop vertex 2 outside range 0..1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PatternGraph(*args)
     # counts are integers: a bool or a number with a fractional part is
     # refused rather than truncated; an integral float reads as its integer
     triangle = {(0, 1): 1, (1, 2): 1, (0, 2): 1}
@@ -109,6 +120,8 @@ def test_pattern_from_name():
     for bad in ("cycle:2", "path:1", "complete:0", "nope", "cycle:x"):
         with pytest.raises(ValueError):
             pattern_from_name(bad)
+    with pytest.raises(ValueError, match="complete_multi needs v >= 2 and t >= 1"):
+        pattern_from_name("complete_multi:3:0")
 
 
 def test_pattern_json_round_trip():
@@ -266,6 +279,9 @@ def test_profile_frozen_values():
 
     prof = balancedness_profile(pattern_from_name("complete:4"))
     assert (prof.density, prof.alpha, prof.gamma) == (F(3, 2), F(5, 2), F(1))
+
+    with pytest.raises(ValueError, match="pattern has no edges: densities are undefined"):
+        balancedness_profile(PatternGraph(1, {}, {0: 1}))
 
 
 def test_profile_complete_minus_edge_on_four_vertices():
