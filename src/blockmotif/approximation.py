@@ -59,9 +59,11 @@ from itertools import combinations, count, islice, product
 
 import numpy as np
 
+from ._checks import as_int, as_real
 from .counting import _copy_terms, _count_law, clump_size
 from .distributions import (
     Categorical,
+    _pmf,
     binomial_moment,
     moment,
     pmf_tail,
@@ -382,7 +384,7 @@ def _host_law(spec, pattern, m: int, cap, limit: int, what: str):
     # certified even after the C(n, v) blow-up
     found, slots = list(ids), {}
     for law in {law for grid in weights for law in grid}:
-        table = [pmf_tail(found[law], k)[0] for k in range(sizes[law])]
+        table = [_pmf(found[law], k) for k in range(sizes[law])]
         slots[law] = table, pmf_tail(found[law], sizes[law])[1]
     terms = _copy_terms(pattern, m)
     pmf: dict[int, float] = {}
@@ -416,8 +418,11 @@ def lambda_params(
     scores (one per key on the float path, one per class assignment on the
     exact path), of the product of per-slot truncated supports.  The float
     path also refuses more than ``CLUMP_ENUMERATION_LIMIT`` canonical
-    assignments before it walks any.
+    assignments before it walks any.  After the walk, both paths refuse an
+    ``imax`` past ``CLUMP_ENUMERATION_LIMIT`` before the dense rate vector
+    is allocated.
     """
+    as_real(eps, "eps")
     _require_plain(spec, "the clump-rate computation")
     _require_fit(spec, pattern)
     v = pattern.vertex_count
@@ -486,6 +491,10 @@ def lambda_params(
         )
         size_prob = {z: p for z, p in law.items() if z > 0}
 
+    if imax > CLUMP_ENUMERATION_LIMIT:
+        raise InfeasibleError(
+            f"clump enumeration has imax {imax} (limit {CLUMP_ENUMERATION_LIMIT})"
+        )
     n_sets = math.comb(n, v)
     lam = [zero] * imax
     for i, p in size_prob.items():
@@ -508,6 +517,7 @@ def cp_pmf(params: CompoundPoissonParams, kmax: int) -> list[float]:
     Uses the standard recursion ``P(0) = exp(-sum(lam))`` and
     ``k P(k) = sum_i i lam_i P(k - i)``, and refuses a P(0) that underflows.
     """
+    kmax = as_int(kmax, "kmax")
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     return list(islice(_cp_terms(params), kmax + 1))
@@ -688,6 +698,9 @@ def tv_bound(
     """
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")
+    for name, x in {"c_override": c_override, "regime_c": regime_c, "regime_C": regime_C}.items():
+        if x is not None:
+            as_real(x, name)
     if c_override is not None and not 0 < float(c_override) < math.inf:
         raise ValueError(f"c_override must be finite and positive, got {c_override!r}")
     if variant == "thm51_selfloop" and pattern.loop_total == 0:

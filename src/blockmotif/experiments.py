@@ -149,6 +149,7 @@ def monte_carlo_pmf(
     block's hosts at once.  The result does not depend on the block size.
     Returns the empirical pmf and the exact integer histogram.
     """
+    reps, seed = as_int(reps, "reps"), as_int(seed, "seed")
     if reps < 1:
         raise ValueError("reps must be at least 1")
     _require_fit(spec, pattern)

@@ -733,7 +733,7 @@ def sample_graph(spec: SbmmSpec, seed: int) -> ObservedMultigraph:
 
     ``seed`` is taken modulo 2**64, like every stream key.
     """
-    key = np.array([seed & _MASK], dtype=np.uint64)
+    key = np.array([as_int(seed, "seed") & _MASK], dtype=np.uint64)
     (classes,), (keys, y), (loops,) = _sampler(spec)(key)
     a, b = np.divmod(keys, spec.n)
     w = np.flatnonzero(loops)

@@ -418,7 +418,7 @@ def kappa(pattern: PatternGraph, i: int):
     exact Fraction, or ``math.inf`` when the pattern has no admissible
     proper subgraph.
     """
-    v = pattern.vertex_count
+    v, i = pattern.vertex_count, as_int(i, "i")
     if not 1 <= i <= v - 1:
         raise ValueError(f"i must be in 1..{v - 1}, got {i}")
     prof = balancedness_profile(pattern)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from blockmotif import approximation, counting
+from blockmotif import approximation, counting, distributions
 from blockmotif import (
     BOUND_VARIANTS,
     Categorical,
@@ -30,12 +30,16 @@ from blockmotif import (
     cp_pmf,
     exact_count_pmf,
     expected_count,
+    kappa,
     lambda_params,
+    moment,
+    monte_carlo_pmf,
     occurrence_mean,
     pattern_from_name,
     pmf_tail,
     poisson_c_factor,
     rho,
+    sample_graph,
     truncation_bound,
     tv_bound,
 )
@@ -462,6 +466,93 @@ def test_an_oversized_law_is_refused_before_its_table_is_built():
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+def test_a_dense_rate_vector_past_the_limit_is_refused_before_it_is_allocated():
+    # Geometric(1/3) truncates at 20 edges per pair at the default eps, so
+    # doubled-edge K3 walks 21^3 = 9,261 configurations, yet its rates run
+    # to imax = C(20, 2)^3 = 6,859,000: a dense vector of 1,213 nonzero
+    # rates that took about 110 MB before the refusal
+    spec = one_class_spec(10, Geometric(1 / 3))
+    k3_doubled = pattern_from_name("complete_multi:3:2")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleError, match="imax 6859000 .limit 5000000."):
+            lambda_params(spec, k3_doubled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_a_hub_rate_table_reads_one_tail_per_cap_step(monkeypatch):
+    # the table of Poisson(3000) holds its 3,356 pmf terms without their
+    # tails: the tails read are the cap search's and the one at the cap
+    tails = []
+
+    def counted(rate, k, term):
+        tails.append(k)
+        return poisson_tail(rate, k, term)
+
+    poisson_tail = distributions._poisson_tail
+    monkeypatch.setattr(distributions, "_poisson_tail", counted)
+    law = Poisson(3000.0)
+    cap = truncation_bound(law, approximation.DEFAULT_EPS)
+    tails.clear()
+    assert lambda_params(one_class_spec(10, law), EDGE).imax == cap == 3355
+    assert len(tails) <= 2 * (cap + 1).bit_length() + 3
+
+
+_FAIR_COIN = one_class_spec(5, bernoulli(0.5))
+_SPARSE = one_class_spec(100, Poisson(0.02))
+_ONE_RATE = CompoundPoissonParams((0.5,), 1, 0.0, 0.5)
+_BAD_NUMBERS = {
+    "pmf_tail k fraction": (lambda: pmf_tail(Poisson(1.0), 1.5), "k must be an integer"),
+    "pmf_tail k bool": (lambda: pmf_tail(Poisson(1.0), True), "k must be an integer"),
+    "moment r": (lambda: moment(Poisson(1.0), True), "r must be an integer"),
+    "binomial_moment r": (lambda: binomial_moment(Poisson(1.0), 1.5), "r must be an integer"),
+    "kappa i": (lambda: kappa(TRIANGLE, True), "i must be an integer"),
+    "cp_pmf kmax bool": (lambda: cp_pmf(_ONE_RATE, True), "kmax must be an integer"),
+    "cp_pmf kmax fraction": (lambda: cp_pmf(_ONE_RATE, 2.5), "kmax must be an integer"),
+    "monte_carlo_pmf reps bool": (
+        lambda: monte_carlo_pmf(_FAIR_COIN, EDGE, True, 1), "reps must be an integer"
+    ),
+    "monte_carlo_pmf reps fraction": (
+        lambda: monte_carlo_pmf(_FAIR_COIN, EDGE, 2.5, 1), "reps must be an integer"
+    ),
+    "monte_carlo_pmf seed": (
+        lambda: monte_carlo_pmf(_FAIR_COIN, EDGE, 2, 1.5), "seed must be an integer"
+    ),
+    "sample_graph seed": (lambda: sample_graph(_FAIR_COIN, True), "seed must be an integer"),
+    "truncation_bound eps": (
+        lambda: truncation_bound(Poisson(1.0), "1e-8"), "eps must be a number"
+    ),
+    "lambda_params eps": (lambda: lambda_params(_FAIR_COIN, EDGE, "1e-8"), "eps must be a number"),
+    "lambda_params exact eps": (
+        lambda: lambda_params(_FAIR_COIN, EDGE, "1e-8", exact=True), "eps must be a number"
+    ),
+    "tv_bound c_override": (
+        lambda: tv_bound(_SPARSE, TRIANGLE, "thm31_simple", c_override=True),
+        "c_override must be a number",
+    ),
+    "tv_bound regime_c": (
+        lambda: tv_bound(_SPARSE, TRIANGLE, "regime_corpn", regime_c=True, regime_C=2.5),
+        "regime_c must be a number",
+    ),
+    "tv_bound regime_C": (
+        lambda: tv_bound(_SPARSE, TRIANGLE, "regime_corpn", regime_c=1.5, regime_C="2.5"),
+        "regime_C must be a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_NUMBERS)
+def test_public_entry_points_refuse_numbers_of_the_wrong_kind(case):
+    # a bool, a string or a fractional count is refused naming the argument,
+    # never read as 1, parsed or truncated
+    call, message = _BAD_NUMBERS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_lambda_refuses_too_many_class_multisets_up_front(monkeypatch):

@@ -21,6 +21,7 @@ from blockmotif import (
     pmf_tail,
     truncation_bound,
 )
+from blockmotif import distributions
 
 
 def _numeric_moment(dist, r, kmax=400):
@@ -210,6 +211,74 @@ def test_truncation_bound_rejects_bad_eps():
         truncation_bound(Poisson(1.0), 0.0)
     with pytest.raises(ValueError):
         truncation_bound(Poisson(1.0), 1.0)
+
+
+# laws for the cap searches: seeded Poisson rates in [0, 800] with the
+# rates where exp(-rate) underflows, geometric ratios up to 0.9999, and
+# categorical laws whose trailing entries are zero
+_rng = random.Random(7)
+CAP_LAWS = (
+    [Poisson(r) for r in (0.0, 745.0, 800.0, *(_rng.uniform(0, 800) for _ in range(3)))]
+    + [Geometric(r) for r in (0.0, 0.3, 0.9, 0.99, 0.9999, _rng.random())]
+    + [Categorical(p) for p in ((1.0, 0.0), (0.5, 0.5, 0.0, 0.0),
+                                (F(1, 5), F(3, 10), F(1, 2), F(0)), (0.25, 0.0, 0.75, 0.0))]
+)
+# eps up to 1 - 1e-11: computed Poisson tails below the mean err by up to
+# 3e-12 at these rates, so nearer 1 the bisected cap may pass the walk's
+CAP_EPS = sorted(
+    [1e-300, 1e-100, 1e-30, 1e-10, 1e-4, 0.5, 1 - 1e-9, 1 - 1e-11]
+    + [10 ** -_rng.uniform(0, 300) for _ in range(8)],
+    reverse=True,
+)
+
+
+def _walked_caps(law, epsilons, steps=5000):
+    """The linear walk ``m = 0; while tail(m + 1) > eps: m += 1`` for each
+    eps, largest first, resuming where the last one stopped (every m it
+    passed has a tail above the larger eps); None past ``steps``."""
+    caps, m = {}, 0
+    for eps in epsilons:
+        while m <= steps and pmf_tail(law, m + 1)[1] > eps:
+            m += 1
+        caps[eps] = m if m <= steps else None
+    return caps
+
+
+def _geometric_cap(ratio, eps):
+    # least m with ratio^(m + 1) <= eps, from the logarithms and checked
+    m = max(0, math.ceil(math.log(eps) / math.log(ratio)) - 1)
+    while m > 0 and ratio**m <= eps:
+        m -= 1
+    while ratio ** (m + 1) > eps:
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("law", CAP_LAWS, ids=repr)
+def test_truncation_bound_equals_the_linear_walk(law):
+    for eps, walked in _walked_caps(law, CAP_EPS).items():
+        if walked is None:  # geometric ratios near 1 at tiny eps
+            walked = _geometric_cap(law.ratio, eps)
+        assert truncation_bound(law, eps) == walked, eps
+
+
+@pytest.mark.parametrize("law", CAP_LAWS, ids=repr)
+def test_pmf_is_the_pmf_half_of_pmf_tail(law):
+    for k in range(min(truncation_bound(law, 1e-10), 5000) + 3):
+        assert distributions._pmf(law, k) == pmf_tail(law, k)[0], k
+
+
+def test_a_cap_costs_logarithmically_many_tails(monkeypatch):
+    calls = []
+
+    def counted(law, k):
+        calls.append(k)
+        return pmf_tail(law, k)
+
+    monkeypatch.setattr(distributions, "pmf_tail", counted)
+    cap = truncation_bound(Poisson(6000.0), 1e-10)
+    assert cap == stats.poisson.isf(1e-10, 6000.0)
+    assert len(calls) <= 2 * (cap + 1).bit_length() + 2
 
 
 # -- serialization ----------------------------------------------------------------

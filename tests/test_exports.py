@@ -4,6 +4,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from collections import Counter
 from pathlib import Path
 
 import blockmotif
@@ -65,3 +67,47 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [name for root in roots for path in sorted(root.glob("*.py"))
               for name in _unused_imports(path)]
     assert not unused
+
+
+def _references(tree: ast.AST):
+    """The names a tree reads: loaded names, attributes, imported names and
+    strings that are a dotted path (``monkeypatch.setattr``'s targets)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                yield node.value.rsplit(".", 1)[-1]
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The module-level names a statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+
+
+def test_no_private_helper_is_left_unused():
+    # a module-level _name of the library that nothing reads outside its
+    # own definition, in the library, its tests or the benchmark harness
+    package = Path(blockmotif.__file__).parent
+    tests = Path(__file__).parent
+    roots = (package, tests, tests.parent / "perfbench")
+    trees = {path: ast.parse(path.read_text()) for root in roots for path in root.glob("*.py")}
+    read = Counter(name for tree in trees.values() for name in _references(tree))
+    dead = [
+        f"{path.name} {name}"
+        for path in sorted(package.glob("*.py"))
+        for node in trees[path].body
+        for name in _defined(node)
+        if name.startswith("_") and not name.startswith("__")
+        and read[name] == sum(ref == name for ref in _references(node))
+    ]
+    assert not dead
